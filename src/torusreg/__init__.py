@@ -16,7 +16,6 @@ from .errors import (
     InteriorityWarning,
     NonConvergence,
     NonPositiveError,
-    ProxFailure,
     SourceDivisionError,
     SpectrumNotReal,
     SubgradientUndefined,
@@ -46,14 +45,9 @@ from .operators import (
 )
 from .functionals import (
     EntropyPenalty,
-    Fidelity,
     QuadraticPenalty,
-    bregman_distance,
     kl_divergence,
-    penalty_value,
     prox_fidelity,
-    prox_penalty,
-    xu_roach_check,
 )
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr, solve_quadratic_spectral
 from .bregman import (
@@ -91,8 +85,7 @@ from .harness import (
     fit_rate,
     geometric_grid,
     rate_sweep,
-    reconstruction_error,
     sinusoid_noise,
-    worst_case_noise,
+    worst_case_search,
 )
 from .config import default_config, load_config

@@ -22,8 +22,7 @@ from .harness import (
     calibrate_c,
     fit_rate,
     rate_sweep,
-    sinusoid_noise,
-    worst_case_noise,
+    worst_case_search,
 )
 from .operators import apply, kernel_signal, make_inverse_helmholtz
 from .solvers import SolverConfig, solve_quadratic_spectral
@@ -54,21 +53,7 @@ def cmd_reconstruct(args) -> int:
     sweep = config.sweep
     delta = sweep.deltas[0]
     alpha = sweep.alphas[0] if sweep.alphas else apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
-    noise = sweep.noise
-    if noise.kind == "exact":
-        g_obs, k = problem.g_true, 0
-    elif noise.kind == "fixed_sinusoid":
-        g_obs, k = problem.g_true + sinusoid_noise(problem.grid, delta, noise.k_fixed), noise.k_fixed
-    else:
-        def evaluator(g):
-            chain = bregman_iterate(problem.op, g, alpha, problem.penalty, sweep.bregman_steps, config.solver)
-            return chain[-1].iterate
-
-        g_obs, k = worst_case_noise(
-            problem.op, problem.g_true, delta, noise.k_max, evaluator,
-            sweep.metric, problem.f_true, problem.penalty,
-        )
-    states = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, sweep.bregman_steps, config.solver)
+    k, g_obs, states, _ = worst_case_search(config, problem, delta, alpha)[-1]
     outdir = _ensure_outdir(config, args.out)
     path = os.path.join(outdir, "reconstruction.csv")
     columns = {"f_true": problem.f_true, "g_true": problem.g_true, "g_obs": g_obs}

@@ -32,17 +32,6 @@ class SubgradientUndefined(TorusRegError):
     """No subgradient selection exists (base point on the domain boundary)."""
 
 
-class ProxFailure(TorusRegError):
-    """Pointwise proximal solve failed to converge.
-
-    Carries the offending sample index in ``index``.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class NonConvergence(TorusRegError):
     """Iterative solver hit its iteration cap.
 

@@ -15,26 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
-from .errors import ConfigError, ProxFailure, SubgradientUndefined
+from .errors import ConfigError, SubgradientUndefined
 from .operators import FourierMultiplierOperator
 from .torus import Signal, check_same_grid, norm_l2
 
 __all__ = [
     "QuadraticPenalty",
     "EntropyPenalty",
-    "Fidelity",
     "kl_divergence",
-    "penalty_value",
-    "bregman_distance",
-    "prox_penalty",
     "prox_fidelity",
-    "xu_roach_check",
 ]
 
 BOX_SLACK = 1e-12
-_NEWTON_MAX_ITER = 100
-_NEWTON_TOL = 1e-12
+PROX_FLOOR = 1e-12
 
 
 def _phi_entropy(ratio_minus_one: np.ndarray) -> np.ndarray:
@@ -131,93 +126,27 @@ class EntropyPenalty:
         return Signal(f.grid, np.log(fv / self.prior.values))
 
     def prox(self, x: Signal, gamma: float) -> Signal:
-        """Pointwise prox: solve gamma ln(v/w) + v - x = 0, then clamp to the box.
+        """Pointwise prox: the root of gamma ln(v/w) + v - x = 0, clamped to the box.
 
         The 1-D objective is convex, so the constrained minimizer is the
-        clamp of the unconstrained root. Newton from max(w, x, 1e-8) with a
-        bisection fallback on [1e-12, max(x, w) + 50 gamma] if an iterate
-        leaves the positive axis; roots below the bracket floor saturate at
-        1e-12 (numerically zero, but kept positive for later logs).
+        clamp of the unconstrained root, which has the closed form
+        v = gamma omega(x/gamma + ln(w/gamma)) with omega the Wright omega
+        function (the solution of omega + ln omega = z). Roots below
+        ``PROX_FLOOR`` saturate there: numerically zero, but kept positive
+        for later logs.
         """
-        if gamma <= 0:
-            raise ConfigError("prox step must be positive")
+        if not 0 < gamma < np.inf:
+            raise ConfigError("prox step must be finite and positive")
         check_same_grid(x, self.prior)
         w = self.prior.values
-        xv = x.values
-        v = np.maximum(np.maximum(w, xv), 1e-8)
-        converged = np.zeros_like(v, dtype=bool)
-        for _ in range(_NEWTON_MAX_ITER):
-            g = gamma * np.log(v / w) + v - xv
-            converged = np.abs(g) <= _NEWTON_TOL
-            if np.all(converged):
-                break
-            step = g / (gamma / v + 1.0)
-            v_new = np.where(converged, v, v - step)
-            if np.any(v_new <= 0):
-                v = np.where(v_new <= 0, np.nan, v_new)
-                break
-            v = v_new
-        bad = ~converged | ~np.isfinite(v)
-        if np.any(bad):
-            v = self._bisect(np.where(bad, np.nan, v), bad, xv, w, gamma)
-        return Signal(x.grid, np.clip(v, self.box_lo, self.box_hi))
-
-    def _bisect(self, v, mask, xv, w, gamma):
-        lo = np.full_like(xv, 1e-12)
-        hi = np.maximum(xv, w) + 50.0 * gamma
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = gamma * np.log(mid / w) + mid - xv
-            lo = np.where(g < 0, mid, lo)
-            hi = np.where(g >= 0, mid, hi)
-            if np.all(hi - lo <= 4.0 * np.finfo(float).eps * np.abs(mid)):
-                break
-        mid = 0.5 * (lo + hi)
-        res = np.abs(gamma * np.log(mid / w) + mid - xv)
-        stuck = mask & (res > 1e-9) & (mid > 2e-12)
-        if np.any(stuck):
-            idx = int(np.argmax(stuck))
-            raise ProxFailure(
-                f"entropy prox failed at sample {idx} (residual {res[idx]:.2e})",
-                index=idx,
-            )
-        return np.where(mask, mid, v)
+        v = gamma * wrightomega(x.values / gamma + np.log(w / gamma))
+        return Signal(x.grid, np.clip(np.maximum(v, PROX_FLOOR), self.box_lo, self.box_hi))
 
     def with_prior(self, prior: Signal) -> "EntropyPenalty":
         return EntropyPenalty(prior, self.box_lo, self.box_hi)
 
 
 Penalty = QuadraticPenalty | EntropyPenalty
-
-
-@dataclass(frozen=True)
-class Fidelity:
-    """Data fidelity S(g) = (1/q) ||g||^q; only the Hilbert case q = 2 is built."""
-
-    q: float = 2.0
-
-    def __post_init__(self):
-        if self.q != 2.0:
-            raise ConfigError("only the quadratic fidelity q = 2 is supported")
-
-    def value(self, g: Signal) -> float:
-        return 0.5 * norm_l2(g) ** 2
-
-    def duality_map(self, g: Signal) -> Signal:
-        """J_q with q = 2 in L^2 is the identity."""
-        return Signal(g.grid, g.values.copy())
-
-
-def penalty_value(penalty: Penalty, f: Signal) -> float:
-    return penalty.value(f)
-
-
-def bregman_distance(penalty: Penalty, f: Signal, base: Signal) -> float:
-    return penalty.bregman(f, base)
-
-
-def prox_penalty(penalty: Penalty, x: Signal, gamma: float) -> Signal:
-    return penalty.prox(x, gamma)
 
 
 def prox_fidelity(
@@ -240,14 +169,3 @@ def prox_fidelity(
     mu = op.symbol_fft_order
     vc = (xc + t * mu * gc) / (1.0 + t * mu**2)
     return Signal(x.grid, np.fft.ifft(vc).real)
-
-
-def xu_roach_check(x: Signal, y: Signal) -> tuple[float, float]:
-    """Lower bound of the Bregman distance of S by a norm power, q = r = 2.
-
-    Returns (D_S(x, y), c ||x - y||^2) with c = 1/2; in the Hilbert case the
-    two sides coincide, and lhs >= rhs always.
-    """
-    check_same_grid(x, y)
-    d = 0.5 * norm_l2(x - y) ** 2
-    return d, d

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bregman import bregman_iterate
+from .bregman import BregmanState, bregman_iterate
 from .errors import ConfigError, InsufficientData, NonPositiveError
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
@@ -34,8 +34,8 @@ __all__ = [
     "RateFit",
     "build_problem",
     "sinusoid_noise",
-    "reconstruction_error",
-    "worst_case_noise",
+    "Choice",
+    "worst_case_search",
     "apriori_alpha",
     "calibrate_c",
     "approx_error_sweep",
@@ -101,10 +101,10 @@ class SweepConfig:
 
     def __post_init__(self):
         d = np.asarray(self.deltas, dtype=float)
-        if d.size == 0 or np.any(d <= 0) or np.any(np.diff(d) >= 0):
-            raise ConfigError("deltas must be strictly positive and strictly decreasing")
-        if self.alpha_c <= 0:
-            raise ConfigError("alpha rule constant must be positive")
+        if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
+            raise ConfigError("deltas must be finite, strictly positive and strictly decreasing")
+        if not 0 < self.alpha_c < np.inf:
+            raise ConfigError(f"alpha_c must be finite and positive, got {self.alpha_c}")
         if not 0 < self.alpha_sigma <= 2:
             raise ConfigError("alpha rule exponent must lie in (0, 2]")
         if self.bregman_steps < 1:
@@ -188,49 +188,13 @@ def apriori_alpha(delta: float, c: float, sigma: float) -> float:
     return c * delta**sigma
 
 
-def reconstruction_error(penalty: Penalty, recon: Signal, f_true: Signal, metric: str) -> float:
-    """Error of a reconstruction in the chosen metric.
+class Choice(NamedTuple):
+    """The candidate a worst-case search selected for one Bregman step."""
 
-    ``kl`` is the penalty-native Bregman distance to the truth (the KL
-    divergence for the entropy penalty, 1/2 ||.||^2 for the quadratic one);
-    ``l1`` is the L1 distance.
-    """
-    if metric == "kl":
-        return penalty.bregman(recon, f_true)
-    if metric == "l1":
-        return norm_l1(recon - f_true)
-    raise ConfigError(f"unknown metric {metric!r}")
-
-
-def worst_case_noise(
-    op: FourierMultiplierOperator,
-    g_true: Signal,
-    delta: float,
-    k_max: int,
-    evaluator: Callable[[Signal], Signal],
-    metric: str,
-    f_true: Signal,
-    penalty: Penalty,
-) -> tuple[Signal, int]:
-    """Search g_true + delta sin(2 pi k .), k = 1..k_max, for the worst error.
-
-    Runs the full reconstruction ``evaluator`` on every candidate and
-    returns the observation maximizing the reconstruction error (first
-    index wins ties).
-    """
-    if delta < 0:
-        raise ConfigError("delta must be non-negative")
-    if not 1 <= k_max <= g_true.grid.n // 2 - 1:
-        raise ConfigError("k_max must lie in [1, n/2 - 1]")
-    best_err = -float("inf")
-    best = (g_true, 1)
-    for k in range(1, k_max + 1):
-        g_obs = g_true + sinusoid_noise(g_true.grid, delta, k)
-        err = reconstruction_error(penalty, evaluator(g_obs), f_true, metric)
-        if err > best_err:
-            best_err = err
-            best = (g_obs, k)
-    return best
+    k: int  # noise frequency; 0 for exact data
+    g_obs: Signal
+    states: list[BregmanState]  # the whole chain run on g_obs
+    metrics: tuple[float, float, float, int]  # (kl, l1, data residual, DR iterations)
 
 
 def _chain_metrics(
@@ -239,8 +203,8 @@ def _chain_metrics(
     alpha: float,
     n_steps: int,
     solver: SolverConfig,
-) -> list[tuple[float, float, float, int]]:
-    """(kl, l1, data residual, iterations) for each step of the chain."""
+) -> tuple[list[BregmanState], list[tuple[float, float, float, int]]]:
+    """The chain on g_obs and (kl, l1, data residual, iterations) for each step."""
     states = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
     out = []
     for st in states:
@@ -248,49 +212,52 @@ def _chain_metrics(
         l1 = norm_l1(st.iterate - problem.f_true)
         resid = norm_l2(apply(problem.op, st.iterate) - g_obs)
         out.append((kl, l1, resid, st.report.iterations))
-    return out
+    return states, out
+
+
+def worst_case_search(
+    config: ExperimentConfig, problem: Problem, delta: float, alpha: float
+) -> list[Choice]:
+    """Run the Bregman chain on every candidate observation; pick per step.
+
+    The candidates follow ``config.sweep.noise``: the exact data (k = 0),
+    g_true + delta sin(2 pi k_fixed .), or g_true + delta sin(2 pi k .) for
+    k = 1..k_max. Returns, for each Bregman step, the candidate with the
+    largest error in ``config.sweep.metric`` at that step (first index wins
+    ties); the first n steps of a chain are the n-step chain, so one chain
+    per candidate covers every step.
+    """
+    sweep, noise, n = config.sweep, config.sweep.noise, problem.grid.n
+    if not delta >= 0:
+        raise ConfigError(f"delta must be non-negative, got {delta}")
+    if noise.kind == "exact":
+        ks = [0]
+    elif noise.kind == "fixed_sinusoid":
+        ks = [noise.k_fixed]
+    else:
+        if not 1 <= noise.k_max <= n // 2 - 1:
+            raise ConfigError(f"k_max must lie in [1, n/2 - 1] = [1, {n // 2 - 1}], "
+                              f"got {noise.k_max}")
+        ks = range(1, noise.k_max + 1)
+    col = 0 if sweep.metric == "kl" else 1
+    best: list[Choice | None] = [None] * sweep.bregman_steps
+    for k in ks:
+        g_obs = problem.g_true + sinusoid_noise(problem.grid, delta, k) if k else problem.g_true
+        states, metrics = _chain_metrics(problem, g_obs, alpha, sweep.bregman_steps, config.solver)
+        for i, m in enumerate(metrics):
+            if best[i] is None or m[col] > best[i].metrics[col]:
+                best[i] = Choice(k, g_obs, states, m)
+    return best
+
+
+def _rows(delta: float, alpha: float, choices: list[Choice]) -> list[SweepRow]:
+    return [SweepRow(delta, alpha, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
 
 
 def _rows_for_delta(config: ExperimentConfig, problem: Problem, delta: float) -> list[SweepRow]:
     sweep = config.sweep
     alpha = apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
-    noise = sweep.noise
-    n_steps = sweep.bregman_steps
-    if noise.kind == "exact":
-        per_k = {0: _chain_metrics(problem, problem.g_true, alpha, n_steps, config.solver)}
-        choice = {n: 0 for n in range(1, n_steps + 1)}
-    elif noise.kind == "fixed_sinusoid":
-        g_obs = problem.g_true + sinusoid_noise(problem.grid, delta, noise.k_fixed)
-        per_k = {noise.k_fixed: _chain_metrics(problem, g_obs, alpha, n_steps, config.solver)}
-        choice = {n: noise.k_fixed for n in range(1, n_steps + 1)}
-    else:
-        # worst case, selected per Bregman step: the candidate chains share
-        # their early steps, so one chain per k covers every n
-        per_k = {}
-        for k in range(1, noise.k_max + 1):
-            g_obs = problem.g_true + sinusoid_noise(problem.grid, delta, k)
-            per_k[k] = _chain_metrics(problem, g_obs, alpha, n_steps, config.solver)
-        col = 0 if sweep.metric == "kl" else 1
-        choice = {}
-        for n in range(1, n_steps + 1):
-            errs = [per_k[k][n - 1][col] for k in sorted(per_k)]
-            choice[n] = sorted(per_k)[int(np.argmax(errs))]
-    rows = []
-    for n in range(1, n_steps + 1):
-        kl, l1, resid, iters = per_k[choice[n]][n - 1]
-        rows.append(
-            SweepRow(
-                delta=delta,
-                alpha=alpha,
-                k_worst=choice[n],
-                n_bregman=n,
-                kl_error=kl,
-                l1_error=l1,
-                data_residual=resid,
-                dr_iterations=iters,
-            )
-        )
-    return rows
+    return _rows(delta, alpha, worst_case_search(config, problem, delta, alpha))
 
 
 def _delta_job(args) -> list[SweepRow]:
@@ -336,25 +303,9 @@ def approx_error_sweep(
         raise ConfigError("approx_error_sweep needs an alpha list")
     if problem is None:
         problem = build_problem(config.problem)
-    rows = []
-    for alpha in alphas:
-        metrics = _chain_metrics(
-            problem, problem.g_true, alpha, config.sweep.bregman_steps, config.solver
-        )
-        for n, (kl, l1, resid, iters) in enumerate(metrics, start=1):
-            rows.append(
-                SweepRow(
-                    delta=0.0,
-                    alpha=alpha,
-                    k_worst=0,
-                    n_bregman=n,
-                    kl_error=kl,
-                    l1_error=l1,
-                    data_residual=resid,
-                    dr_iterations=iters,
-                )
-            )
-    return rows
+    exact = replace(config, sweep=replace(config.sweep, noise=NoiseModel(kind="exact")))
+    return [row for alpha in alphas
+            for row in _rows(0.0, alpha, worst_case_search(exact, problem, 0.0, alpha))]
 
 
 def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem | None) -> float:

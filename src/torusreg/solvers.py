@@ -38,14 +38,14 @@ class SolverConfig:
     method: str = "dr"
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
         if not 0 < self.relax <= 2:
             raise ConfigError("relaxation must lie in (0, 2]")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.method not in ("dr", "spectral"):
             raise ConfigError(f"unknown solver method {self.method!r}")
 

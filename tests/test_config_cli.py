@@ -174,6 +174,23 @@ class TestCli:
         assert lines[0] == "x,f_true,g_true,g_obs,f_step1,f_step2"
         assert len(lines) == 97
 
+    def test_reconstruct_noise_matches_rate_sweep_last_step(self, tmp_path, capsys):
+        path = small_cli_config(tmp_path)
+        with open(path) as handle:
+            text = handle.read()
+        text = text.replace("alphas = 1e-1, 3e-2, 1e-2, 3e-3\n", "")
+        text = text.replace("noise = fixed_sinusoid\nk_fixed = 2", "noise = worst_case\nk_max = 6")
+        with open(path, "w") as handle:
+            handle.write(text)
+        cfg = load_config(path)
+        assert cfg.sweep.alphas is None and cfg.sweep.noise.kind == "worst_case"
+        assert main(["rate-sweep", "--config", path]) == 0
+        rows = read_sweep_csv(str(tmp_path / "out" / "sweep.csv"))
+        [last] = [r for r in rows if r.delta == cfg.sweep.deltas[0] and r.n_bregman == 2]
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path]) == 0
+        assert f"noise_k={last.k_worst}\n" in capsys.readouterr().out
+
     def test_vsc_diagnose_writes_report(self, tmp_path):
         cfg = small_cli_config(tmp_path)
         assert main(["vsc-diagnose", "--config", cfg, "--seed", "1"]) == 0

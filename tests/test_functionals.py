@@ -4,23 +4,18 @@ import pytest
 from torusreg import (
     ConfigError,
     EntropyPenalty,
-    Fidelity,
     GridMismatch,
     QuadraticPenalty,
     Signal,
     SubgradientUndefined,
     TorusGrid,
-    bregman_distance,
     kl_divergence,
     make_identity,
     make_inverse_helmholtz,
     norm_l1,
     norm_l2,
-    penalty_value,
     prox_fidelity,
-    prox_penalty,
     to_spectrum,
-    xu_roach_check,
 )
 
 from conftest import random_signal
@@ -71,14 +66,14 @@ class TestPenaltyValues:
     def test_grid_mismatch(self, grid, ones):
         other = TorusGrid(32)
         with pytest.raises(GridMismatch):
-            penalty_value(EntropyPenalty(ones), Signal(other, np.ones(other.n)))
+            EntropyPenalty(ones).value(Signal(other, np.ones(other.n)))
 
 
 class TestBregmanDistances:
     def test_zero_at_base(self, grid, rng, ones):
         for pen in (QuadraticPenalty(ones), EntropyPenalty(ones)):
             f = positive_signal(grid, rng, 0.3, 4.0)
-            assert bregman_distance(pen, f, f) < 1e-15
+            assert pen.bregman(f, f) < 1e-15
 
     def test_entropy_reduces_to_kl(self, grid, ones):
         pen = EntropyPenalty(ones)
@@ -125,50 +120,61 @@ class TestProxPenalty:
         prior = random_signal(grid, rng)
         pen = QuadraticPenalty(prior)
         x = random_signal(grid, rng)
-        out = prox_penalty(pen, x, 2.5)
+        out = pen.prox(x, 2.5)
         expected = (x.values + 2.5 * prior.values) / 3.5
         assert np.max(np.abs(out.values - expected)) < 1e-14
 
     def test_quadratic_large_gamma_goes_to_prior(self, grid, rng):
         prior = random_signal(grid, rng)
         x = random_signal(grid, rng)
-        out = prox_penalty(QuadraticPenalty(prior), x, 1e12)
+        out = QuadraticPenalty(prior).prox(x, 1e12)
         assert np.max(np.abs(out.values - prior.values)) < 1e-9
 
     def test_entropy_prior_fixed_point(self, grid, ones):
         pen = EntropyPenalty(ones)
-        out = prox_penalty(pen, ones, 1.0)
+        out = pen.prox(ones, 1.0)
         assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
     def test_entropy_known_root(self, grid, ones):
         # gamma ln v + v = x with x = 2 + ln 2 has the root v = 2
         pen = EntropyPenalty(ones)
         x = Signal(grid, np.full(grid.n, 2.0 + np.log(2.0)))
-        out = prox_penalty(pen, x, 1.0)
+        out = pen.prox(x, 1.0)
         assert np.max(np.abs(out.values - 2.0)) < 1e-12
 
     def test_entropy_optimality_residual(self, grid, rng, ones):
-        for _ in range(200):
+        gammas = [float(g) for g in rng.uniform(0.05, 5.0, 200)] + [1e-6] * 50 + [1e3] * 50
+        for gamma in gammas:
             pen = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0))
             x = random_signal(grid, rng, scale=2.0)
-            gamma = float(rng.uniform(0.05, 5.0))
-            v = prox_penalty(pen, x, gamma).values
-            # samples at the 1e-12 root-bracket floor count as boundary
+            v = pen.prox(x, gamma).values
+            # samples at the 1e-12 floor count as boundary
             interior = (v > pen.box_lo + 2e-12) & (v < pen.box_hi - 1e-12)
             residual = gamma * np.log(v[interior] / pen.prior.values[interior]) + v[interior] - x.values[interior]
             assert np.max(np.abs(residual), initial=0.0) <= 1e-10
+
+        # the root of gamma ln(v/w) + v = x lies below 1e-12 exactly when
+        # x < gamma ln(1e-12/w) + 1e-12; those samples sit at the floor
+        for gamma in (1e-6, 0.05, 1.0, 1e3):
+            pen = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0))
+            threshold = gamma * np.log(1e-12 / pen.prior.values) + 1e-12
+            deep = rng.uniform(size=grid.n) < 0.5
+            x = np.where(deep, threshold - gamma * rng.uniform(1e-3, 50.0, grid.n), rng.standard_normal(grid.n))
+            v = pen.prox(Signal(grid, x), gamma).values
+            assert np.all(v > 0)
+            assert np.all(v[deep] == 1e-12)
 
     def test_prox_nonexpansive(self, grid, rng, ones):
         for pen in (QuadraticPenalty(ones), EntropyPenalty(ones)):
             for _ in range(100):
                 x1, x2 = random_signal(grid, rng), random_signal(grid, rng)
                 gamma = float(rng.uniform(0.1, 10.0))
-                p1, p2 = prox_penalty(pen, x1, gamma), prox_penalty(pen, x2, gamma)
+                p1, p2 = pen.prox(x1, gamma), pen.prox(x2, gamma)
                 assert norm_l2(p1 - p2) <= norm_l2(x1 - x2) + 1e-12
 
     def test_rejects_nonpositive_gamma(self, grid, ones):
         with pytest.raises(ConfigError):
-            prox_penalty(QuadraticPenalty(ones), ones, 0.0)
+            QuadraticPenalty(ones).prox(ones, 0.0)
 
 
 class TestProxFidelity:
@@ -198,42 +204,6 @@ class TestProxFidelity:
             mu = op.symbol
             residual = gamma / alpha * mu * (mu * vc - gc) + (vc - xc)
             assert np.max(np.abs(residual)) <= 1e-10
-
-
-class TestXuRoach:
-    def test_zero_at_equal_points(self, grid):
-        z = Signal(grid, np.zeros(grid.n))
-        assert xu_roach_check(z, z) == (0.0, 0.0)
-
-    def test_hilbert_equality(self, grid, rng):
-        for _ in range(200):
-            x, y = random_signal(grid, rng), random_signal(grid, rng)
-            lhs, rhs = xu_roach_check(x, y)
-            assert lhs >= rhs - 1e-15
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
-
-    def test_quadratic_homogeneity(self, grid, rng):
-        x, y = random_signal(grid, rng), random_signal(grid, rng)
-        lhs1, _ = xu_roach_check(x, y)
-        lhs2, _ = xu_roach_check(3.0 * x, 3.0 * y)
-        assert abs(lhs2 - 9.0 * lhs1) < 1e-12 * max(1.0, lhs2)
-
-
-class TestFidelity:
-    def test_only_q2(self):
-        with pytest.raises(ConfigError):
-            Fidelity(q=1.5)
-
-    def test_value(self, grid, rng):
-        f = random_signal(grid, rng)
-        assert abs(Fidelity().value(f) - 0.5 * norm_l2(f) ** 2) < 1e-14
-
-    def test_duality_map_is_identity_and_homogeneous(self, grid, rng):
-        fid = Fidelity()
-        y = random_signal(grid, rng)
-        assert np.array_equal(fid.duality_map(y).values, y.values)
-        lam = -2.5
-        assert np.array_equal(fid.duality_map(lam * y).values, lam * y.values)
 
 
 class TestKLStability:

@@ -29,7 +29,7 @@ from torusreg import (
     sinusoid_noise,
     solve_quadratic_spectral,
     to_spectrum,
-    worst_case_noise,
+    worst_case_search,
 )
 
 from conftest import band_limited_signal
@@ -63,6 +63,13 @@ class TestConfigs:
     def test_deltas_must_be_positive(self):
         with pytest.raises(ConfigError):
             SweepConfig(deltas=(1e-2, 0.0))
+        with pytest.raises(ConfigError, match="deltas"):
+            SweepConfig(deltas=(1e-2, float("nan"), 1e-4))
+
+    def test_alpha_c_must_be_finite_and_positive(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="alpha_c"):
+                SweepConfig(alpha_c=bad)
 
     def test_sigma_range(self):
         with pytest.raises(ConfigError):
@@ -102,32 +109,28 @@ class TestAprioriAlpha:
             apriori_alpha(0.0, 1.0, 1.0)
 
 
+def search_config(steps=1, **noise):
+    """Spectral solves; the noise model defaults to the worst case over k = 1..32."""
+    return ExperimentConfig(
+        solver=SolverConfig(method="spectral"),
+        sweep=SweepConfig(bregman_steps=steps, noise=NoiseModel(**noise)),
+    )
+
+
 class TestWorstCaseNoise:
     def test_zero_delta_ties_to_first_candidate(self):
         problem = quad_problem()
-
-        def evaluator(g_obs):
-            return solve_quadratic_spectral(problem.op, g_obs, 0.1, problem.penalty.prior)
-
-        g_obs, k = worst_case_noise(
-            problem.op, problem.g_true, 0.0, 8, evaluator, "kl", problem.f_true, problem.penalty
-        )
-        assert k == 1
-        assert np.array_equal(g_obs.values, problem.g_true.values)
+        for choice in worst_case_search(search_config(steps=2, k_max=8), problem, 0.0, 0.1):
+            assert choice.k == 1
+            assert np.array_equal(choice.g_obs.values, problem.g_true.values)
 
     def test_matches_brute_force_oracle(self):
         problem = quad_problem()
         alpha, delta, k_max = 1e-3, 1e-2, 16
-
-        def evaluator(g_obs):
-            return solve_quadratic_spectral(problem.op, g_obs, alpha, problem.penalty.prior)
-
-        _, k_sel = worst_case_noise(
-            problem.op, problem.g_true, delta, k_max, evaluator, "kl",
-            problem.f_true, problem.penalty,
-        )
+        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha)
         oracle = [tikhonov_error_oracle(problem, delta, k, alpha) for k in range(1, k_max + 1)]
-        assert k_sel == 1 + int(np.argmax(oracle))
+        assert choice.k == 1 + int(np.argmax(oracle))
+        assert choice.metrics[0] == pytest.approx(max(oracle), rel=1e-8)
 
     def test_selected_error_dominates_all_candidates(self):
         problem = quad_problem()
@@ -136,11 +139,8 @@ class TestWorstCaseNoise:
         def evaluator(g_obs):
             return solve_quadratic_spectral(problem.op, g_obs, alpha, problem.penalty.prior)
 
-        g_obs, k_sel = worst_case_noise(
-            problem.op, problem.g_true, delta, k_max, evaluator, "kl",
-            problem.f_true, problem.penalty,
-        )
-        best = problem.penalty.bregman(evaluator(g_obs), problem.f_true)
+        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha)
+        best = problem.penalty.bregman(evaluator(choice.g_obs), problem.f_true)
         for k in range(1, k_max + 1):
             candidate = problem.g_true + sinusoid_noise(problem.grid, delta, k)
             err = problem.penalty.bregman(evaluator(candidate), problem.f_true)
@@ -154,11 +154,15 @@ class TestWorstCaseNoise:
 
     def test_k_max_bounds(self):
         problem = quad_problem()
-        with pytest.raises(ConfigError):
-            worst_case_noise(
-                problem.op, problem.g_true, 0.1, problem.grid.n, lambda g: g, "kl",
-                problem.f_true, problem.penalty,
-            )
+        n = problem.grid.n
+        for k_max in (n // 2, n):
+            with pytest.raises(ConfigError, match="k_max"):
+                worst_case_search(search_config(k_max=k_max), problem, 0.1, 0.1)
+        assert len(worst_case_search(search_config(k_max=n // 2 - 1), problem, 0.1, 0.1)) == 1
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ConfigError, match="delta"):
+            worst_case_search(search_config(k_max=4), quad_problem(), -1e-3, 0.1)
 
 
 class TestApproxErrorSweep:
@@ -256,7 +260,7 @@ class TestRateSweep:
         problem = quad_problem()
         base = SweepConfig(
             deltas=geometric_grid(1e-1, 1e-2, 2), alpha_c=0.03, alpha_sigma=1.0,
-            bregman_steps=1, noise=NoiseModel(kind="worst_case", k_max=12),
+            bregman_steps=2, noise=NoiseModel(kind="worst_case", k_max=12),
         )
         cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=base)
         worst_rows = rate_sweep(cfg, problem=problem)
@@ -270,6 +274,18 @@ class TestRateSweep:
             )
             for wr, fr in zip(worst_rows, rows_k):
                 assert wr.kl_error >= fr.kl_error - 1e-15
+
+    def test_k_max_beyond_nyquist_rejected(self):
+        problem = quad_problem(n=64)
+        cfg = ExperimentConfig(
+            solver=SolverConfig(method="spectral"),
+            sweep=SweepConfig(
+                deltas=geometric_grid(1e-1, 1e-2, 3), bregman_steps=1,
+                noise=NoiseModel(kind="worst_case", k_max=problem.grid.n // 2),
+            ),
+        )
+        with pytest.raises(ConfigError, match="k_max"):
+            rate_sweep(cfg, problem=problem)
 
     def test_deterministic_repeat(self):
         problem = quad_problem()

@@ -44,10 +44,12 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"tol": 0.0},
             {"method": "cg"},
+            {"gamma": float("inf")},
+            {"tol": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
 
 
