@@ -5,7 +5,8 @@ For the quadratic penalty this is classical iterated Tikhonov (the step-n
 prior is the previous iterate); for the entropy penalty the step-n penalty
 is KL(., f_{n-1}) as long as the iterates stay inside the box. Dual
 variables come from the extremal relation p_n = (g - T f_n) / alpha, which
-is exact in the Hilbert fidelity case, and their pullbacks T* p_k
+is exact in the Hilbert fidelity case (the chain reads T f_n - g off the
+solve report), and their pullbacks T* p_k
 accumulate to a subgradient of the original penalty at f_n.
 """
 
@@ -51,8 +52,8 @@ def dual_variable(
     alpha: float,
 ) -> Signal:
     """Step dual from the extremal relation: p = (g_obs - T f_n) / alpha."""
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     check_same_grid(op, f_n, g_obs)
     return (1.0 / alpha) * (g_obs - apply(op, f_n))
 
@@ -102,7 +103,7 @@ def bregman_iterate(
         current_penalty = step_penalty(penalty, previous)
         report = solve_generalized_dr(op, g_obs, alpha, current_penalty, cfg)
         f_n = report.minimizer
-        p_n = dual_variable(op, f_n, g_obs, alpha)
+        p_n = (-1.0 / alpha) * report.misfit
         accumulated = accumulated + apply(op, p_n)
         states.append(
             BregmanState(

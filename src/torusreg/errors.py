@@ -33,7 +33,7 @@ class SubgradientUndefined(TorusRegError):
 
 
 class NonConvergence(TorusRegError):
-    """Iterative solver hit its iteration cap.
+    """Iterative solver hit its iteration cap or took a non-finite step.
 
     Carries ``final_residual`` and ``iterations`` so the caller can retry
     with a different splitting step.

@@ -12,6 +12,7 @@ whose duality map is the identity.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "QuadraticPenalty",
     "EntropyPenalty",
     "kl_divergence",
+    "fidelity_prox_map",
     "prox_fidelity",
 ]
 
@@ -71,12 +73,16 @@ class QuadraticPenalty:
         check_same_grid(f, self.prior)
         return f - self.prior
 
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Array map x -> argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma)."""
+        if not 0 < gamma < np.inf:
+            raise ConfigError("prox step must be finite and positive")
+        shift, scale = gamma * self.prior.values, 1.0 + gamma
+        return lambda x: (x + shift) / scale
+
     def prox(self, x: Signal, gamma: float) -> Signal:
-        """argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma)."""
-        if gamma <= 0:
-            raise ConfigError("prox step must be positive")
         check_same_grid(x, self.prior)
-        return Signal(x.grid, (x.values + gamma * self.prior.values) / (1.0 + gamma))
+        return Signal(x.grid, self.prox_map(gamma)(x.values))
 
     def with_prior(self, prior: Signal) -> "QuadraticPenalty":
         return QuadraticPenalty(prior)
@@ -125,28 +131,54 @@ class EntropyPenalty:
             raise SubgradientUndefined("subgradient needs an interior, positive point")
         return Signal(f.grid, np.log(fv / self.prior.values))
 
-    def prox(self, x: Signal, gamma: float) -> Signal:
-        """Pointwise prox: the root of gamma ln(v/w) + v - x = 0, clamped to the box.
+    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Array map of the pointwise prox: the root of gamma ln(v/w) + v - x = 0,
+        clamped to the box.
 
         The 1-D objective is convex, so the constrained minimizer is the
         clamp of the unconstrained root, which has the closed form
         v = gamma omega(x/gamma + ln(w/gamma)) with omega the Wright omega
-        function (the solution of omega + ln omega = z). Roots below
-        ``PROX_FLOOR`` saturate there: numerically zero, but kept positive
-        for later logs.
+        function (the solution of omega + ln omega = z); ln(w/gamma) is
+        computed once per map. Roots below ``PROX_FLOOR`` saturate there:
+        numerically zero, but kept positive for later logs.
         """
         if not 0 < gamma < np.inf:
             raise ConfigError("prox step must be finite and positive")
+        shift = np.log(self.prior.values / gamma)
+        lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
+        return lambda x: np.minimum(np.maximum(gamma * wrightomega(x / gamma + shift), lo), hi)
+
+    def prox(self, x: Signal, gamma: float) -> Signal:
         check_same_grid(x, self.prior)
-        w = self.prior.values
-        v = gamma * wrightomega(x.values / gamma + np.log(w / gamma))
-        return Signal(x.grid, np.clip(np.maximum(v, PROX_FLOOR), self.box_lo, self.box_hi))
+        return Signal(x.grid, self.prox_map(gamma)(x.values))
 
     def with_prior(self, prior: Signal) -> "EntropyPenalty":
         return EntropyPenalty(prior, self.box_lo, self.box_hi)
 
 
 Penalty = QuadraticPenalty | EntropyPenalty
+
+
+def fidelity_prox_map(
+    op: FourierMultiplierOperator,
+    g_values: np.ndarray,
+    gamma: float,
+    alpha: float,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array map of :func:`prox_fidelity` for fixed data, on the rfft half spectrum.
+
+    t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once; each call
+    then costs one rfft and one irfft.
+    """
+    if not 0 < gamma < np.inf:
+        raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+    t = gamma / alpha
+    mu, n = op.symbol_rfft, op.grid.n
+    shift = t * mu * np.fft.rfft(g_values)
+    scale = 1.0 + t * mu**2
+    return lambda x: np.fft.irfft((np.fft.rfft(x) + shift) / scale, n)
 
 
 def prox_fidelity(
@@ -160,12 +192,5 @@ def prox_fidelity(
 
     Per mode: v_j = (x_j + (gamma/alpha) mu_j g_j) / (1 + (gamma/alpha) mu_j^2).
     """
-    if gamma <= 0 or alpha <= 0:
-        raise ConfigError("prox step and regularization parameter must be positive")
     check_same_grid(op, g, x)
-    t = gamma / alpha
-    xc = np.fft.fft(x.values)
-    gc = np.fft.fft(g.values)
-    mu = op.symbol_fft_order
-    vc = (xc + t * mu * gc) / (1.0 + t * mu**2)
-    return Signal(x.grid, np.fft.ifft(vc).real)
+    return Signal(x.grid, fidelity_prox_map(op, g.values, gamma, alpha)(x.values))

@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+def _check_alphas(alphas) -> None:
+    a = np.asarray(alphas, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ConfigError(f"alphas must be finite and positive, got {tuple(a.tolist())}")
+
+
 def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
     """Strictly decreasing geometric grid from top to bottom inclusive."""
     if not (top > bottom > 0) or count < 2:
@@ -72,6 +78,9 @@ class ProblemConfig:
             raise ConfigError(f"unknown truth {self.truth!r}")
         if self.prior_value <= 0:
             raise ConfigError("prior value must be positive")
+        for name in ("box_lo", "box_hi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,12 @@ class SweepConfig:
         d = np.asarray(self.deltas, dtype=float)
         if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
             raise ConfigError("deltas must be finite, strictly positive and strictly decreasing")
+        if self.alphas is not None:
+            _check_alphas(self.alphas)
         if not 0 < self.alpha_c < np.inf:
             raise ConfigError(f"alpha_c must be finite and positive, got {self.alpha_c}")
+        if self.predicted_rate is not None and not np.isfinite(self.predicted_rate):
+            raise ConfigError(f"predicted_rate must be finite, got {self.predicted_rate}")
         if not 0 < self.alpha_sigma <= 2:
             raise ConfigError("alpha rule exponent must lie in (0, 2]")
         if self.bregman_steps < 1:
@@ -145,6 +158,12 @@ def build_problem(cfg: ProblemConfig) -> Problem:
     prior = Signal(grid, np.full(grid.n, cfg.prior_value))
     if cfg.penalty == "entropy":
         penalty: Penalty = EntropyPenalty(prior, cfg.box_lo, cfg.box_hi)
+        # the error metric is the Bregman distance to f_true, defined only inside the box
+        lo, hi = float(np.min(f_true.values)), float(np.max(f_true.values))
+        if not cfg.box_lo < lo:
+            raise ConfigError(f"box_lo = {cfg.box_lo} must lie below min(f_true) = {lo}")
+        if not hi < cfg.box_hi:
+            raise ConfigError(f"box_hi = {cfg.box_hi} must lie above max(f_true) = {hi}")
     else:
         penalty = QuadraticPenalty(prior)
     return Problem(grid, op, penalty, f_true, apply(op, f_true))
@@ -210,7 +229,7 @@ def _chain_metrics(
     for st in states:
         kl = problem.penalty.bregman(st.iterate, problem.f_true)
         l1 = norm_l1(st.iterate - problem.f_true)
-        resid = norm_l2(apply(problem.op, st.iterate) - g_obs)
+        resid = norm_l2(st.report.misfit)
         out.append((kl, l1, resid, st.report.iterations))
     return states, out
 
@@ -301,6 +320,7 @@ def approx_error_sweep(
         alphas = config.sweep.alphas
     if not alphas:
         raise ConfigError("approx_error_sweep needs an alpha list")
+    _check_alphas(alphas)
     if problem is None:
         problem = build_problem(config.problem)
     exact = replace(config, sweep=replace(config.sweep, noise=NoiseModel(kind="exact")))

@@ -65,6 +65,11 @@ class FourierMultiplierOperator:
         """Symbol permuted into numpy's unshifted FFT mode order."""
         return np.fft.ifftshift(self.symbol)
 
+    @cached_property
+    def symbol_rfft(self) -> np.ndarray:
+        """Symbol on the rfft half spectrum: mu_j for j = 0, ..., n/2 (mu is even)."""
+        return self.symbol_fft_order[: self.grid.n // 2 + 1]
+
 
 def make_inverse_helmholtz(grid: TorusGrid) -> FourierMultiplierOperator:
     """T = (-d^2/dx^2 + I/4)^{-1}: symbol 1/(4 pi^2 j^2 + 1/4), 2-smoothing."""
@@ -90,16 +95,15 @@ def kernel_signal(grid: TorusGrid) -> Signal:
     return Signal(grid, vals)
 
 
-def multiply_modes(f: Signal, factor_fft_order: np.ndarray) -> Signal:
-    """Mode-wise multiplication by a real, even factor (result is real)."""
-    out = np.fft.ifft(np.fft.fft(f.values) * factor_fft_order)
-    return Signal(f.grid, out.real)
+def multiply_modes(f: Signal, factor_rfft: np.ndarray) -> Signal:
+    """Mode-wise multiplication by a real, even factor given on the rfft half spectrum."""
+    return Signal(f.grid, np.fft.irfft(np.fft.rfft(f.values) * factor_rfft, f.grid.n))
 
 
 def apply(op: FourierMultiplierOperator, f: Signal) -> Signal:
     """Apply the multiplier: (Tf)^_j = mu_j f^_j."""
     check_same_grid(op, f)
-    return multiply_modes(f, op.symbol_fft_order)
+    return multiply_modes(f, op.symbol_rfft)
 
 
 def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -> Signal:
@@ -136,5 +140,5 @@ def spectral_projection(op: FourierMultiplierOperator, lam: float, f: Signal) ->
     if lam <= 0:
         raise ConfigError("projection threshold must be positive")
     check_same_grid(op, f)
-    keep = (op.symbol_fft_order**2 < lam).astype(float)
+    keep = (op.symbol_rfft**2 < lam).astype(float)
     return multiply_modes(f, keep)

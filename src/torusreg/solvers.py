@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, Unsupported
-from .functionals import Penalty, QuadraticPenalty, prox_fidelity
+from .functionals import Penalty, QuadraticPenalty, fidelity_prox_map, prox_fidelity
 from .operators import FourierMultiplierOperator, apply
 from .torus import Signal, check_same_grid, norm_l2
 
@@ -57,11 +57,14 @@ class SolverConfig:
 class SolveReport:
     """Solver outcome: minimizer plus convergence diagnostics.
 
+    ``misfit`` is Tf - g at the minimizer (the objective's data term, the
+    step dual's numerator and the data residual all come from it).
     ``boundary_touch`` flags samples within 1e-9 of a box bound (the test
     problems never activate the constraints; this makes that visible).
     """
 
     minimizer: Signal = field(repr=False)
+    misfit: Signal = field(repr=False)
     iterations: int
     final_residual: float
     objective: float
@@ -76,21 +79,27 @@ def solve_quadratic_spectral(
 ) -> Signal:
     """Exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2.
 
-    Mode-wise normal equation: f_j = (mu_j g_j + alpha prior_j) / (mu_j^2 + alpha).
+    This is the fidelity prox with unit step at the prior; mode-wise
+    f_j = (prior_j + mu_j g_j / alpha) / (1 + mu_j^2 / alpha).
     """
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    check_same_grid(op, g_obs, prior)
-    gc = np.fft.fft(g_obs.values)
-    pc = np.fft.fft(prior.values)
-    mu = op.symbol_fft_order
-    fc = (mu * gc + alpha * pc) / (mu**2 + alpha)
-    return Signal(g_obs.grid, np.fft.ifft(fc).real)
+    return prox_fidelity(op, g_obs, prior, 1.0, alpha)
 
 
-def _objective(op, g_obs, alpha, penalty, f: Signal) -> float:
-    residual = apply(op, f) - g_obs
-    return 0.5 * norm_l2(residual) ** 2 / alpha + penalty.value(f)
+def _report(op, g_obs, alpha, penalty, f: Signal, iterations: int, residual: float) -> SolveReport:
+    misfit = apply(op, f) - g_obs
+    return SolveReport(
+        minimizer=f,
+        misfit=misfit,
+        iterations=iterations,
+        final_residual=residual,
+        objective=0.5 * norm_l2(misfit) ** 2 / alpha + penalty.value(f),
+        boundary_touch=_boundary_touch(penalty, f),
+    )
+
+
+def _rms(v: np.ndarray) -> float:
+    """norm_l2 on a plain array."""
+    return float(np.sqrt(np.dot(v, v) / v.size))
 
 
 def _boundary_touch(penalty, f: Signal) -> bool:
@@ -114,41 +123,37 @@ def solve_generalized_dr(
     Iterates u = prox_{gamma R}(z), z <- z + relax (prox_{gamma F1}(2u - z) - u)
     and stops once the relative step ||z+ - z|| / max(1, ||z||) drops below
     ``cfg.tol``; the reported minimizer is the penalty-prox point u, which is
-    feasible with respect to box constraints by construction.
+    feasible with respect to box constraints by construction. The loop runs
+    on plain arrays with both proxes' constants computed once per solve; a
+    non-finite step stops it at once. ``alpha`` must be finite and positive.
     """
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
     check_same_grid(op, g_obs, penalty.prior)
     if cfg.method == "spectral":
         if not isinstance(penalty, QuadraticPenalty):
             raise Unsupported("spectral solve requires a quadratic penalty")
         f = solve_quadratic_spectral(op, g_obs, alpha, penalty.prior)
-        return SolveReport(
-            minimizer=f,
-            iterations=0,
-            final_residual=0.0,
-            objective=_objective(op, g_obs, alpha, penalty, f),
-            boundary_touch=False,
-        )
+        return _report(op, g_obs, alpha, penalty, f, 0, 0.0)
 
-    gamma = cfg.effective_gamma()
-    z = Signal(g_obs.grid, penalty.prior.values.copy())
-    u = penalty.prox(z, gamma)
+    gamma, relax = cfg.effective_gamma(), cfg.relax
+    prox_penalty = penalty.prox_map(gamma)
+    prox_data = fidelity_prox_map(op, g_obs.values, gamma, alpha)
+    z = penalty.prior.values
+    u = prox_penalty(z)
     residual = float("inf")
     for it in range(1, cfg.max_iter + 1):
-        w = prox_fidelity(op, g_obs, 2.0 * u - z, gamma, alpha)
-        z_new = z + cfg.relax * (w - u)
-        residual = norm_l2(z_new - z) / max(1.0, norm_l2(z))
-        z = z_new
-        u = penalty.prox(z, gamma)
-        if residual <= cfg.tol:
-            return SolveReport(
-                minimizer=u,
-                iterations=it,
+        z_new = z + relax * (prox_data(2.0 * u - z) - u)
+        residual = _rms(z_new - z) / max(1.0, _rms(z))
+        if not np.isfinite(residual):
+            raise NonConvergence(
+                f"Douglas-Rachford step became non-finite at iteration {it} "
+                f"(gamma/alpha = {gamma / alpha:.3e})",
                 final_residual=residual,
-                objective=_objective(op, g_obs, alpha, penalty, u),
-                boundary_touch=_boundary_touch(penalty, u),
+                iterations=it,
             )
+        z = z_new
+        u = prox_penalty(z)
+        if residual <= cfg.tol:
+            return _report(op, g_obs, alpha, penalty, Signal(g_obs.grid, u), it, residual)
     raise NonConvergence(
         f"Douglas-Rachford did not reach tol {cfg.tol:.1e} in {cfg.max_iter} iterations "
         f"(residual {residual:.3e}); retry with a larger gamma",

@@ -122,6 +122,15 @@ class TestDualBookkeeping:
             assert norm_l2(lhs - rhs) <= 1e-8
             previous = st.iterate
 
+    def test_chain_dual_matches_dual_variable(self, grid):
+        op = make_inverse_helmholtz(grid)
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
+        g = apply(op, Signal(grid, 1.0 + 0.4 * np.cos(2 * np.pi * grid.points)))
+        alpha = 1e-2
+        for st in bregman_iterate(op, g, alpha, pen, 2):
+            expected = dual_variable(op, st.iterate, g, alpha)
+            assert np.max(np.abs(st.dual.values - expected.values)) <= 1e-12
+
     def test_accumulated_subgradient_quadratic(self, quad_problem):
         op, g_obs, prior = quad_problem
         states = bregman_iterate(

@@ -71,6 +71,16 @@ class TestConfigs:
             with pytest.raises(ConfigError, match="alpha_c"):
                 SweepConfig(alpha_c=bad)
 
+    def test_alphas_must_be_finite_and_positive(self):
+        for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
+            with pytest.raises(ConfigError, match="alphas"):
+                SweepConfig(alphas=bad)
+
+    def test_predicted_rate_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="predicted_rate"):
+                SweepConfig(predicted_rate=bad)
+
     def test_sigma_range(self):
         with pytest.raises(ConfigError):
             SweepConfig(alpha_sigma=2.5)
@@ -201,6 +211,12 @@ class TestApproxErrorSweep:
         cfg = ExperimentConfig(sweep=SweepConfig(noise=NoiseModel(kind="exact")))
         with pytest.raises(ConfigError):
             approx_error_sweep(cfg, problem=quad_problem())
+
+    def test_bad_alpha_argument_rejected(self):
+        cfg = ExperimentConfig(sweep=SweepConfig(noise=NoiseModel(kind="exact")))
+        for bad in ([-1.0], [1e-2, float("nan")], [float("inf")]):
+            with pytest.raises(ConfigError, match="alphas"):
+                approx_error_sweep(cfg, alphas=bad, problem=quad_problem())
 
 
 class TestRateSweep:
@@ -421,6 +437,19 @@ class TestBuildProblem:
     def test_quadratic_variant(self):
         problem = build_problem(ProblemConfig(penalty="quadratic"))
         assert isinstance(problem.penalty, QuadraticPenalty)
+
+    def test_box_must_contain_truth(self):
+        # max f_true is 1.55 and min f_true is 1.0
+        with pytest.raises(ConfigError, match="box_hi"):
+            build_problem(ProblemConfig(box_hi=1.5))
+        with pytest.raises(ConfigError, match="box_lo"):
+            build_problem(ProblemConfig(box_lo=1.0))
+        build_problem(ProblemConfig(box_hi=1.5, penalty="quadratic"))  # no box there
+
+    def test_box_bounds_must_be_finite(self):
+        for name, bad in (("box_hi", float("inf")), ("box_lo", float("nan")), ("box_hi", float("nan"))):
+            with pytest.raises(ConfigError, match=name):
+                ProblemConfig(**{name: bad})
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigError):

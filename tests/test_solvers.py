@@ -10,15 +10,42 @@ from torusreg import (
     SolverConfig,
     Unsupported,
     apply,
+    dual_variable,
     make_identity,
     make_inverse_helmholtz,
     norm_l2,
+    prox_fidelity,
     solve_generalized_dr,
     solve_quadratic_spectral,
     to_spectrum,
 )
 
 from conftest import random_signal
+
+
+def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
+    """Oracle: the Signal-per-iteration Douglas-Rachford loop, with the
+    fidelity prox on the full complex spectrum. Returns (minimizer, iterations)."""
+    gamma = cfg.effective_gamma()
+    t = gamma / alpha
+    mu = op.symbol_fft_order
+    gc = np.fft.fft(g_obs.values)
+
+    def prox_data(x):
+        vc = (np.fft.fft(x.values) + t * mu * gc) / (1.0 + t * mu**2)
+        return Signal(x.grid, np.fft.ifft(vc).real)
+
+    z = Signal(g_obs.grid, penalty.prior.values.copy())
+    u = penalty.prox(z, gamma)
+    for it in range(1, cfg.max_iter + 1):
+        w = prox_data(2.0 * u - z)
+        z_new = z + cfg.relax * (w - u)
+        residual = norm_l2(z_new - z) / max(1.0, norm_l2(z))
+        z = z_new
+        u = penalty.prox(z, gamma)
+        if residual <= cfg.tol:
+            return u, it
+    raise AssertionError("oracle loop did not converge")
 
 
 @pytest.fixture
@@ -194,3 +221,69 @@ class TestDouglasRachford:
         report = solve_generalized_dr(op, g_obs, 0.01, pen)
         assert report.boundary_touch
         assert np.all(report.minimizer.values <= 1.5 + 1e-15)
+
+
+class TestArrayCoreMatchesSignalLoop:
+    @pytest.fixture
+    def data(self, grid):
+        op = make_inverse_helmholtz(grid)
+        x = grid.points
+        f_true = Signal(grid, 1.0 + 0.4 * np.cos(2 * np.pi * x))
+        g_obs = apply(op, f_true) + Signal(grid, 1e-3 * np.sin(6 * np.pi * x))
+        return op, g_obs
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
+    @pytest.mark.parametrize("gamma", [1.0, 0.1])
+    def test_entropy(self, grid, data, alpha, gamma):
+        op, g_obs = data
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
+        cfg = SolverConfig(gamma=gamma)
+        expected, iterations = signal_level_dr(op, g_obs, alpha, pen, cfg)
+        report = solve_generalized_dr(op, g_obs, alpha, pen, cfg)
+        assert report.iterations == iterations
+        assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
+    def test_quadratic(self, problem, alpha):
+        op, g_obs, prior = problem
+        pen = QuadraticPenalty(prior)
+        expected, iterations = signal_level_dr(op, g_obs, alpha, pen)
+        report = solve_generalized_dr(op, g_obs, alpha, pen)
+        assert report.iterations == iterations
+        assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
+
+    def test_misfit_is_reported(self, grid, data):
+        op, g_obs = data
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
+        report = solve_generalized_dr(op, g_obs, 1e-2, pen)
+        expected = apply(op, report.minimizer) - g_obs
+        assert np.array_equal(report.misfit.values, expected.values)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, problem, alpha):
+        op, g_obs, prior = problem
+        entropy = EntropyPenalty(Signal(op.grid, np.ones(op.grid.n)))
+        calls = (
+            lambda: solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior)),
+            lambda: solve_generalized_dr(op, g_obs, alpha, entropy),
+            lambda: solve_generalized_dr(
+                op, g_obs, alpha, QuadraticPenalty(prior), SolverConfig(method="spectral")
+            ),
+            lambda: solve_quadratic_spectral(op, g_obs, alpha, prior),
+            lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
+            lambda: dual_variable(op, prior, g_obs, alpha),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="alpha"):
+                call()
+
+    def test_overflowing_step_ratio_stops_at_once(self, grid):
+        # gamma / alpha overflows to inf, so the first step is non-finite
+        op = make_inverse_helmholtz(grid)
+        f0 = Signal(grid, np.ones(grid.n))
+        cfg = SolverConfig(gamma=1e308)
+        with pytest.raises(NonConvergence, match="non-finite") as info, np.errstate(invalid="ignore"):
+            solve_generalized_dr(op, apply(op, f0), 1e-2, EntropyPenalty(f0), cfg)
+        assert info.value.iterations < cfg.max_iter
