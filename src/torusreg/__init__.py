@@ -17,17 +17,14 @@ from .errors import (
     NonConvergence,
     NonPositiveError,
     SourceDivisionError,
-    SpectrumNotReal,
     SubgradientUndefined,
     TorusRegError,
     Unsupported,
 )
 from .torus import (
     Signal,
-    Spectrum,
     TorusGrid,
     bspline_truth,
-    from_spectrum,
     inner,
     norm_l1,
     norm_l2,

@@ -169,11 +169,10 @@ def cmd_selftest(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     f = Signal(grid, rng.standard_normal(grid.n))
-    spec = to_spectrum(f)
-    parseval = abs(norm_l2(f) ** 2 - float(np.sum(np.abs(spec.coefficients) ** 2)))
+    parseval = abs(norm_l2(f) ** 2 - float(np.sum(np.abs(to_spectrum(f)) ** 2)))
     checks.append(("parseval", parseval < 1e-10))
 
-    kernel_spec = to_spectrum(kernel_signal(grid)).coefficients
+    kernel_spec = to_spectrum(kernel_signal(grid))
     defect = float(np.max(np.abs(kernel_spec - op.symbol)))
     checks.append(("kernel symbol aliasing bound", defect < 1.0 / (4.0 * grid.n**2)))
 
@@ -189,10 +188,10 @@ def cmd_selftest(args) -> int:
     states = bregman_iterate(op, g_obs, 0.5, QuadraticPenalty(prior), 3, SolverConfig(method="spectral"))
     mu = op.symbol
     beta = 0.5 / (mu**2 + 0.5)
-    gc = to_spectrum(g_obs).coefficients
-    pc = to_spectrum(prior).coefficients
+    gc = to_spectrum(g_obs)
+    pc = to_spectrum(prior)
     filt = gc / mu + beta**3 * (pc - gc / mu)
-    got = to_spectrum(states[-1].iterate).coefficients
+    got = to_spectrum(states[-1].iterate)
     checks.append(("iterated filter formula", float(np.max(np.abs(filt - got))) < 1e-9))
 
     ok = True
@@ -202,22 +201,35 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="torusreg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torusreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("reconstruct", cmd_reconstruct),
-        ("approx-sweep", cmd_approx_sweep),
-        ("rate-sweep", cmd_rate_sweep),
-        ("vsc-diagnose", cmd_vsc_diagnose),
-        ("selftest", cmd_selftest),
+    # each subcommand registers only the flags it reads
+    for name, fn, flags in (
+        ("reconstruct", cmd_reconstruct, ("config", "out")),
+        ("approx-sweep", cmd_approx_sweep, ("config", "out")),
+        ("rate-sweep", cmd_rate_sweep, ("config", "out", "threads")),
+        ("vsc-diagnose", cmd_vsc_diagnose, ("config", "out", "seed")),
+        ("selftest", cmd_selftest, ("seed",)),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="path to a config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        if "config" in flags:
+            p.add_argument("--config", default=None, help="path to a config file")
+        if "out" in flags:
+            p.add_argument("--out", default=None, help="output directory override")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        if "threads" in flags:
+            p.add_argument("--threads", type=_positive_int, default=1,
+                           help="worker processes, capped at the number of jobs")
         p.set_defaults(fn=fn)
     return parser
 

@@ -9,10 +9,6 @@ class GridMismatch(TorusRegError):
     """Two signals (or a signal and an operator) live on different grids."""
 
 
-class SpectrumNotReal(TorusRegError):
-    """Spectrum lacks the conjugate symmetry of a real signal."""
-
-
 class ConfigError(TorusRegError):
     """Invalid or inconsistent configuration value."""
 

@@ -45,10 +45,23 @@ __all__ = [
 ]
 
 
-def _check_alphas(alphas) -> None:
-    a = np.asarray(alphas, dtype=float)
+def _check_finite_positive(name: str, values) -> None:
+    a = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(a) & (a > 0)):
-        raise ConfigError(f"alphas must be finite and positive, got {tuple(a.tolist())}")
+        raise ConfigError(f"{name} must be finite and positive, got {tuple(a.tolist())}")
+
+
+def _check_frequency(name: str, k: int, n: int) -> None:
+    """Sinusoid frequencies beyond 1..n/2 - 1 alias on n points (k = n/2 samples to 0)."""
+    if not 1 <= k <= n // 2 - 1:
+        raise ConfigError(f"{name} must lie in [1, n/2 - 1] = [1, {n // 2 - 1}], got {k}")
+
+
+def _worker_count(threads: int, jobs: int) -> int:
+    """Worker processes for ``jobs`` jobs: a pool starts every worker at once."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return min(threads, jobs)
 
 
 def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
@@ -76,8 +89,8 @@ class ProblemConfig:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.truth != "bspline":
             raise ConfigError(f"unknown truth {self.truth!r}")
-        if self.prior_value <= 0:
-            raise ConfigError("prior value must be positive")
+        if not 0 < self.prior_value < np.inf:
+            raise ConfigError(f"prior_value must be finite and positive, got {self.prior_value}")
         for name in ("box_lo", "box_hi"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -113,7 +126,9 @@ class SweepConfig:
         if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
             raise ConfigError("deltas must be finite, strictly positive and strictly decreasing")
         if self.alphas is not None:
-            _check_alphas(self.alphas)
+            _check_finite_positive("alphas", self.alphas)
+        if self.calibrate_cs is not None:
+            _check_finite_positive("calibrate_cs", self.calibrate_cs)
         if not 0 < self.alpha_c < np.inf:
             raise ConfigError(f"alpha_c must be finite and positive, got {self.alpha_c}")
         if self.predicted_rate is not None and not np.isfinite(self.predicted_rate):
@@ -252,11 +267,10 @@ def worst_case_search(
     if noise.kind == "exact":
         ks = [0]
     elif noise.kind == "fixed_sinusoid":
+        _check_frequency("k_fixed", noise.k_fixed, n)
         ks = [noise.k_fixed]
     else:
-        if not 1 <= noise.k_max <= n // 2 - 1:
-            raise ConfigError(f"k_max must lie in [1, n/2 - 1] = [1, {n // 2 - 1}], "
-                              f"got {noise.k_max}")
+        _check_frequency("k_max", noise.k_max, n)
         ks = range(1, noise.k_max + 1)
     col = 0 if sweep.metric == "kl" else 1
     best: list[Choice | None] = [None] * sweep.bregman_steps
@@ -296,8 +310,9 @@ def rate_sweep(
     Pass ``problem`` to sweep a synthetic problem instead of the configured one.
     """
     deltas = config.sweep.deltas
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, len(deltas))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_delta_job, [(config, problem, d) for d in deltas]))
     else:
         if problem is None:
@@ -320,7 +335,7 @@ def approx_error_sweep(
         alphas = config.sweep.alphas
     if not alphas:
         raise ConfigError("approx_error_sweep needs an alpha list")
-    _check_alphas(alphas)
+    _check_finite_positive("alphas", alphas)
     if problem is None:
         problem = build_problem(config.problem)
     exact = replace(config, sweep=replace(config.sweep, noise=NoiseModel(kind="exact")))
@@ -364,11 +379,13 @@ def calibrate_c(
         raise ConfigError("calibrate_c needs candidate constants")
     if config.sweep.predicted_rate is None:
         raise ConfigError("calibrate_c needs sweep.predicted_rate")
+    _check_finite_positive("calibrate_cs", candidate_cs)
     cs = list(candidate_cs)
+    workers = _worker_count(threads, len(cs))
     if len(cs) == 1:
         return cs[0]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             objectives = list(pool.map(_calibration_job, [(config, problem, c) for c in cs]))
     else:
         objectives = [_calibration_objective(config, c, problem) for c in cs]

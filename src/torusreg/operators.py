@@ -61,14 +61,10 @@ class FourierMultiplierOperator:
             raise ConfigError("smoothing_order must be >= 0")
 
     @cached_property
-    def symbol_fft_order(self) -> np.ndarray:
-        """Symbol permuted into numpy's unshifted FFT mode order."""
-        return np.fft.ifftshift(self.symbol)
-
-    @cached_property
     def symbol_rfft(self) -> np.ndarray:
         """Symbol on the rfft half spectrum: mu_j for j = 0, ..., n/2 (mu is even)."""
-        return self.symbol_fft_order[: self.grid.n // 2 + 1]
+        half = self.grid.n // 2
+        return np.append(self.symbol[half:], self.symbol[0])
 
 
 def make_inverse_helmholtz(grid: TorusGrid) -> FourierMultiplierOperator:
@@ -111,23 +107,21 @@ def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -
 
     Negative powers amplify high modes; any output coefficient beyond
     1e300 (or non-finite) raises :class:`SourceDivisionError` carrying the
-    first offending mode.
+    first offending |j|. Zero coefficients stay zero.
     """
     check_same_grid(op, f)
     if p == 0:
         return Signal(f.grid, f.values.copy())
-    c = np.fft.fft(f.values)
+    c = np.fft.rfft(f.values)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        factor = op.symbol_fft_order**p
-        out = np.where(c == 0, 0.0 + 0.0j, c * factor)
+        out = np.where(c == 0, 0.0 + 0.0j, c * op.symbol_rfft**p)
     bad = ~np.isfinite(out) | (np.abs(out) > OVERFLOW_LIMIT)
     if np.any(bad):
-        modes_fft_order = np.fft.ifftshift(op.grid.modes)
-        mode = int(modes_fft_order[np.argmax(bad)])
+        mode = int(np.argmax(bad))
         raise SourceDivisionError(
             f"mode {mode} blows up under symbol power {p:g}", mode=mode
         )
-    return Signal(f.grid, np.fft.ifft(out).real)
+    return Signal(f.grid, np.fft.irfft(out, f.grid.n))
 
 
 def power_apply(op: FourierMultiplierOperator, s: float, f: Signal) -> Signal:

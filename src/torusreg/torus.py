@@ -7,7 +7,9 @@ Spectra use the continuous-Fourier-coefficient normalization
 
     c_j = (1/n) sum_i f(x_i) exp(-2*pi*i*j*x_i),   j = -n/2, ..., n/2 - 1,
 
-which makes operator symbols grid independent.
+which makes operator symbols grid independent. Inside the program a real
+signal's transform is its rfft half spectrum j = 0, ..., n/2; the full
+shifted spectrum above is only the analysis view :func:`to_spectrum`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .errors import ConfigError, GridMismatch, SpectrumNotReal
+from .errors import ConfigError, GridMismatch
 
 __all__ = [
     "TorusGrid",
     "Signal",
-    "Spectrum",
     "to_spectrum",
-    "from_spectrum",
     "bspline_truth",
     "norm_l1",
     "norm_l2",
@@ -87,58 +87,18 @@ class Signal:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex Fourier coefficients indexed by mode j = -n/2, ..., n/2 - 1."""
-
-    grid: TorusGrid
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        if coeffs.shape != (self.grid.n,):
-            raise ConfigError(
-                f"spectrum length {coeffs.shape} does not match grid size {self.grid.n}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def symmetry_defect(self) -> float:
-        """Max deviation from the conjugate symmetry c_{-j} = conj(c_j).
-
-        The unpaired Nyquist mode j = -n/2 contributes its imaginary part.
-        """
-        c = self.coefficients
-        rest = c[1:]
-        defect = float(np.max(np.abs(rest[::-1] - np.conj(rest)))) if rest.size else 0.0
-        return max(defect, abs(float(c[0].imag)))
-
-
 def check_same_grid(*objs):
     grids = {o.grid.n for o in objs}
     if len(grids) > 1:
         raise GridMismatch(f"mixed grid sizes {sorted(grids)}")
 
 
-def to_spectrum(f: Signal) -> Spectrum:
-    """Forward DFT with coefficients c_j = (1/n) sum_i f(x_i) e^{-2pi i j x_i}."""
-    coeffs = np.fft.fftshift(np.fft.fft(f.values)) / f.grid.n
-    return Spectrum(f.grid, coeffs)
+def to_spectrum(f: Signal) -> np.ndarray:
+    """Forward DFT c_j = (1/n) sum_i f(x_i) e^{-2pi i j x_i} in ``grid.modes`` order.
 
-
-def from_spectrum(c: Spectrum, tol: float = 1e-10) -> Signal:
-    """Inverse DFT onto a real signal.
-
-    Raises :class:`SpectrumNotReal` if the conjugate symmetry is violated
-    by more than ``tol`` relative to the largest coefficient.
+    The complex coefficients are indexed like an operator's ``symbol``.
     """
-    scale = max(float(np.max(np.abs(c.coefficients))), np.finfo(float).tiny)
-    if c.symmetry_defect() > tol * scale:
-        raise SpectrumNotReal(
-            f"conjugate symmetry violated: defect {c.symmetry_defect():.3e} "
-            f"exceeds {tol:.1e} x {scale:.3e}"
-        )
-    values = np.fft.ifft(np.fft.ifftshift(c.coefficients)) * c.grid.n
-    return Signal(c.grid, values.real)
+    return np.fft.fftshift(np.fft.fft(f.values)) / f.grid.n
 
 
 def _cardinal_bspline(degree: int):

@@ -217,7 +217,7 @@ def decay_space_norm(
     in the limit onto a jump point: it equals the max over distinct
     eigenvalues v of ||E_{v+} f|| / kappa(v), which is evaluated exactly.
     """
-    energies = np.abs(to_spectrum(f).coefficients) ** 2
+    energies = np.abs(to_spectrum(f)) ** 2
     eigen = op.symbol**2
     order = np.argsort(eigen, kind="stable")
     sorted_eigen = eigen[order]
@@ -238,18 +238,11 @@ def _mode_inner_products(op, omega: Signal) -> tuple[np.ndarray, np.ndarray]:
     Returns (coefficients, symbol values): entry 0 is the constant mode,
     then cos/sin pairs for j = 1..n/2-1.
     """
-    c = to_spectrum(omega).coefficients
-    grid = omega.grid
-    j = grid.modes
-    half = grid.n // 2
-    coeffs = [float(c[j == 0][0].real)]
-    mus = [float(op.symbol[j == 0][0])]
-    for jj in range(1, half):
-        cj = c[j == jj][0]
-        mu = float(op.symbol[j == jj][0])
-        coeffs.extend([np.sqrt(2.0) * cj.real, -np.sqrt(2.0) * cj.imag])
-        mus.extend([mu, mu])
-    return np.array(coeffs), np.array(mus)
+    n = omega.grid.n
+    c = np.fft.rfft(omega.values)[: n // 2] / n
+    mu = op.symbol_rfft[: n // 2]
+    pairs = np.sqrt(2.0) * np.column_stack([c[1:].real, -c[1:].imag]).ravel()
+    return np.append(c[0].real, pairs), np.append(mu[0], np.repeat(mu[1:], 2))
 
 
 def vsc_violation_search(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusreg import Signal, Spectrum, TorusGrid, from_spectrum
+from torusreg import Signal, TorusGrid
 
 
 @pytest.fixture
@@ -20,14 +20,12 @@ def random_signal(grid, rng, scale=1.0):
 
 def band_limited_signal(grid, rng, band):
     """Real signal with spectral content only in modes |j| <= band."""
-    c = np.zeros(grid.n, dtype=complex)
-    j = grid.modes
-    c[j == 0] = rng.standard_normal()
+    c = np.zeros(grid.n // 2 + 1, dtype=complex)
+    c[0] = rng.standard_normal()
     for m in range(1, band + 1):
         re, im = rng.standard_normal(2)
-        c[j == m] = (re + 1j * im) / 2
-        c[j == -m] = (re - 1j * im) / 2
-    return from_spectrum(Spectrum(grid, c))
+        c[m] = (re + 1j * im) / 2
+    return Signal(grid, np.fft.irfft(c, grid.n) * grid.n)
 
 
 def single_mode_signal(grid, j, kind="cos"):

@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence_quadratic():
         )
         for n, st in enumerate(states, start=1):
             oracle = iterated_tikhonov_filter(op, g_obs, prior, alpha, n)
-            got = to_spectrum(st.iterate).coefficients
+            got = to_spectrum(st.iterate)
             rel = float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -279,7 +279,7 @@ def test_criterion_5_property_suites():
     worst_p, worst_a = 0.0, 0.0
     for _ in range(200):
         f, g = random_signal(grid, rng), random_signal(grid, rng)
-        c = to_spectrum(f).coefficients
+        c = to_spectrum(f)
         worst_p = max(
             worst_p,
             abs(norm_l2(f) ** 2 - float(np.sum(np.abs(c) ** 2))) / max(1.0, norm_l2(f) ** 2),
@@ -310,7 +310,7 @@ def test_criterion_5_property_suites():
 
         g_obs = random_signal(grid, rng)
         vf = prox_fidelity(op, g_obs, x, gamma, 1.0)
-        vc, gc, xc = (to_spectrum(s).coefficients for s in (vf, g_obs, x))
+        vc, gc, xc = (to_spectrum(s) for s in (vf, g_obs, x))
         res_f = gamma * op.symbol * (op.symbol * vc - gc) + (vc - xc)
         worst = max(worst, float(np.max(np.abs(res_f))))
     checks["prox optimality residuals (1e-10)"] = worst <= 1e-10

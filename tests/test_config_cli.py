@@ -144,6 +144,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["approx-sweep", "--threads", "2"],
+        ["reconstruct", "--threads", "2"],
+        ["vsc-diagnose", "--threads", "2"],
+        ["selftest", "--threads", "2"],
+        ["reconstruct", "--seed", "1"],
+        ["approx-sweep", "--seed", "1"],
+        ["rate-sweep", "--seed", "1"],
+        ["selftest", "--config", "run.cfg"],
+        ["rate-sweep", "--threads", "0"],
+    ])
+    def test_flag_not_read_or_invalid_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
     def test_approx_sweep_writes_outputs(self, tmp_path, capsys):
         cfg = small_cli_config(tmp_path)
         assert main(["approx-sweep", "--config", cfg]) == 0

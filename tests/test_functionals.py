@@ -198,9 +198,9 @@ class TestProxFidelity:
             gamma = float(rng.uniform(0.01, 10.0))
             alpha = float(rng.uniform(0.01, 10.0))
             v = prox_fidelity(op, g, x, gamma, alpha)
-            vc = to_spectrum(v).coefficients
-            gc = to_spectrum(g).coefficients
-            xc = to_spectrum(x).coefficients
+            vc = to_spectrum(v)
+            gc = to_spectrum(g)
+            xc = to_spectrum(x)
             mu = op.symbol
             residual = gamma / alpha * mu * (mu * vc - gc) + (vc - xc)
             assert np.max(np.abs(residual)) <= 1e-10

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import torusreg.harness
+
 from torusreg import (
     ConfigError,
     ExperimentConfig,
@@ -49,9 +51,9 @@ def tikhonov_error_oracle(problem, delta, k, alpha):
     op, grid = problem.op, problem.grid
     mu = op.symbol
     g = problem.g_true + sinusoid_noise(grid, delta, k)
-    gc = to_spectrum(g).coefficients
+    gc = to_spectrum(g)
     fc = mu * gc / (mu**2 + alpha)
-    tc = to_spectrum(problem.f_true).coefficients
+    tc = to_spectrum(problem.f_true)
     return 0.5 * float(np.sum(np.abs(fc - tc) ** 2))
 
 
@@ -75,6 +77,18 @@ class TestConfigs:
         for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
             with pytest.raises(ConfigError, match="alphas"):
                 SweepConfig(alphas=bad)
+
+    def test_calibrate_cs_must_be_finite_and_positive(self):
+        for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
+            with pytest.raises(ConfigError, match="calibrate_cs"):
+                SweepConfig(calibrate_cs=bad)
+            with pytest.raises(ConfigError, match="calibrate_cs"):
+                calibrate_c(ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0)), bad)
+
+    def test_prior_value_must_be_finite_and_positive(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="prior_value"):
+                ProblemConfig(prior_value=bad)
 
     def test_predicted_rate_must_be_finite(self):
         for bad in (float("nan"), float("inf")):
@@ -303,6 +317,25 @@ class TestRateSweep:
         with pytest.raises(ConfigError, match="k_max"):
             rate_sweep(cfg, problem=problem)
 
+    def test_k_fixed_outside_band_rejected(self):
+        # on n points, k = n/2 samples to zero and k = n - 1 aliases to -1
+        problem = quad_problem(n=64)
+
+        def config(k):
+            return ExperimentConfig(
+                solver=SolverConfig(method="spectral"),
+                sweep=SweepConfig(
+                    deltas=geometric_grid(1e-1, 1e-2, 3), bregman_steps=1,
+                    noise=NoiseModel(kind="fixed_sinusoid", k_fixed=k),
+                ),
+            )
+
+        for k in (problem.grid.n // 2, problem.grid.n - 1):
+            with pytest.raises(ConfigError, match="k_fixed"):
+                rate_sweep(config(k), problem=problem)
+        rows = rate_sweep(config(problem.grid.n // 2 - 1), problem=problem)
+        assert all(r.k_worst == problem.grid.n // 2 - 1 for r in rows)
+
     def test_deterministic_repeat(self):
         problem = quad_problem()
         cfg = ExperimentConfig(
@@ -333,6 +366,59 @@ class TestRateSweep:
         serial = rate_sweep(cfg, threads=1)
         parallel = rate_sweep(cfg, threads=2)
         assert serial == parallel
+
+
+def exact_quadratic_config(deltas):
+    return ExperimentConfig(
+        problem=ProblemConfig(n=96, penalty="quadratic"),
+        solver=SolverConfig(method="spectral"),
+        sweep=SweepConfig(
+            deltas=deltas, bregman_steps=1, noise=NoiseModel(kind="exact"),
+            predicted_rate=1.0,
+        ),
+    )
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool by an in-process one; record its sizes."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(torusreg.harness, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_capped_at_job_count(self, pool_sizes):
+        cfg = exact_quadratic_config((1e-1, 1e-2, 1e-3))
+        assert rate_sweep(cfg, threads=64) == rate_sweep(cfg)
+        calibrate_c(cfg, (0.1, 1.0), threads=64)
+        assert pool_sizes == [3, 2]
+
+    def test_one_job_runs_in_process(self, pool_sizes):
+        rate_sweep(exact_quadratic_config((1e-1,)), threads=4)
+        assert pool_sizes == []
+
+    def test_threads_must_be_positive(self, pool_sizes):
+        cfg = exact_quadratic_config((1e-1, 1e-2, 1e-3))
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match="threads"):
+                rate_sweep(cfg, threads=bad)
+            with pytest.raises(ConfigError, match="threads"):
+                calibrate_c(cfg, (0.1, 1.0), threads=bad)
+        assert pool_sizes == []
 
 
 class TestCalibrateC:

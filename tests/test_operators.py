@@ -66,7 +66,7 @@ class TestKernel:
 
     def test_mean_is_symbol_at_zero(self):
         g = TorusGrid(480)
-        c = to_spectrum(kernel_signal(g)).coefficients
+        c = to_spectrum(kernel_signal(g))
         j = g.modes
         # exact integral of the kernel is 4 = mu_0; sampling sees it up to aliasing
         assert abs(c[j == 0][0] - 4.0) < 1.0 / (4.0 * 480**2)
@@ -77,7 +77,7 @@ class TestKernel:
         # sum_{m != 0} mu_{j+mn}, which is below 1/(4 n^2) uniformly in j;
         # the defect also decays at the 1/n^2 rate.
         g = TorusGrid(n)
-        c = to_spectrum(kernel_signal(g)).coefficients
+        c = to_spectrum(kernel_signal(g))
         op = make_inverse_helmholtz(g)
         defect = float(np.max(np.abs(c - op.symbol)))
         assert defect < 1.0 / (4.0 * n**2)
@@ -138,14 +138,16 @@ class TestPowerApply:
 
     def test_blow_up_reports_mode(self):
         g = TorusGrid(64)
-        # unit symbol below mode 20, then a cliff: inverting blows up exactly
-        # from mode 20 on, so 20 is the first offender in FFT mode order
-        mu = np.where(np.abs(g.modes) < 20, 1.0, 1e-200)
-        op = FourierMultiplierOperator(g, mu)
-        f = single_mode_signal(g, 20, "cos")
-        with pytest.raises(SourceDivisionError) as info:
-            power_apply(op, -1.0, f)
-        assert info.value.mode == 20
+        # unit symbol below mode |j| = cliff, then a cliff: inverting blows up
+        # exactly from there on, and the error reports the first offending |j|;
+        # the Nyquist mode j = -n/2 reports n/2
+        for cliff in (20, g.n // 2):
+            mu = np.where(np.abs(g.modes) < cliff, 1.0, 1e-200)
+            op = FourierMultiplierOperator(g, mu)
+            f = single_mode_signal(g, cliff, "cos")
+            with pytest.raises(SourceDivisionError) as info:
+                power_apply(op, -1.0, f)
+            assert info.value.mode == cliff
 
 
 class TestSpectralProjection:

@@ -28,7 +28,7 @@ def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
     fidelity prox on the full complex spectrum. Returns (minimizer, iterations)."""
     gamma = cfg.effective_gamma()
     t = gamma / alpha
-    mu = op.symbol_fft_order
+    mu = np.fft.ifftshift(op.symbol)
     gc = np.fft.fft(g_obs.values)
 
     def prox_data(x):
@@ -105,9 +105,9 @@ class TestSpectralSolver:
         op, g_obs, prior = problem
         alpha = 0.37
         f = solve_quadratic_spectral(op, g_obs, alpha, prior)
-        fc = to_spectrum(f).coefficients
-        gc = to_spectrum(g_obs).coefficients
-        pc = to_spectrum(prior).coefficients
+        fc = to_spectrum(f)
+        gc = to_spectrum(g_obs)
+        pc = to_spectrum(prior)
         residual = op.symbol * (op.symbol * fc - gc) / alpha + (fc - pc)
         assert np.max(np.abs(residual)) < 1e-10
 

@@ -12,6 +12,7 @@ from torusreg import (
     construct_source,
     decay_space_norm,
     fenchel_psi,
+    inner,
     make_inverse_helmholtz,
     multiplier_power_apply,
     norm_l2,
@@ -21,9 +22,9 @@ from torusreg import (
     rate_function,
     vsc_violation_search,
 )
-from torusreg.vsc import characteristic_function, characteristic_inverse
+from torusreg.vsc import _mode_inner_products, characteristic_function, characteristic_inverse
 
-from conftest import band_limited_signal, single_mode_signal
+from conftest import band_limited_signal, random_signal, single_mode_signal
 
 
 def golden_section_sup(phi, s, lo=0.0, hi=None, iters=200):
@@ -291,6 +292,18 @@ class TestDecaySpaceNorm:
                 lhs = decay_space_norm(op, f, shifted)
                 rhs = decay_space_norm(op, dec.leading(), kappa)
                 assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
+
+
+class TestModeInnerProducts:
+    def test_matches_inner_products_with_modes(self, grid, rng):
+        op = make_inverse_helmholtz(grid)
+        modes = [(0, "cos")] + [(j, kind) for j in range(1, grid.n // 2) for kind in ("cos", "sin")]
+        for _ in range(10):
+            omega = random_signal(grid, rng)
+            coeffs, mus = _mode_inner_products(op, omega)
+            oracle = [inner(omega, single_mode_signal(grid, j, kind)) for j, kind in modes]
+            assert np.max(np.abs(coeffs - oracle)) <= 1e-14
+            assert list(mus) == [op.symbol[grid.modes == j][0] for j, _ in modes]
 
 
 class TestViolationSearch:
