@@ -140,7 +140,7 @@ def cmd_vsc_diagnose(args) -> int:
     for order in (1, 2, 3, 4):
         try:
             source = construct_source(problem.op, problem.f_true, order)
-            lines.append(f"order {order} source: ok, |generator|_2 = {norm_l2(source.leading()):.6e}")
+            lines.append(f"order {order} source: ok, |generator|_2 = {norm_l2(source.leading()):.3e}")
         except SourceDivisionError as exc:
             lines.append(f"order {order} source: fails at mode {exc.mode}")
     omega = construct_source(problem.op, problem.f_true, 1).leading()

@@ -11,27 +11,24 @@ Files use bracketed section headers and key = value pairs::
     delta_min = 1e-4
     delta_count = 12
 
-Unknown sections or keys are errors. Every key has a default; the full
-schema with defaults is documented in docs/config.md.
+Each section is a field of ``ExperimentConfig`` and its keys are the fields
+of that field's dataclass, parsed by their annotations. ``[sweep]`` also
+takes the geometric delta grid shorthand and the ``NoiseModel`` fields, with
+``kind`` spelled ``noise``. Unknown sections or keys are errors. Every key
+has a default; docs/config.md documents them.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import get_type_hints
 
 from .errors import ConfigError
-from .harness import (
-    ExperimentConfig,
-    NoiseModel,
-    OutputConfig,
-    ProblemConfig,
-    SweepConfig,
-    geometric_grid,
-)
-from .solvers import SolverConfig
+from .harness import ExperimentConfig, NoiseModel, SweepConfig, geometric_grid
 
-__all__ = ["load_config", "default_config", "SCHEMA"]
+__all__ = ["load_config", "default_config"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -40,120 +37,87 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def _parse_optional_float(text: str) -> float | None:
     return None if text.strip().lower() in ("", "none", "auto") else float(text)
 
 
-# section -> key -> parser; defaults live on the dataclasses themselves
-SCHEMA = {
-    "problem": {
-        "n": int,
-        "operator": str,
-        "penalty": str,
-        "truth": str,
-        "bspline_degree": int,
-        "prior_value": float,
-        "box_lo": float,
-        "box_hi": float,
-    },
-    "solver": {
-        "gamma": _parse_optional_float,
-        "relax": float,
-        "max_iter": int,
-        "tol": float,
-        "method": str,
-    },
-    "sweep": {
-        "deltas": _parse_float_list,
-        "delta_max": float,
-        "delta_min": float,
-        "delta_count": int,
-        "alphas": _parse_float_list,
-        "alpha_c": float,
-        "alpha_sigma": float,
-        "bregman_steps": int,
-        "noise": str,
-        "k_max": int,
-        "k_fixed": int,
-        "metric": str,
-        "predicted_rate": _parse_optional_float,
-        "calibrate_cs": _parse_float_list,
-    },
-    "output": {
-        "directory": str,
-        "csv_name": str,
-        "svg_name": str,
-        "write_svg": _parse_bool,
-    },
+# field annotation -> parser of the raw value
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    float | None: _parse_optional_float,
+    tuple[float, ...]: _parse_float_list,
+    tuple[float, ...] | None: _parse_float_list,
 }
+
+_GRID_KEYS = {"delta_max": float, "delta_min": float, "delta_count": int}
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
+@cache  # get_type_hints evaluates every annotation string on each call
+def _keys(cls) -> dict:
+    """Key -> parser for each field of ``cls``; nested dataclasses are left out."""
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if not is_dataclass(hints[f.name])}
+
+
+def _section_values(parser: configparser.ConfigParser, section: str, keys: dict) -> dict:
     if not parser.has_section(section):
         return {}
     values = {}
     for key, raw in parser.items(section):
-        if key not in SCHEMA[section]:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
         try:
-            values[key] = SCHEMA[section][key](raw)
-        except ConfigError:
-            raise
+            values[key] = keys[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
     return values
 
 
-def _build_sweep(values: dict) -> SweepConfig:
-    values = dict(values)
-    geo = {k: values.pop(k, None) for k in ("delta_max", "delta_min", "delta_count")}
-    if "deltas" not in values and any(v is not None for v in geo.values()):
-        if any(v is None for v in geo.values()):
+def _build_sweep(parser: configparser.ConfigParser) -> SweepConfig:
+    noise_keys = {"noise" if k == "kind" else k: p for k, p in _keys(NoiseModel).items()}
+    values = _section_values(parser, "sweep", {**_keys(SweepConfig), **_GRID_KEYS, **noise_keys})
+    grid = {k: values.pop(k) for k in _GRID_KEYS if k in values}
+    if grid and "deltas" not in values:
+        if len(grid) < len(_GRID_KEYS):
             raise ConfigError("delta_max, delta_min and delta_count must be given together")
-        values["deltas"] = geometric_grid(geo["delta_max"], geo["delta_min"], geo["delta_count"])
-    noise_kwargs = {}
-    if "noise" in values:
-        noise_kwargs["kind"] = values.pop("noise")
-    for key in ("k_max", "k_fixed"):
-        if key in values:
-            noise_kwargs[key] = values.pop(key)
-    if noise_kwargs:
-        values["noise"] = NoiseModel(**{**_as_kwargs(NoiseModel()), **noise_kwargs})
+        values["deltas"] = geometric_grid(grid["delta_max"], grid["delta_min"], grid["delta_count"])
+    noise = {"kind" if k == "noise" else k: values.pop(k) for k in noise_keys if k in values}
+    if noise:
+        values["noise"] = NoiseModel(**noise)
     return SweepConfig(**values)
-
-
-def _as_kwargs(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a config file, falling back to defaults for missing keys."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(" ".join(str(exc).split())) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    sections = get_type_hints(ExperimentConfig)
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-    try:
-        problem = ProblemConfig(**_section_values(parser, "problem"))
-        solver = SolverConfig(**_section_values(parser, "solver"))
-        sweep = _build_sweep(_section_values(parser, "sweep"))
-        output = OutputConfig(**_section_values(parser, "output"))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(problem=problem, solver=solver, sweep=sweep, output=output)
+    return ExperimentConfig(**{
+        name: _build_sweep(parser) if cls is SweepConfig
+        else cls(**_section_values(parser, name, _keys(cls)))
+        for name, cls in sections.items()
+    })

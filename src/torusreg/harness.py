@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,38 +58,44 @@ def _check_frequency(name: str, k: int, n: int) -> None:
         raise ConfigError(f"{name} must lie in [1, n/2 - 1] = [1, {n // 2 - 1}], got {k}")
 
 
-def _worker_count(threads: int, jobs: int) -> int:
-    """Worker processes for ``jobs`` jobs: a pool starts every worker at once."""
+def _map(fn, jobs: Sequence, threads: int) -> list:
+    """``[fn(job) for job in jobs]``, on min(threads, len(jobs)) worker processes.
+
+    One worker runs in-process; a pool starts every worker at once, so it is
+    never larger than the job count.
+    """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    return min(threads, jobs)
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
     """Strictly decreasing geometric grid from top to bottom inclusive."""
-    if not (top > bottom > 0) or count < 2:
-        raise ConfigError("need top > bottom > 0 and at least two points")
+    if not 0 < top < np.inf:
+        raise ConfigError(f"top must be finite and positive, got {top}")
+    if not 0 < bottom < top:
+        raise ConfigError(f"bottom must lie in (0, top = {top}), got {bottom}")
+    if count < 2:
+        raise ConfigError(f"count must be >= 2, got {count}")
     return tuple(np.geomspace(top, bottom, count).tolist())
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
     n: int = 480
-    operator: str = "inverse_helmholtz"
     penalty: str = "entropy"
-    truth: str = "bspline"
     bspline_degree: int = 5
     prior_value: float = 1.0
     box_lo: float = 0.0
     box_hi: float = 5.0
 
     def __post_init__(self):
-        if self.operator != "inverse_helmholtz":
-            raise ConfigError(f"unknown operator {self.operator!r}")
         if self.penalty not in ("entropy", "quadratic"):
             raise ConfigError(f"unknown penalty {self.penalty!r}")
-        if self.truth != "bspline":
-            raise ConfigError(f"unknown truth {self.truth!r}")
         if not 0 < self.prior_value < np.inf:
             raise ConfigError(f"prior_value must be finite and positive, got {self.prior_value}")
         for name in ("box_lo", "box_hi"):
@@ -217,8 +224,9 @@ def sinusoid_noise(grid: TorusGrid, delta: float, k: int) -> Signal:
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
     """A-priori rule alpha = c * delta^sigma."""
-    if delta <= 0 or c <= 0 or sigma <= 0:
-        raise ConfigError("apriori rule needs positive delta, c and sigma")
+    for name, value in (("delta", delta), ("c", c), ("sigma", sigma)):
+        if not 0 < value < np.inf:
+            raise ConfigError(f"apriori rule needs finite positive {name}, got {value}")
     return c * delta**sigma
 
 
@@ -293,13 +301,6 @@ def _rows_for_delta(config: ExperimentConfig, problem: Problem, delta: float) ->
     return _rows(delta, alpha, worst_case_search(config, problem, delta, alpha))
 
 
-def _delta_job(args) -> list[SweepRow]:
-    config, problem, delta = args
-    if problem is None:
-        problem = build_problem(config.problem)
-    return _rows_for_delta(config, problem, delta)
-
-
 def rate_sweep(
     config: ExperimentConfig,
     threads: int = 1,
@@ -309,15 +310,9 @@ def rate_sweep(
 
     Pass ``problem`` to sweep a synthetic problem instead of the configured one.
     """
-    deltas = config.sweep.deltas
-    workers = _worker_count(threads, len(deltas))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_delta_job, [(config, problem, d) for d in deltas]))
-    else:
-        if problem is None:
-            problem = build_problem(config.problem)
-        chunks = [_rows_for_delta(config, problem, d) for d in deltas]
+    if problem is None:
+        problem = build_problem(config.problem)
+    chunks = _map(partial(_rows_for_delta, config, problem), config.sweep.deltas, threads)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -343,7 +338,7 @@ def approx_error_sweep(
             for row in _rows(0.0, alpha, worst_case_search(exact, problem, 0.0, alpha))]
 
 
-def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem | None) -> float:
+def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem) -> float:
     trial = replace(config, sweep=replace(config.sweep, alpha_c=c))
     rows = rate_sweep(trial, problem=problem)
     target_n = config.sweep.bregman_steps
@@ -354,11 +349,6 @@ def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem 
         if row.n_bregman == target_n:
             worst = max(worst, getattr(row, col) / row.delta**rate)
     return worst
-
-
-def _calibration_job(args) -> float:
-    config, problem, c = args
-    return _calibration_objective(config, c, problem)
 
 
 def calibrate_c(
@@ -381,14 +371,11 @@ def calibrate_c(
         raise ConfigError("calibrate_c needs sweep.predicted_rate")
     _check_finite_positive("calibrate_cs", candidate_cs)
     cs = list(candidate_cs)
-    workers = _worker_count(threads, len(cs))
     if len(cs) == 1:
         return cs[0]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            objectives = list(pool.map(_calibration_job, [(config, problem, c) for c in cs]))
-    else:
-        objectives = [_calibration_objective(config, c, problem) for c in cs]
+    if problem is None:
+        problem = build_problem(config.problem)
+    objectives = _map(partial(_calibration_objective, config, problem=problem), cs, threads)
     return cs[int(np.argmin(objectives))]
 
 

@@ -6,14 +6,17 @@ round-trip exactly; line endings are LF.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, get_type_hints
 
 from .harness import SweepRow
 from .torus import Signal
 
 __all__ = ["SWEEP_HEADER", "format_float", "write_sweep_csv", "read_sweep_csv", "write_signals_csv"]
 
-SWEEP_HEADER = "delta,alpha,k_worst,n_bregman,kl_error,l1_error,data_residual,dr_iterations"
+# column -> int or float, one per SweepRow field in order
+_COLUMNS = {f.name: get_type_hints(SweepRow)[f.name] for f in fields(SweepRow)}
+SWEEP_HEADER = ",".join(_COLUMNS)
 
 
 def format_float(value: float) -> str:
@@ -24,21 +27,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write(SWEEP_HEADER + "\n")
         for r in rows:
-            handle.write(
-                ",".join(
-                    [
-                        format_float(r.delta),
-                        format_float(r.alpha),
-                        str(r.k_worst),
-                        str(r.n_bregman),
-                        format_float(r.kl_error),
-                        format_float(r.l1_error),
-                        format_float(r.data_residual),
-                        str(r.dr_iterations),
-                    ]
-                )
-                + "\n"
-            )
+            cells = [str(getattr(r, name)) if kind is int else format_float(getattr(r, name))
+                     for name, kind in _COLUMNS.items()]
+            handle.write(",".join(cells) + "\n")
 
 
 def read_sweep_csv(path: str) -> list[SweepRow]:
@@ -48,19 +39,8 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
         if header != SWEEP_HEADER:
             raise ValueError(f"unexpected sweep CSV header: {header!r}")
         for line in handle:
-            d, a, kw, nb, kl, l1, res, it = line.strip().split(",")
-            rows.append(
-                SweepRow(
-                    delta=float(d),
-                    alpha=float(a),
-                    k_worst=int(kw),
-                    n_bregman=int(nb),
-                    kl_error=float(kl),
-                    l1_error=float(l1),
-                    data_residual=float(res),
-                    dr_iterations=int(it),
-                )
-            )
+            cells = zip(_COLUMNS.values(), line.strip().split(","), strict=True)
+            rows.append(SweepRow(*(kind(cell) for kind, cell in cells)))
     return rows
 
 

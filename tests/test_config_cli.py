@@ -1,6 +1,18 @@
+import numpy as np
 import pytest
 
-from torusreg import ConfigError, default_config, load_config
+from torusreg import (
+    ConfigError,
+    ExperimentConfig,
+    NoiseModel,
+    OutputConfig,
+    ProblemConfig,
+    SolverConfig,
+    SweepConfig,
+    build_problem,
+    default_config,
+    load_config,
+)
 from torusreg.cli import main
 from torusreg.reportio import SWEEP_HEADER, read_sweep_csv, write_sweep_csv
 from torusreg.harness import SweepRow
@@ -87,6 +99,99 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.cfg"))
 
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        path = tmp_path / "full.cfg"
+        path.write_text(EVERY_KEY_CONFIG)
+        cfg = load_config(str(path))
+        assert cfg == ExperimentConfig(
+            problem=ProblemConfig(n=96, penalty="quadratic", bspline_degree=4, prior_value=0.5,
+                                  box_lo=-1.0, box_hi=7.5),
+            solver=SolverConfig(gamma=0.25, relax=1.5, max_iter=321, tol=1e-9, method="spectral"),
+            sweep=SweepConfig(
+                deltas=(1e-1, 3e-2, 1e-2), alphas=(1e-3, 1e-4), alpha_c=0.02, alpha_sigma=0.75,
+                bregman_steps=3, noise=NoiseModel(kind="fixed_sinusoid", k_max=7, k_fixed=3),
+                metric="l1", predicted_rate=1.25, calibrate_cs=(0.1, 1.0),
+            ),
+            output=OutputConfig(directory="elsewhere", csv_name="rows.csv", svg_name="rows.svg",
+                                write_svg=False),
+        )
+        ints = (cfg.problem.n, cfg.problem.bspline_degree, cfg.solver.max_iter,
+                cfg.sweep.bregman_steps, cfg.sweep.noise.k_max, cfg.sweep.noise.k_fixed)
+        assert all(type(v) is int for v in ints)
+        floats = (cfg.problem.prior_value, cfg.problem.box_lo, cfg.problem.box_hi, cfg.solver.gamma,
+                  cfg.solver.relax, cfg.solver.tol, cfg.sweep.alpha_c, cfg.sweep.alpha_sigma,
+                  cfg.sweep.predicted_rate, *cfg.sweep.deltas, *cfg.sweep.alphas,
+                  *cfg.sweep.calibrate_cs)
+        assert all(type(v) is float for v in floats)
+        assert type(cfg.sweep.deltas) is tuple and type(cfg.sweep.alphas) is tuple
+        assert type(cfg.sweep.calibrate_cs) is tuple
+
+    def test_auto_none_and_grid_shorthand(self, tmp_path):
+        path = tmp_path / "auto.cfg"
+        path.write_text(
+            "[solver]\ngamma = auto\n\n"
+            "[sweep]\ndelta_max = 1e-2\ndelta_min = 1e-4\ndelta_count = 3\n"
+            "predicted_rate = none\n\n"
+            "[output]\nwrite_svg = on\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg.solver.gamma is None and cfg.sweep.predicted_rate is None
+        assert cfg.sweep.deltas == pytest.approx((1e-2, 1e-3, 1e-4), rel=1e-15)
+        assert cfg.output.write_svg is True
+
+    @pytest.mark.parametrize("text, where", [
+        (b"[problem]\nn = 96\nn = 64\n", "line 3"),
+        (b"[problem]\nn = 96\n\n[problem]\npenalty = quadratic\n", "line 4"),
+        (b"n = 96\n", "line: 1"),
+        (b"[problem]\nn = 96\nbox_hi\n", "line 3"),
+        (b"[problem]\npenalty = \xff\xfe\n", "not UTF-8 text"),
+    ])
+    def test_malformed_file_reports_error(self, tmp_path, capsys, text, where):
+        path = tmp_path / "malformed.cfg"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=where):
+            load_config(str(path))
+        assert main(["reconstruct", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed.cfg" in err
+
+
+EVERY_KEY_CONFIG = """
+[problem]
+n = 96
+penalty = quadratic
+bspline_degree = 4
+prior_value = 0.5
+box_lo = -1.0
+box_hi = 7.5
+
+[solver]
+gamma = 0.25
+relax = 1.5
+max_iter = 321
+tol = 1e-9
+method = spectral
+
+[sweep]
+deltas = 1e-1, 3e-2, 1e-2
+alphas = 1e-3, 1e-4
+alpha_c = 0.02
+alpha_sigma = 0.75
+bregman_steps = 3
+noise = fixed_sinusoid
+k_max = 7
+k_fixed = 3
+metric = l1
+predicted_rate = 1.25
+calibrate_cs = 0.1, 1.0
+
+[output]
+directory = elsewhere
+csv_name = rows.csv
+svg_name = rows.svg
+write_svg = no
+"""
+
 
 class TestSweepCsv:
     def test_header_and_round_trip(self, tmp_path):
@@ -98,6 +203,9 @@ class TestSweepCsv:
         write_sweep_csv(rows, str(path))
         raw = path.read_bytes().decode()
         assert raw.splitlines()[0] == SWEEP_HEADER
+        assert SWEEP_HEADER == (
+            "delta,alpha,k_worst,n_bregman,kl_error,l1_error,data_residual,dr_iterations"
+        )
         assert "\r" not in raw
         assert read_sweep_csv(str(path)) == rows  # 17 significant digits round-trip
 
@@ -213,6 +321,28 @@ class TestCli:
         report = (tmp_path / "out" / "vsc_report.txt").read_text()
         assert "decay norm" in report
         assert "order 1 source: ok" in report
+
+    def test_vsc_generator_norm_survives_round_off(self, tmp_path):
+        # mu^-3 amplifies the truth's aliased top modes by ~1e19, so only the
+        # digits that a long-double DFT sum reproduces are printed
+        cfg = small_cli_config(tmp_path)
+        with open(cfg) as handle:
+            text = handle.read().replace("n = 96", "n = 480")
+        with open(cfg, "w") as handle:
+            handle.write(text)
+        assert main(["vsc-diagnose", "--config", cfg]) == 0
+        report = (tmp_path / "out" / "vsc_report.txt").read_text()
+        [printed] = [line.split(" = ")[1] for line in report.splitlines()
+                     if line.startswith("order 4")]
+        problem = build_problem(load_config(cfg).problem)
+        n = problem.grid.n
+        pi = np.arccos(np.longdouble(-1))
+        phase = 2 * pi * (np.outer(problem.grid.modes, np.arange(n)) % n) / n
+        f = problem.f_true.values.astype(np.longdouble)
+        re, im = np.cos(phase) @ f / n, np.sin(phase) @ f / n
+        mu = 1 / (4 * pi**2 * problem.grid.modes.astype(np.longdouble) ** 2 + np.longdouble(0.25))
+        reference = np.sqrt(np.sum((re**2 + im**2) / mu**6))
+        assert printed == f"{float(reference):.3e}"
 
     def test_out_override(self, tmp_path):
         cfg = small_cli_config(tmp_path)

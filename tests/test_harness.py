@@ -25,6 +25,7 @@ from torusreg import (
     calibrate_c,
     fit_rate,
     geometric_grid,
+    load_config,
     make_inverse_helmholtz,
     norm_l2,
     rate_sweep,
@@ -108,6 +109,11 @@ class TestConfigs:
         assert len(g) == 12
         assert g[0] == pytest.approx(1e-1) and g[-1] == pytest.approx(1e-4)
         assert all(b < a for a, b in zip(g, g[1:]))
+        for name, args in (("top", (np.inf, 1e-3, 3)), ("top", (np.nan, 1e-3, 3)),
+                           ("bottom", (1e-1, np.nan, 3)), ("bottom", (1e-1, 0.0, 3)),
+                           ("count", (1e-1, 1e-3, 1))):
+            with pytest.raises(ConfigError, match=f"^{name} "):
+                geometric_grid(*args)
 
     def test_row_validation(self):
         with pytest.raises(ConfigError):
@@ -131,6 +137,11 @@ class TestAprioriAlpha:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             apriori_alpha(0.0, 1.0, 1.0)
+        for name, args in (("delta", (np.nan, 1.0, 0.5)), ("delta", (np.inf, 1.0, 0.5)),
+                           ("c", (0.1, np.inf, 0.5)), ("c", (0.1, np.nan, 0.5)),
+                           ("sigma", (0.1, 1.0, np.nan))):
+            with pytest.raises(ConfigError, match=f"positive {name},"):
+                apriori_alpha(*args)
 
 
 def search_config(steps=1, **noise):
@@ -537,8 +548,10 @@ class TestBuildProblem:
             with pytest.raises(ConfigError, match=name):
                 ProblemConfig(**{name: bad})
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigError):
-            ProblemConfig(operator="gaussian_blur")
+    def test_unknown_names_rejected(self, tmp_path):
+        path = tmp_path / "blur.cfg"
+        path.write_text("[problem]\noperator = gaussian_blur\n")
+        with pytest.raises(ConfigError, match="unknown key 'operator'"):
+            load_config(str(path))
         with pytest.raises(ConfigError):
             ProblemConfig(penalty="tv")
