@@ -112,6 +112,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    defaults = parser.defaults()  # configparser copies these keys into every section
+    if defaults:
+        keys = ", ".join(map(repr, defaults))
+        raise ConfigError(f"config file {path!r}: [DEFAULT] is not supported; it holds {keys}")
     sections = get_type_hints(ExperimentConfig)
     for section in parser.sections():
         if section not in sections:

@@ -32,6 +32,8 @@ __all__ = [
 
 BOX_SLACK = 1e-12
 PROX_FLOOR = 1e-12
+NEWTON_STEPS = 3
+NEWTON_TOL = 1e-8
 
 
 def _phi_entropy(ratio_minus_one: np.ndarray) -> np.ndarray:
@@ -137,16 +139,38 @@ class EntropyPenalty:
 
         The 1-D objective is convex, so the constrained minimizer is the
         clamp of the unconstrained root, which has the closed form
-        v = gamma omega(x/gamma + ln(w/gamma)) with omega the Wright omega
-        function (the solution of omega + ln omega = z); ln(w/gamma) is
-        computed once per map. Roots below ``PROX_FLOOR`` saturate there:
+        v = gamma omega(zeta), zeta = x/gamma + ln(w/gamma), with omega the
+        Wright omega function (the solution of y + ln y = zeta); ln(w/gamma)
+        is computed once per map. Roots below ``PROX_FLOOR`` saturate there:
         numerically zero, but kept positive for later logs.
+
+        The map keeps the root y of its previous call and starts the next
+        one from it with :func:`_newton_omega` (DR moves x by small steps);
+        its first call evaluates omega. zeta is floored one unit below
+        ln(lo/gamma): every root under that floor is clamped to ``lo``
+        anyway, and the floor keeps y a normal positive float, so omega
+        never underflows and the logs of the Newton steps stay finite.
         """
         if not 0 < gamma < np.inf:
             raise ConfigError("prox step must be finite and positive")
         shift = np.log(self.prior.values / gamma)
         lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
-        return lambda x: np.minimum(np.maximum(gamma * wrightomega(x / gamma + shift), lo), hi)
+        zeta_floor = np.log(lo) - np.log(gamma) - 1.0
+        # omega(zeta_floor) underflows to 0 only for gamma beyond ~1e290;
+        # such a map evaluates omega on every call
+        warm = wrightomega(zeta_floor) > 0
+        y = None
+
+        def prox(x: np.ndarray) -> np.ndarray:
+            nonlocal y
+            zeta = np.maximum(x / gamma + shift, zeta_floor)
+            if warm and y is not None:
+                y = _newton_omega(zeta, y)
+            else:
+                y = wrightomega(zeta)
+            return np.minimum(np.maximum(gamma * y, lo), hi)
+
+        return prox
 
     def prox(self, x: Signal, gamma: float) -> Signal:
         check_same_grid(x, self.prior)
@@ -157,6 +181,32 @@ class EntropyPenalty:
 
 
 Penalty = QuadraticPenalty | EntropyPenalty
+
+
+def _newton_omega(zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """omega(zeta) by at most ``NEWTON_STEPS`` Newton steps on y + ln y = zeta
+    from a positive start y.
+
+    An entry is accepted once its last correction is at most ``NEWTON_TOL``
+    of the y before that step; Newton converges quadratically here, so
+    about NEWTON_TOL**2 remains. Entries not accepted, NaN ones included,
+    get omega. A correction of size 1 or more (y would drop to <= 0, or
+    more than double) ends the steps early, before the log of a y <= 0.
+    """
+    for _ in range(NEWTON_STEPS):
+        rel = np.log(y)
+        rel += y
+        rel -= zeta
+        rel /= 1.0 + y  # the Newton correction relative to y
+        y = y * (1.0 - rel)
+        worst = np.abs(rel).max()
+        if worst <= NEWTON_TOL:
+            return y
+        if not worst < 1.0:
+            break
+    redo = ~(np.abs(rel) <= NEWTON_TOL)
+    y[redo] = wrightomega(zeta[redo])
+    return y
 
 
 def fidelity_prox_map(

@@ -7,6 +7,7 @@ on F1 = (1/alpha) S(T. - g) and F2 = R, both of which have cheap proxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,7 @@ def _report(op, g_obs, alpha, penalty, f: Signal, iterations: int, residual: flo
 
 def _rms(v: np.ndarray) -> float:
     """norm_l2 on a plain array."""
-    return float(np.sqrt(np.dot(v, v) / v.size))
+    return math.sqrt(float(np.dot(v, v)) / v.size)
 
 
 def _boundary_touch(penalty, f: Signal) -> bool:
@@ -134,25 +135,32 @@ def solve_generalized_dr(
         f = solve_quadratic_spectral(op, g_obs, alpha, penalty.prior)
         return _report(op, g_obs, alpha, penalty, f, 0, 0.0)
 
-    gamma, relax = cfg.effective_gamma(), cfg.relax
+    gamma, relax, tol = cfg.effective_gamma(), cfg.relax, cfg.tol
     prox_penalty = penalty.prox_map(gamma)
     prox_data = fidelity_prox_map(op, g_obs.values, gamma, alpha)
     z = penalty.prior.values
     u = prox_penalty(z)
+    z_norm = _rms(z)
     residual = float("inf")
     for it in range(1, cfg.max_iter + 1):
-        z_new = z + relax * (prox_data(2.0 * u - z) - u)
-        residual = _rms(z_new - z) / max(1.0, _rms(z))
-        if not np.isfinite(residual):
+        reflected = u + u
+        reflected -= z
+        step = prox_data(reflected)
+        step -= u
+        if relax != 1.0:
+            step *= relax
+        residual = _rms(step) / max(1.0, z_norm)
+        if not math.isfinite(residual):
             raise NonConvergence(
                 f"Douglas-Rachford step became non-finite at iteration {it} "
                 f"(gamma/alpha = {gamma / alpha:.3e})",
                 final_residual=residual,
                 iterations=it,
             )
-        z = z_new
+        z = z + step
+        z_norm = _rms(z)
         u = prox_penalty(z)
-        if residual <= cfg.tol:
+        if residual <= tol:
             return _report(op, g_obs, alpha, penalty, Signal(g_obs.grid, u), it, residual)
     raise NonConvergence(
         f"Douglas-Rachford did not reach tol {cfg.tol:.1e} in {cfg.max_iter} iterations "

@@ -155,6 +155,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed.cfg" in err
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nn = 96\n",
+        "[DEFAULT]\nn = 96\n\n[sweep]\nk_max = 8\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser copies [DEFAULT] keys into every section: without a
+        # check the first file loads with n = 480, the second fails as an
+        # unknown key of [sweep]
+        path = tmp_path / "default.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"default\.cfg.*\[DEFAULT\].*holds 'n'"):
+            load_config(str(path))
+
 
 EVERY_KEY_CONFIG = """
 [problem]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import wrightomega
 
 from torusreg import (
     ConfigError,
@@ -17,6 +18,7 @@ from torusreg import (
     prox_fidelity,
     to_spectrum,
 )
+from torusreg.functionals import PROX_FLOOR
 
 from conftest import random_signal
 
@@ -175,6 +177,88 @@ class TestProxPenalty:
     def test_rejects_nonpositive_gamma(self, grid, ones):
         with pytest.raises(ConfigError):
             QuadraticPenalty(ones).prox(ones, 0.0)
+
+
+def dr_like_inputs(rng, n):
+    """Inputs a prox map sees in a DR solve: small steps from a random start,
+    at every scale from 1e-14 to 1e-1."""
+    x = rng.standard_normal(n)
+    for scale in 10.0 ** np.arange(-14, 0):
+        for _ in range(3):
+            x = x + scale * rng.standard_normal(n)
+            yield x
+
+
+def jump_inputs(rng, n):
+    """Large jumps, at scales 1e-3 to 1e3, then 30 -> -800 -> -5: the root
+    leaves the box at the top, drops below PROX_FLOOR (where omega itself
+    would underflow to 0 for gamma <= 1) and comes back; each is followed
+    by small steps."""
+    levels = [s * rng.standard_normal(n) for s in 10.0 ** np.arange(-3, 4)]
+    levels += [np.full(n, 30.0), np.full(n, -800.0), np.full(n, -5.0)]
+    for x in levels:
+        yield x
+        for scale in (1e-12, 1e-6, 1e-2):
+            yield x + scale * rng.standard_normal(n)
+
+
+class TestWarmStartedProxMap:
+    """The entropy prox map starts each call from the root of its previous
+    call; every output must match a fresh map's (omega from cold)."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 30.0])
+    @pytest.mark.parametrize("box", [(0.0, 5.0), (0.2, 3.0)])
+    @pytest.mark.parametrize("inputs", [dr_like_inputs, jump_inputs])
+    def test_matches_fresh_map(self, grid, rng, gamma, box, inputs):
+        pen = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0), *box)
+        warm = pen.prox_map(gamma)
+        lo, hi = max(box[0], PROX_FLOOR), box[1]
+        at_lo = at_hi = False
+        with np.errstate(all="raise"):
+            for x in inputs(rng, grid.n):
+                got = warm(x)
+                expected = pen.prox_map(gamma)(x)
+                assert np.all(np.isfinite(got))
+                assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+                at_lo |= bool(np.any(got == lo))
+                at_hi |= bool(np.any(got == hi))
+        if inputs is jump_inputs:
+            assert at_lo and at_hi
+
+    def test_small_steps_skip_omega(self, grid, rng, monkeypatch):
+        import torusreg.functionals as functionals
+
+        evaluated = []
+
+        def counting_omega(z):
+            evaluated.append(np.size(z))
+            return wrightomega(z)
+
+        monkeypatch.setattr(functionals, "wrightomega", counting_omega)
+        prox = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0)).prox_map(1.0)
+        x = rng.standard_normal(grid.n)
+        prox(x)
+        assert evaluated[-1] == grid.n  # the first call is omega on every entry
+        evaluated.clear()
+        for _ in range(20):
+            x = x + 1e-6 * rng.standard_normal(grid.n)
+            prox(x)
+        assert evaluated == []
+        prox(x - 800.0)  # Newton from the old roots overshoots below 0: omega
+        assert evaluated == [grid.n]
+
+    def test_nan_input_does_not_poison_later_calls(self, grid, rng):
+        pen = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0))
+        prox = pen.prox_map(1.0)
+        x = rng.standard_normal(grid.n)
+        prox(x)
+        bad = x.copy()
+        bad[::3] = np.nan
+        assert np.array_equal(np.isnan(prox(bad)), np.isnan(bad))
+        for _ in range(3):
+            x = x + 1e-6 * rng.standard_normal(grid.n)
+            got = prox(x)
+            assert np.all(np.abs(got - pen.prox_map(1.0)(x)) <= 1e-14 * got)
 
 
 class TestProxFidelity:

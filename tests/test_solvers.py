@@ -8,8 +8,10 @@ from torusreg import (
     QuadraticPenalty,
     Signal,
     SolverConfig,
+    TorusGrid,
     Unsupported,
     apply,
+    bspline_truth,
     dual_variable,
     make_identity,
     make_inverse_helmholtz,
@@ -242,6 +244,35 @@ class TestArrayCoreMatchesSignalLoop:
         report = solve_generalized_dr(op, g_obs, alpha, pen, cfg)
         assert report.iterations == iterations
         assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
+
+    def test_entropy_benchmark_setting(self):
+        # the rate sweep's shape: n = 480, B-spline truth, sinusoid noise,
+        # alpha = 3.16e-3 delta^(8/15), tol = 1e-12, both Bregman steps
+        grid = TorusGrid(480)
+        op = make_inverse_helmholtz(grid)
+        delta = 1e-3
+        noise = Signal(grid, delta * np.sin(2 * np.pi * 7 * grid.points))
+        g_obs = apply(op, bspline_truth(grid, 5)) + noise
+        alpha = 3.16e-3 * delta ** (8 / 15)
+        cfg = SolverConfig(tol=1e-12)
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
+        for _ in range(2):
+            expected, iterations = signal_level_dr(op, g_obs, alpha, pen, cfg)
+            report = solve_generalized_dr(op, g_obs, alpha, pen, cfg)
+            assert report.iterations == iterations
+            assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
+            pen = pen.with_prior(report.minimizer)
+
+    def test_entropy_clamp_binds(self, grid, data):
+        # the truth 1 + 0.4 cos leaves the box [0.8, 1.2] at both ends
+        op, g_obs = data
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.8, 1.2)
+        expected, iterations = signal_level_dr(op, g_obs, 1e-5, pen)
+        report = solve_generalized_dr(op, g_obs, 1e-5, pen)
+        assert report.iterations == iterations
+        assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
+        values = report.minimizer.values
+        assert np.any(values == 0.8) and np.any(values == 1.2)
 
     @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
     def test_quadratic(self, problem, alpha):
