@@ -6,8 +6,8 @@ prior is the previous iterate); for the entropy penalty the step-n penalty
 is KL(., f_{n-1}) as long as the iterates stay inside the box. Dual
 variables come from the extremal relation p_n = (g - T f_n) / alpha, which
 is exact in the Hilbert fidelity case (the chain reads T f_n - g off the
-solve report), and their pullbacks T* p_k
-accumulate to a subgradient of the original penalty at f_n.
+solve report), and their pullbacks T* p_k accumulate, on the rfft half
+spectrum, to a subgradient of the original penalty at f_n.
 """
 
 from __future__ import annotations
@@ -98,13 +98,15 @@ def bregman_iterate(
         raise ConfigError("n_steps must be >= 1")
     states: list[BregmanState] = []
     previous: Signal | None = None
-    accumulated = Signal(g_obs.grid, np.zeros(g_obs.grid.n))
+    accumulated_rfft = 0.0
     for n in range(1, n_steps + 1):
         current_penalty = step_penalty(penalty, previous)
         report = solve_generalized_dr(op, g_obs, alpha, current_penalty, cfg)
         f_n = report.minimizer
         p_n = (-1.0 / alpha) * report.misfit
-        accumulated = accumulated + apply(op, p_n)
+        # T* p_n = -T misfit / alpha, mode-wise -mu misfit^ / alpha
+        accumulated_rfft = accumulated_rfft - op.symbol_rfft * report.misfit.rfft / alpha
+        accumulated = Signal.from_rfft(g_obs.grid, accumulated_rfft)
         states.append(
             BregmanState(
                 n=n,

@@ -20,7 +20,7 @@ from scipy.special import wrightomega
 
 from .errors import ConfigError, SubgradientUndefined
 from .operators import FourierMultiplierOperator
-from .torus import Signal, check_same_grid, norm_l2
+from .torus import Signal, check_same_grid, norm_l2_array
 
 __all__ = [
     "QuadraticPenalty",
@@ -64,12 +64,12 @@ class QuadraticPenalty:
 
     def value(self, f: Signal) -> float:
         check_same_grid(f, self.prior)
-        return 0.5 * norm_l2(f - self.prior) ** 2
+        return 0.5 * norm_l2_array(f.values - self.prior.values) ** 2
 
     def bregman(self, f: Signal, base: Signal) -> float:
         """Bregman distance; for the quadratic penalty simply 1/2 ||f - base||^2."""
         check_same_grid(f, base, self.prior)
-        return 0.5 * norm_l2(f - base) ** 2
+        return 0.5 * norm_l2_array(f.values - base.values) ** 2
 
     def subgradient(self, f: Signal) -> Signal:
         check_same_grid(f, self.prior)
@@ -209,6 +209,23 @@ def _newton_omega(zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _fidelity_prox_constants(
+    op: FourierMultiplierOperator,
+    g_rfft: np.ndarray,
+    gamma: float,
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t mu g^, 1 + t mu^2) with t = gamma/alpha: the fidelity prox maps the
+    half spectrum c of its argument to (c + t mu g^) / (1 + t mu^2)."""
+    if not 0 < gamma < np.inf:
+        raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+    t = gamma / alpha
+    mu = op.symbol_rfft
+    return t * mu * g_rfft, 1.0 + t * mu**2
+
+
 def fidelity_prox_map(
     op: FourierMultiplierOperator,
     g_values: np.ndarray,
@@ -220,14 +237,8 @@ def fidelity_prox_map(
     t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once; each call
     then costs one rfft and one irfft.
     """
-    if not 0 < gamma < np.inf:
-        raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
-    if not 0 < alpha < np.inf:
-        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-    t = gamma / alpha
-    mu, n = op.symbol_rfft, op.grid.n
-    shift = t * mu * np.fft.rfft(g_values)
-    scale = 1.0 + t * mu**2
+    shift, scale = _fidelity_prox_constants(op, np.fft.rfft(g_values), gamma, alpha)
+    n = op.grid.n
     return lambda x: np.fft.irfft((np.fft.rfft(x) + shift) / scale, n)
 
 
@@ -243,4 +254,5 @@ def prox_fidelity(
     Per mode: v_j = (x_j + (gamma/alpha) mu_j g_j) / (1 + (gamma/alpha) mu_j^2).
     """
     check_same_grid(op, g, x)
-    return Signal(x.grid, fidelity_prox_map(op, g.values, gamma, alpha)(x.values))
+    shift, scale = _fidelity_prox_constants(op, g.rfft, gamma, alpha)
+    return Signal.from_rfft(x.grid, (x.rfft + shift) / scale)

@@ -22,7 +22,7 @@ from .errors import ConfigError, InsufficientData, NonPositiveError
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolverConfig
-from .torus import Signal, TorusGrid, bspline_truth, norm_l1, norm_l2
+from .torus import Signal, TorusGrid, bspline_truth, norm_l1_array, norm_l2
 
 __all__ = [
     "ProblemConfig",
@@ -219,7 +219,11 @@ class RateFit:
 
 def sinusoid_noise(grid: TorusGrid, delta: float, k: int) -> Signal:
     """delta * sin(2 pi k x); its L2 norm is delta/sqrt(2) <= delta."""
-    return Signal(grid, delta * np.sin(2.0 * np.pi * k * grid.points))
+    return Signal(grid, _sinusoid(grid, delta, k))
+
+
+def _sinusoid(grid: TorusGrid, delta: float, k: int) -> np.ndarray:
+    return delta * np.sin(2.0 * np.pi * k * grid.points)
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
@@ -251,7 +255,7 @@ def _chain_metrics(
     out = []
     for st in states:
         kl = problem.penalty.bregman(st.iterate, problem.f_true)
-        l1 = norm_l1(st.iterate - problem.f_true)
+        l1 = norm_l1_array(st.iterate.values - problem.f_true.values)
         resid = norm_l2(st.report.misfit)
         out.append((kl, l1, resid, st.report.iterations))
     return states, out
@@ -283,7 +287,9 @@ def worst_case_search(
     col = 0 if sweep.metric == "kl" else 1
     best: list[Choice | None] = [None] * sweep.bregman_steps
     for k in ks:
-        g_obs = problem.g_true + sinusoid_noise(problem.grid, delta, k) if k else problem.g_true
+        g_obs = problem.g_true
+        if k:  # g_true + sinusoid_noise(grid, delta, k), as one signal
+            g_obs = Signal(problem.grid, g_obs.values + _sinusoid(problem.grid, delta, k))
         states, metrics = _chain_metrics(problem, g_obs, alpha, sweep.bregman_steps, config.solver)
         for i, m in enumerate(metrics):
             if best[i] is None or m[col] > best[i].metrics[col]:

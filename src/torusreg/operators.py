@@ -93,7 +93,7 @@ def kernel_signal(grid: TorusGrid) -> Signal:
 
 def multiply_modes(f: Signal, factor_rfft: np.ndarray) -> Signal:
     """Mode-wise multiplication by a real, even factor given on the rfft half spectrum."""
-    return Signal(f.grid, np.fft.irfft(np.fft.rfft(f.values) * factor_rfft, f.grid.n))
+    return Signal.from_rfft(f.grid, f.rfft * factor_rfft)
 
 
 def apply(op: FourierMultiplierOperator, f: Signal) -> Signal:
@@ -111,8 +111,8 @@ def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -
     """
     check_same_grid(op, f)
     if p == 0:
-        return Signal(f.grid, f.values.copy())
-    c = np.fft.rfft(f.values)
+        return f
+    c = f.rfft
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = np.where(c == 0, 0.0 + 0.0j, c * op.symbol_rfft**p)
     bad = ~np.isfinite(out) | (np.abs(out) > OVERFLOW_LIMIT)
@@ -121,7 +121,7 @@ def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -
         raise SourceDivisionError(
             f"mode {mode} blows up under symbol power {p:g}", mode=mode
         )
-    return Signal(f.grid, np.fft.irfft(out, f.grid.n))
+    return Signal.from_rfft(f.grid, out)
 
 
 def power_apply(op: FourierMultiplierOperator, s: float, f: Signal) -> Signal:

@@ -86,8 +86,9 @@ def solve_quadratic_spectral(
     return prox_fidelity(op, g_obs, prior, 1.0, alpha)
 
 
-def _report(op, g_obs, alpha, penalty, f: Signal, iterations: int, residual: float) -> SolveReport:
-    misfit = apply(op, f) - g_obs
+def _report(
+    alpha, penalty, f: Signal, misfit: Signal, iterations: int, residual: float
+) -> SolveReport:
     return SolveReport(
         minimizer=f,
         misfit=misfit,
@@ -133,10 +134,14 @@ def solve_generalized_dr(
         if not isinstance(penalty, QuadraticPenalty):
             raise Unsupported("spectral solve requires a quadratic penalty")
         f = solve_quadratic_spectral(op, g_obs, alpha, penalty.prior)
-        return _report(op, g_obs, alpha, penalty, f, 0, 0.0)
+        misfit = Signal.from_rfft(g_obs.grid, op.symbol_rfft * f.rfft - g_obs.rfft)
+        return _report(alpha, penalty, f, misfit, 0, 0.0)
 
     gamma, relax, tol = cfg.effective_gamma(), cfg.relax, cfg.tol
     prox_penalty = penalty.prox_map(gamma)
+    # from the samples, not g_obs.rfft: exact data made by apply keep mu f^,
+    # which differs from the rfft of their samples at round-off, and at tiny
+    # alpha the DR stopping step, hence its rows, follows round-off
     prox_data = fidelity_prox_map(op, g_obs.values, gamma, alpha)
     z = penalty.prior.values
     u = prox_penalty(z)
@@ -161,7 +166,8 @@ def solve_generalized_dr(
         z_norm = _rms(z)
         u = prox_penalty(z)
         if residual <= tol:
-            return _report(op, g_obs, alpha, penalty, Signal(g_obs.grid, u), it, residual)
+            f = Signal(g_obs.grid, u)
+            return _report(alpha, penalty, f, apply(op, f) - g_obs, it, residual)
     raise NonConvergence(
         f"Douglas-Rachford did not reach tol {cfg.tol:.1e} in {cfg.max_iter} iterations "
         f"(residual {residual:.3e}); retry with a larger gamma",

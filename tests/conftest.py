@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,15 @@ def single_mode_signal(grid, j, kind="cos"):
     if kind == "cos":
         return Signal(grid, np.sqrt(2.0) * np.cos(2 * np.pi * j * x))
     return Signal(grid, np.sqrt(2.0) * np.sin(2 * np.pi * j * x))
+
+
+def count_ffts(monkeypatch) -> Counter:
+    """Count every numpy FFT call from here on."""
+    counts = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import torusreg.cli
+
 from torusreg import (
     ConfigError,
     ExperimentConfig,
@@ -327,6 +329,37 @@ class TestCli:
         capsys.readouterr()
         assert main(["reconstruct", "--config", path]) == 0
         assert f"noise_k={last.k_worst}\n" in capsys.readouterr().out
+
+    def test_reconstruct_prints_the_swept_data_residual(self, tmp_path, capsys, monkeypatch):
+        # quadratic penalty, spectral route: reconstruct runs the chain the
+        # last step's worst case picked, so its last printed residual is the
+        # data_residual of that step's sweep.csv row
+        path = small_cli_config(tmp_path)
+        with open(path) as handle:
+            text = handle.read()
+        text = text.replace("n = 96\n", "n = 96\npenalty = quadratic\n")
+        text = text.replace("tol = 1e-9\n", "tol = 1e-9\nmethod = spectral\n")
+        text = text.replace("noise = fixed_sinusoid\nk_fixed = 2", "noise = worst_case\nk_max = 6")
+        text = text.replace("alphas = 1e-1, 3e-2, 1e-2, 3e-3\n", "")
+        with open(path, "w") as handle:
+            handle.write(text)
+        cfg = load_config(path)
+        assert cfg.problem.penalty == "quadratic" and cfg.solver.method == "spectral"
+        assert main(["rate-sweep", "--config", path]) == 0
+        [last] = [r for r in read_sweep_csv(str(tmp_path / "out" / "sweep.csv"))
+                  if r.delta == cfg.sweep.deltas[0] and r.n_bregman == 2]
+        capsys.readouterr()
+
+        def no_reapply(*args):
+            raise AssertionError("reconstruct re-applied T")
+
+        monkeypatch.setattr(torusreg.cli, "apply", no_reapply)
+        assert main(["reconstruct", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert f"noise_k={last.k_worst}\n" in out
+        printed = [line.split("data_residual=")[1].split()[0]
+                   for line in out.splitlines() if "data_residual=" in line]
+        assert len(printed) == 2 and printed[-1] == f"{last.data_residual:.6e}"
 
     def test_vsc_diagnose_writes_report(self, tmp_path):
         cfg = small_cli_config(tmp_path)

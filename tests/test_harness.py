@@ -35,7 +35,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from conftest import band_limited_signal
+from conftest import band_limited_signal, count_ffts
 
 
 def quad_problem(n=128, seed=5, band=10):
@@ -198,6 +198,16 @@ class TestWorstCaseNoise:
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError, match="delta"):
             worst_case_search(search_config(k_max=4), quad_problem(), -1e-3, 0.1)
+
+
+    def test_spectral_search_fft_budget(self, monkeypatch):
+        # one rfft per candidate g_obs and three FFTs per spectral step
+        problem = quad_problem()
+        problem.penalty.prior.rfft
+        steps, k_max = 2, 8
+        counts = count_ffts(monkeypatch)
+        worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
+        assert sum(counts.values()) <= k_max * (3 * steps + 1)
 
 
 class TestApproxErrorSweep:

@@ -11,6 +11,7 @@ from torusreg import (
     TorusGrid,
     Unsupported,
     apply,
+    bregman_iterate,
     bspline_truth,
     dual_variable,
     make_identity,
@@ -22,7 +23,7 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import random_signal
+from conftest import count_ffts, random_signal
 
 
 def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
@@ -48,6 +49,19 @@ def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
         if residual <= cfg.tol:
             return u, it
     raise AssertionError("oracle loop did not converge")
+
+
+def array_level_spectral_route(op, g_obs, alpha, prior):
+    """Oracle: the spectral route before signals kept their spectra, on plain
+    arrays with an rfft per use. Returns (minimizer, misfit, objective)."""
+    mu, n = op.symbol_rfft, op.grid.n
+    t = 1.0 / alpha
+    shift = t * mu * np.fft.rfft(g_obs.values)
+    scale = 1.0 + t * mu**2
+    f = np.fft.irfft((np.fft.rfft(prior.values) + shift) / scale, n)
+    misfit = np.fft.irfft(np.fft.rfft(f) * mu, n) - g_obs.values
+    objective = 0.5 * np.sum(misfit**2) / n / alpha + 0.5 * np.sum((f - prior.values) ** 2) / n
+    return f, misfit, objective
 
 
 @pytest.fixture
@@ -112,6 +126,44 @@ class TestSpectralSolver:
         pc = to_spectrum(prior)
         residual = op.symbol * (op.symbol * fc - gc) / alpha + (fc - pc)
         assert np.max(np.abs(residual)) < 1e-10
+
+
+class TestSpectralRoute:
+    SPECTRAL = SolverConfig(method="spectral")
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
+    def test_matches_array_level_oracle(self, problem, alpha):
+        op, g_obs, prior = problem
+        report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior), self.SPECTRAL)
+        f, misfit, objective = array_level_spectral_route(op, g_obs, alpha, prior)
+        assert np.array_equal(report.minimizer.values, f)
+        assert np.array_equal(report.minimizer.values,
+                              prox_fidelity(op, g_obs, prior, 1.0, alpha).values)
+        assert np.max(np.abs(report.misfit.values - misfit)) <= 1e-14 * np.max(np.abs(g_obs.values))
+        assert abs(report.objective - objective) <= 1e-13 * objective
+        assert report.iterations == 0 and report.final_residual == 0.0
+
+    def test_accumulated_subgradient_matches_signal_sum(self, problem):
+        op, g_obs, prior = problem
+        states = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), 3, self.SPECTRAL)
+        total = np.zeros(op.grid.n)
+        for st in states:
+            total = total + apply(op, st.dual).values
+            assert np.max(np.abs(st.accumulated_subgradient.values - total)) <= 1e-12
+
+    def test_fft_budget(self, grid, rng, monkeypatch):
+        # at most 3 FFTs per spectral step (minimizer, misfit, accumulated
+        # pullback) plus one per fresh g_obs; the prior's spectrum is shared
+        op = make_inverse_helmholtz(grid)
+        prior = random_signal(grid, rng)
+        prior.rfft
+        observations = [random_signal(grid, rng) for _ in range(4)]
+        counts = count_ffts(monkeypatch)
+        steps = 3
+        for g_obs in observations:
+            states = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), steps, self.SPECTRAL)
+            assert len(states) == steps
+        assert sum(counts.values()) <= len(observations) * (3 * steps + 1)
 
 
 class TestDouglasRachford:

@@ -1,6 +1,13 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import torusreg
 from torusreg import (
     ConfigError,
     GridMismatch,
@@ -57,6 +64,65 @@ class TestSignal:
         with pytest.raises(GridMismatch):
             Signal(grid, np.zeros(grid.n)) + Signal(other, np.zeros(other.n))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_caught_among_huge_values(self, grid, bad):
+        # the sum of these values overflows (numpy warns), so the full
+        # element check runs
+        values = np.full(grid.n, 1e307)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Signal(grid, values)
+            values[5] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                Signal(grid, values)
+
+    def test_values_read_only_and_caller_array_writeable(self, grid, rng):
+        raw = rng.standard_normal(grid.n)
+        f = Signal(grid, raw)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(grid.n)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1.0
+        assert raw.flags.writeable
+        raw[0] += 1.0  # the signal does not alias the caller's array
+        assert f.values[0] == raw[0] - 1.0
+
+    def test_rfft_memoized_bit_for_bit(self, grid, rng):
+        f = random_signal(grid, rng)
+        assert np.array_equal(f.rfft, np.fft.rfft(f.values))
+        assert f.rfft is f.rfft
+        with pytest.raises(ValueError, match="read-only"):
+            f.rfft[0] = 0.0
+
+    def test_from_rfft_round_trip(self, grid, rng):
+        f = random_signal(grid, rng)
+        c = np.fft.rfft(f.values)
+        back = Signal.from_rfft(grid, c)
+        assert np.max(np.abs(back.values - f.values)) <= 4e-15 * np.max(np.abs(f.values))
+        assert np.array_equal(back.values, np.fft.irfft(c, grid.n))
+        assert np.array_equal(back.rfft, c)
+        assert c.flags.writeable
+        c[1] += 1.0  # the kept spectrum does not alias the caller's array
+        assert back.rfft[1] == c[1] - 1.0
+
+    def test_from_rfft_checks_its_input(self, grid):
+        with pytest.raises(ConfigError, match="length"):
+            Signal.from_rfft(grid, np.zeros(grid.n // 2, dtype=complex))
+        for mode in (0, grid.n // 2):
+            c = np.zeros(grid.n // 2 + 1, dtype=complex)
+            c[mode] = 1j
+            with pytest.raises(ConfigError, match="real"):
+                Signal.from_rfft(grid, c)
+        c = np.zeros(grid.n // 2 + 1, dtype=complex)
+        c[1] = np.inf
+        with pytest.raises(ConfigError, match="finite"), np.errstate(invalid="ignore"):
+            Signal.from_rfft(grid, c)
+
+    def test_pickle_keeps_spectrum_and_read_only(self, grid, rng):
+        f = Signal.from_rfft(grid, np.fft.rfft(rng.standard_normal(grid.n)) * 0.5)
+        back = pickle.loads(pickle.dumps(f))
+        assert np.array_equal(back.values, f.values) and np.array_equal(back.rfft, f.rfft)
+        assert not back.values.flags.writeable and not back.rfft.flags.writeable
+
 
 class TestTransforms:
     def test_constant_signal_dc_mode(self, grid):
@@ -103,6 +169,25 @@ class TestTransforms:
 
 
 class TestBsplineTruth:
+    @pytest.mark.parametrize("degree", [4, 5])
+    @pytest.mark.parametrize("n", [48, 64, 480, 512, 960])
+    def test_matches_scipy_basis_element(self, degree, n):
+        from scipy.interpolate import BSpline
+
+        grid = TorusGrid(n)
+        spline = BSpline.basis_element(np.arange(degree + 2), extrapolate=False)
+        oracle = np.nan_to_num(spline(grid.points * (degree + 1)), nan=0.0)
+        assert np.max(np.abs(bspline_truth(grid, degree).values - 1.0 - oracle)) <= 4.4e-16
+
+    def test_import_leaves_scipy_interpolate_out(self):
+        # import the package this suite tests, from a fresh interpreter
+        src = os.path.dirname(os.path.dirname(torusreg.__file__))
+        code = "import sys, torusreg.cli; print('scipy.interpolate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=env)
+        assert done.stdout.strip() == "False"
+
     def test_supported_degrees_only(self):
         with pytest.raises(ConfigError):
             bspline_truth(TorusGrid(480), degree=3)
