@@ -8,12 +8,19 @@ variables come from the extremal relation p_n = (g - T f_n) / alpha, which
 is exact in the Hilbert fidelity case (the chain reads T f_n - g off the
 solve report), and their pullbacks T* p_k accumulate, on the rfft half
 spectrum, to a subgradient of the original penalty at f_n.
+
+Each state keeps the running half-spectrum sum of the pullbacks as a plain
+array. The step dual and the accumulated subgradient, like the report's
+misfit samples (on the spectral route) and objective, are computed on
+first read and kept, so a spectral step computes only its minimizer's
+samples.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +43,30 @@ INTERIOR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BregmanState:
-    """State after step n: iterate, step dual, accumulated dual pullback."""
+    """State after step n: iterate, solve report and the half spectrum
+    ``accumulated_rfft`` of the accumulated dual pullback sum_k T* p_k
+    (read-only).
+
+    ``dual`` and ``accumulated_subgradient`` are computed on first read and
+    kept; alpha is the report's.
+    """
 
     n: int
     iterate: Signal = field(repr=False)
-    dual: Signal = field(repr=False)
-    accumulated_subgradient: Signal = field(repr=False)
     report: SolveReport = field(repr=False)
+    accumulated_rfft: np.ndarray = field(repr=False)
+
+    __setstate__ = Signal.__setstate__  # unpickled arrays are frozen again
+
+    @cached_property
+    def dual(self) -> Signal:
+        """Step dual p_n = (g - T f_n) / alpha."""
+        return (-1.0 / self.report.alpha) * self.report.misfit
+
+    @cached_property
+    def accumulated_subgradient(self) -> Signal:
+        """sum_{k <= n} T* p_k, a subgradient of the original penalty at f_n."""
+        return Signal.from_rfft(self.iterate.grid, self.accumulated_rfft)
 
 
 def dual_variable(
@@ -102,21 +126,11 @@ def bregman_iterate(
     for n in range(1, n_steps + 1):
         current_penalty = step_penalty(penalty, previous)
         report = solve_generalized_dr(op, g_obs, alpha, current_penalty, cfg)
-        f_n = report.minimizer
-        p_n = (-1.0 / alpha) * report.misfit
         # T* p_n = -T misfit / alpha, mode-wise -mu misfit^ / alpha
-        accumulated_rfft = accumulated_rfft - op.symbol_rfft * report.misfit.rfft / alpha
-        accumulated = Signal.from_rfft(g_obs.grid, accumulated_rfft)
-        states.append(
-            BregmanState(
-                n=n,
-                iterate=f_n,
-                dual=p_n,
-                accumulated_subgradient=accumulated,
-                report=report,
-            )
-        )
-        previous = f_n
+        accumulated_rfft = accumulated_rfft - op.symbol_rfft * report.misfit_rfft / alpha
+        accumulated_rfft.setflags(write=False)
+        states.append(BregmanState(n, report.minimizer, report, accumulated_rfft))
+        previous = report.minimizer
     return states
 
 

@@ -64,9 +64,8 @@ def cmd_reconstruct(args) -> int:
     print(f"reconstruct: delta={delta:g} alpha={alpha:g} noise_k={k}")
     for st in states:
         err = problem.penalty.bregman(st.iterate, problem.f_true)
-        residual = norm_l2(st.report.misfit)  # the data_residual of sweep.csv
         print(
-            f"  step {st.n}: penalty_error={err:.6e} data_residual={residual:.6e} "
+            f"  step {st.n}: penalty_error={err:.6e} data_residual={st.report.data_residual:.6e} "
             f"iterations={st.report.iterations} boundary_touch={st.report.boundary_touch}"
         )
     print(f"wrote {path}")

@@ -22,7 +22,7 @@ from .errors import ConfigError, InsufficientData, NonPositiveError
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolverConfig
-from .torus import Signal, TorusGrid, bspline_truth, norm_l1_array, norm_l2
+from .torus import Signal, TorusGrid, bspline_truth, norm_l1_array
 
 __all__ = [
     "ProblemConfig",
@@ -112,8 +112,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("exact", "worst_case", "fixed_sinusoid"):
             raise ConfigError(f"unknown noise model {self.kind!r}")
-        if self.k_max < 1 or self.k_fixed < 1:
-            raise ConfigError("noise frequencies must be >= 1")
+        for name in ("k_max", "k_fixed"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ class SweepConfig:
     def __post_init__(self):
         d = np.asarray(self.deltas, dtype=float)
         if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
-            raise ConfigError("deltas must be finite, strictly positive and strictly decreasing")
+            raise ConfigError(
+                "deltas must be finite, strictly positive and strictly decreasing, "
+                f"got {tuple(d.tolist())}"
+            )
         if self.alphas is not None:
             _check_finite_positive("alphas", self.alphas)
         if self.calibrate_cs is not None:
@@ -141,7 +145,7 @@ class SweepConfig:
         if self.predicted_rate is not None and not np.isfinite(self.predicted_rate):
             raise ConfigError(f"predicted_rate must be finite, got {self.predicted_rate}")
         if not 0 < self.alpha_sigma <= 2:
-            raise ConfigError("alpha rule exponent must lie in (0, 2]")
+            raise ConfigError(f"alpha_sigma must lie in (0, 2], got {self.alpha_sigma}")
         if self.bregman_steps < 1:
             raise ConfigError("bregman_steps must be >= 1")
         if self.metric not in ("kl", "l1"):
@@ -256,8 +260,7 @@ def _chain_metrics(
     for st in states:
         kl = problem.penalty.bregman(st.iterate, problem.f_true)
         l1 = norm_l1_array(st.iterate.values - problem.f_true.values)
-        resid = norm_l2(st.report.misfit)
-        out.append((kl, l1, resid, st.report.iterations))
+        out.append((kl, l1, st.report.data_residual, st.report.iterations))
     return states, out
 
 

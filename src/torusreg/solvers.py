@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, Unsupported
 from .functionals import Penalty, QuadraticPenalty, fidelity_prox_map, prox_fidelity
 from .operators import FourierMultiplierOperator, apply
-from .torus import Signal, check_same_grid, norm_l2
+from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
 
 __all__ = ["SolverConfig", "SolveReport", "solve_quadratic_spectral", "solve_generalized_dr"]
 
@@ -42,7 +43,7 @@ class SolverConfig:
         if self.gamma is not None and not 0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
         if not 0 < self.relax <= 2:
-            raise ConfigError("relaxation must lie in (0, 2]")
+            raise ConfigError(f"relax must lie in (0, 2], got {self.relax}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if not 0 < self.tol < np.inf:
@@ -58,18 +59,36 @@ class SolverConfig:
 class SolveReport:
     """Solver outcome: minimizer plus convergence diagnostics.
 
-    ``misfit`` is Tf - g at the minimizer (the objective's data term, the
-    step dual's numerator and the data residual all come from it).
+    ``alpha`` and ``penalty`` are the problem solved. ``misfit_rfft`` is
+    the rfft half spectrum of the misfit Tf - g at the minimizer
+    (read-only); the step dual's numerator comes from it, and so does
+    ``data_residual``, the misfit's L2 norm, by Parseval. ``misfit`` (the
+    misfit's samples) and ``objective`` are computed on first read and kept;
+    the DR route computes the samples anyway and seeds ``misfit`` with them.
     ``boundary_touch`` flags samples within 1e-9 of a box bound (the test
     problems never activate the constraints; this makes that visible).
     """
 
     minimizer: Signal = field(repr=False)
-    misfit: Signal = field(repr=False)
+    misfit_rfft: np.ndarray = field(repr=False)
+    data_residual: float
     iterations: int
     final_residual: float
-    objective: float
+    alpha: float
+    penalty: Penalty = field(repr=False)
     boundary_touch: bool = False
+
+    __setstate__ = Signal.__setstate__  # unpickled arrays are frozen again
+
+    @cached_property
+    def misfit(self) -> Signal:
+        """Tf - g at the minimizer."""
+        return Signal.from_rfft(self.minimizer.grid, self.misfit_rfft)
+
+    @cached_property
+    def objective(self) -> float:
+        """(1/alpha) 1/2 ||Tf - g||^2 + R(f) at the minimizer."""
+        return 0.5 * norm_l2(self.misfit) ** 2 / self.alpha + self.penalty.value(self.minimizer)
 
 
 def solve_quadratic_spectral(
@@ -87,14 +106,16 @@ def solve_quadratic_spectral(
 
 
 def _report(
-    alpha, penalty, f: Signal, misfit: Signal, iterations: int, residual: float
+    alpha, penalty, f: Signal, misfit_rfft: np.ndarray, iterations: int, residual: float
 ) -> SolveReport:
     return SolveReport(
         minimizer=f,
-        misfit=misfit,
+        misfit_rfft=misfit_rfft,
+        data_residual=norm_l2_rfft(misfit_rfft, f.grid.n),
         iterations=iterations,
         final_residual=residual,
-        objective=0.5 * norm_l2(misfit) ** 2 / alpha + penalty.value(f),
+        alpha=alpha,
+        penalty=penalty,
         boundary_touch=_boundary_touch(penalty, f),
     )
 
@@ -134,8 +155,9 @@ def solve_generalized_dr(
         if not isinstance(penalty, QuadraticPenalty):
             raise Unsupported("spectral solve requires a quadratic penalty")
         f = solve_quadratic_spectral(op, g_obs, alpha, penalty.prior)
-        misfit = Signal.from_rfft(g_obs.grid, op.symbol_rfft * f.rfft - g_obs.rfft)
-        return _report(alpha, penalty, f, misfit, 0, 0.0)
+        misfit_rfft = op.symbol_rfft * f.rfft - g_obs.rfft
+        misfit_rfft.setflags(write=False)
+        return _report(alpha, penalty, f, misfit_rfft, 0, 0.0)
 
     gamma, relax, tol = cfg.effective_gamma(), cfg.relax, cfg.tol
     prox_penalty = penalty.prox_map(gamma)
@@ -167,7 +189,10 @@ def solve_generalized_dr(
         u = prox_penalty(z)
         if residual <= tol:
             f = Signal(g_obs.grid, u)
-            return _report(alpha, penalty, f, apply(op, f) - g_obs, it, residual)
+            misfit = apply(op, f) - g_obs
+            report = _report(alpha, penalty, f, misfit.rfft, it, residual)
+            report.__dict__["misfit"] = misfit  # the samples as computed, not their irfft(rfft)
+            return report
     raise NonConvergence(
         f"Douglas-Rachford did not reach tol {cfg.tol:.1e} in {cfg.max_iter} iterations "
         f"(residual {residual:.3e}); retry with a larger gamma",

@@ -46,7 +46,7 @@ class TorusGrid:
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
-            raise ConfigError(f"grid size must be even and >= 4, got {self.n}")
+            raise ConfigError(f"grid size n must be even and >= 4, got {self.n}")
 
     @cached_property
     def ones(self) -> np.ndarray:
@@ -207,6 +207,13 @@ def norm_l1_array(v: np.ndarray) -> float:
 def norm_l2_array(v: np.ndarray) -> float:
     """:func:`norm_l2` of the samples v."""
     return math.sqrt((v * v).sum() / v.size)
+
+
+def norm_l2_rfft(c: np.ndarray, n: int) -> float:
+    """:func:`norm_l2` of the signal irfft(c, n), from its half spectrum c by
+    Parseval: sqrt(|c_0|^2 + 2 sum_{0<j<n/2} |c_j|^2 + |c_{n/2}|^2) / n."""
+    edges = abs(c[0]) ** 2 + abs(c[-1]) ** 2
+    return math.sqrt(2.0 * np.vdot(c, c).real - edges) / n
 
 
 def inner(f: Signal, g: Signal) -> float:

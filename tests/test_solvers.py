@@ -1,3 +1,7 @@
+import itertools
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,17 +55,46 @@ def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
     raise AssertionError("oracle loop did not converge")
 
 
-def array_level_spectral_route(op, g_obs, alpha, prior):
-    """Oracle: the spectral route before signals kept their spectra, on plain
-    arrays with an rfft per use. Returns (minimizer, misfit, objective)."""
+def array_level_spectral_route(op, g_obs, alpha, prior, steps=1):
+    """Oracle: the spectral Bregman chain on plain arrays, one dict per step;
+    the prior of step k > 1 is the minimizer of step k - 1.
+
+    ``f`` is the minimizer. ``misfit_per_use`` and ``objective_per_use`` take
+    an rfft per use, as the route did before signals kept their spectra.
+    ``misfit``, ``objective``, ``dual`` and ``accumulated`` repeat, operation
+    for operation, the eager per-step arithmetic on kept spectra: misfit
+    irfft(mu f^ - g^), objective 1/2 rms(misfit)^2 / alpha + 1/2 rms(f - prior)^2,
+    dual misfit * (-1/alpha), and accumulated the irfft of the running sum
+    of -mu m^_k / alpha.
+    """
     mu, n = op.symbol_rfft, op.grid.n
     t = 1.0 / alpha
-    shift = t * mu * np.fft.rfft(g_obs.values)
+    g_rfft = np.fft.rfft(g_obs.values)
+    shift = t * mu * g_rfft
     scale = 1.0 + t * mu**2
-    f = np.fft.irfft((np.fft.rfft(prior.values) + shift) / scale, n)
-    misfit = np.fft.irfft(np.fft.rfft(f) * mu, n) - g_obs.values
-    objective = 0.5 * np.sum(misfit**2) / n / alpha + 0.5 * np.sum((f - prior.values) ** 2) / n
-    return f, misfit, objective
+    prior_values, prior_rfft = prior.values, np.fft.rfft(prior.values)
+    accumulated_rfft = 0.0
+    out = []
+    for _ in range(steps):
+        f_rfft = (prior_rfft + shift) / scale
+        f = np.fft.irfft(f_rfft, n)
+        misfit_per_use = np.fft.irfft(np.fft.rfft(f) * mu, n) - g_obs.values
+        misfit_rfft = mu * f_rfft - g_rfft
+        misfit = np.fft.irfft(misfit_rfft, n)
+        accumulated_rfft = accumulated_rfft - mu * misfit_rfft / alpha
+        out.append({
+            "f": f,
+            "misfit_per_use": misfit_per_use,
+            "objective_per_use": 0.5 * np.sum(misfit_per_use**2) / n / alpha
+            + 0.5 * np.sum((f - prior_values) ** 2) / n,
+            "misfit": misfit,
+            "objective": 0.5 * math.sqrt((misfit * misfit).sum() / n) ** 2 / alpha
+            + 0.5 * math.sqrt(((f - prior_values) * (f - prior_values)).sum() / n) ** 2,
+            "dual": misfit * float(-1.0 / alpha),
+            "accumulated": np.fft.irfft(accumulated_rfft, n),
+        })
+        prior_values, prior_rfft = f, f_rfft
+    return out
 
 
 @pytest.fixture
@@ -92,7 +125,7 @@ class TestSolverConfig:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        with pytest.raises(ConfigError, match=rf"\b{next(iter(kwargs))}\b"):
             SolverConfig(**kwargs)
 
 
@@ -135,13 +168,29 @@ class TestSpectralRoute:
     def test_matches_array_level_oracle(self, problem, alpha):
         op, g_obs, prior = problem
         report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior), self.SPECTRAL)
-        f, misfit, objective = array_level_spectral_route(op, g_obs, alpha, prior)
-        assert np.array_equal(report.minimizer.values, f)
+        (expected,) = array_level_spectral_route(op, g_obs, alpha, prior)
+        assert np.array_equal(report.minimizer.values, expected["f"])
         assert np.array_equal(report.minimizer.values,
                               prox_fidelity(op, g_obs, prior, 1.0, alpha).values)
-        assert np.max(np.abs(report.misfit.values - misfit)) <= 1e-14 * np.max(np.abs(g_obs.values))
+        assert (np.max(np.abs(report.misfit.values - expected["misfit_per_use"]))
+                <= 1e-14 * np.max(np.abs(g_obs.values)))
+        objective = expected["objective_per_use"]
         assert abs(report.objective - objective) <= 1e-13 * objective
         assert report.iterations == 0 and report.final_residual == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
+    def test_fields_read_on_demand_match_eager_arithmetic(self, problem, alpha):
+        # misfit, objective, dual and accumulated_subgradient are computed on
+        # first read; each is bit-identical to the eager per-step arithmetic
+        op, g_obs, prior = problem
+        states = bregman_iterate(op, g_obs, alpha, QuadraticPenalty(prior), 3, self.SPECTRAL)
+        expected = array_level_spectral_route(op, g_obs, alpha, prior, steps=3)
+        for st, ex in zip(states, expected, strict=True):
+            assert np.array_equal(st.iterate.values, ex["f"])
+            assert np.array_equal(st.report.misfit.values, ex["misfit"])
+            assert st.report.objective == ex["objective"]
+            assert np.array_equal(st.dual.values, ex["dual"])
+            assert np.array_equal(st.accumulated_subgradient.values, ex["accumulated"])
 
     def test_accumulated_subgradient_matches_signal_sum(self, problem):
         op, g_obs, prior = problem
@@ -152,8 +201,9 @@ class TestSpectralRoute:
             assert np.max(np.abs(st.accumulated_subgradient.values - total)) <= 1e-12
 
     def test_fft_budget(self, grid, rng, monkeypatch):
-        # at most 3 FFTs per spectral step (minimizer, misfit, accumulated
-        # pullback) plus one per fresh g_obs; the prior's spectrum is shared
+        # one irfft per spectral step (the minimizer) plus one rfft per fresh
+        # g_obs; the prior's spectrum is shared, and the misfit samples, the
+        # dual and the accumulated pullback are only computed when read
         op = make_inverse_helmholtz(grid)
         prior = random_signal(grid, rng)
         prior.rfft
@@ -163,7 +213,7 @@ class TestSpectralRoute:
         for g_obs in observations:
             states = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), steps, self.SPECTRAL)
             assert len(states) == steps
-        assert sum(counts.values()) <= len(observations) * (3 * steps + 1)
+        assert sum(counts.values()) <= len(observations) * (steps + 1)
 
 
 class TestDouglasRachford:
@@ -341,6 +391,62 @@ class TestArrayCoreMatchesSignalLoop:
         report = solve_generalized_dr(op, g_obs, 1e-2, pen)
         expected = apply(op, report.minimizer) - g_obs
         assert np.array_equal(report.misfit.values, expected.values)
+
+
+class TestReportFields:
+    LAZY = {
+        "misfit": lambda st: st.report.misfit.values,
+        "objective": lambda st: st.report.objective,
+        "dual": lambda st: st.dual.values,
+        "accumulated_subgradient": lambda st: st.accumulated_subgradient.values,
+    }
+
+    @pytest.fixture(params=["spectral", "dr_entropy", "dr_quadratic"])
+    def chain(self, request, grid):
+        """A function running a fresh 2-step chain on the route of the param."""
+        op = make_inverse_helmholtz(grid)
+        x = grid.points
+        g_obs = apply(op, Signal(grid, 1.0 + 0.4 * np.cos(2 * np.pi * x)))
+        g_obs = g_obs + Signal(grid, 1e-3 * np.sin(6 * np.pi * x))
+        prior = Signal(grid, np.ones(grid.n))
+        if request.param == "dr_entropy":
+            pen, cfg = EntropyPenalty(prior, 0.0, 5.0), SolverConfig()
+        else:
+            method = "spectral" if request.param == "spectral" else "dr"
+            pen, cfg = QuadraticPenalty(prior), SolverConfig(method=method)
+        return lambda alpha=1e-2: bregman_iterate(op, g_obs, alpha, pen, 2, cfg)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
+    def test_data_residual_is_the_misfit_norm(self, chain, alpha):
+        for st in chain(alpha):
+            report = st.report
+            expected = norm_l2(report.misfit)
+            assert abs(report.data_residual - expected) <= 1e-13 * expected
+            assert np.array_equal(report.misfit_rfft, report.misfit.rfft)
+            assert not report.misfit_rfft.flags.writeable
+            assert not st.accumulated_rfft.flags.writeable
+
+    def test_pickled_state_stays_read_only(self, chain):
+        for st in chain():
+            back = pickle.loads(pickle.dumps(st))
+            assert np.array_equal(back.report.misfit_rfft, st.report.misfit_rfft)
+            assert np.array_equal(back.accumulated_rfft, st.accumulated_rfft)
+            assert not back.report.misfit_rfft.flags.writeable
+            assert not back.accumulated_rfft.flags.writeable
+            assert np.array_equal(back.accumulated_subgradient.values,
+                                  st.accumulated_subgradient.values)
+
+    def test_read_order_does_not_matter(self, chain):
+        reference = [{name: get(st) for name, get in self.LAZY.items()} for st in chain()]
+        for order in itertools.permutations(self.LAZY):
+            states = chain()
+            for name in order:
+                for st, ref in zip(states, reference, strict=True):
+                    assert np.array_equal(self.LAZY[name](st), ref[name])
+            for st, ref in zip(states, reference, strict=True):
+                # computed once, then kept
+                assert st.dual is st.dual and st.report.misfit is st.report.misfit
+                assert all(np.array_equal(get(st), ref[name]) for name, get in self.LAZY.items())
 
 
 class TestInputChecks:

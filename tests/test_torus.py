@@ -44,7 +44,7 @@ class TestTorusGrid:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 0, -4])
     def test_rejects_bad_sizes(self, n):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"grid size n must .*got {n}"):
             TorusGrid(n)
 
 
