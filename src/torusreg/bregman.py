@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InteriorityWarning, SubgradientUndefined
-from .functionals import EntropyPenalty, Penalty
+from .errors import ConfigError, InteriorityWarning
+from .functionals import TOUCH_TOL, Penalty
 from .operators import FourierMultiplierOperator, apply
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
 from .torus import Signal, check_same_grid
@@ -37,8 +37,6 @@ __all__ = [
     "step_penalty",
     "bregman_distance_invariance_check",
 ]
-
-INTERIOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,26 +85,20 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
 
     Quadratic: prior replaced by the previous iterate. Entropy: KL to the
     previous iterate, valid while that iterate is interior; an iterate
-    touching zero has no subgradient selection.
+    touching zero has no subgradient selection, and building its penalty
+    raises :class:`SubgradientUndefined`.
     """
     if previous is None:
         return penalty
-    if isinstance(penalty, EntropyPenalty):
-        pv = previous.values
-        if np.any(pv <= 0):
-            raise SubgradientUndefined(
-                "previous entropy iterate touches zero; no subgradient selection"
-            )
-        if np.any(pv <= penalty.box_lo + INTERIOR_TOL) or np.any(
-            pv >= penalty.box_hi - INTERIOR_TOL
-        ):
-            warnings.warn(
-                "previous iterate within 1e-9 of the box bounds; the interior "
-                "Bregman step formula is used anyway",
-                InteriorityWarning,
-                stacklevel=3,
-            )
-    return penalty.with_prior(previous)
+    current = penalty.with_prior(previous)
+    if penalty.boundary_touch(previous):
+        warnings.warn(
+            f"previous iterate within {TOUCH_TOL:g} of the box bounds; the interior "
+            "Bregman step formula is used anyway",
+            InteriorityWarning,
+            stacklevel=3,
+        )
+    return current
 
 
 def bregman_iterate(

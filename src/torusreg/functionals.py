@@ -12,6 +12,7 @@ whose duality map is the identity.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ __all__ = [
     "prox_fidelity",
 ]
 
-BOX_SLACK = 1e-12
+BOX_SLACK = 1e-12  # samples this far outside the box still count as inside
+TOUCH_TOL = 1e-9  # samples this close to a box bound touch it
 PROX_FLOOR = 1e-12
 NEWTON_STEPS = 3
 NEWTON_TOL = 1e-8
@@ -50,10 +52,18 @@ def kl_divergence(f: Signal, g: Signal) -> float:
         raise SubgradientUndefined("KL base must be strictly positive")
     if np.any(fv < 0):
         return float("inf")
-    zero = fv == 0
-    e = np.where(zero, 0.0, (fv - gv) / gv)
-    terms = np.where(zero, gv, gv * _phi_entropy(e))
-    return float(np.sum(terms) / f.grid.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (fv - gv) / gv
+        zero = e == -1.0  # f = 0, or f/g below round-off: the term is g
+        e = np.where(zero, 0.0, e)
+        terms = np.where(zero, gv, gv * _phi_entropy(e))
+        total = float(np.sum(terms))
+        if not math.isfinite(total):  # f/g overflowed where g is tiny; f ln(f/g) need not
+            big = ~np.isfinite(terms)
+            fb, gb = fv[big], gv[big]
+            terms[big] = fb * (np.log(fb) - np.log(gb)) - fb + gb
+            total = float(np.sum(terms))
+    return total / f.grid.n
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,10 @@ class QuadraticPenalty:
     def subgradient(self, f: Signal) -> Signal:
         check_same_grid(f, self.prior)
         return f - self.prior
+
+    def boundary_touch(self, f: Signal, tol: float = TOUCH_TOL) -> bool:
+        """Always False: the quadratic penalty has no box."""
+        return False
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """Array map x -> argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma)."""
@@ -103,35 +117,39 @@ class EntropyPenalty:
             raise SubgradientUndefined("entropy prior must be strictly positive")
         if not (0 <= self.box_lo < self.box_hi):
             raise ConfigError(
-                f"box must satisfy 0 <= lo < hi, got [{self.box_lo}, {self.box_hi}]"
+                f"box must satisfy 0 <= box_lo < box_hi, got box_lo = {self.box_lo}, "
+                f"box_hi = {self.box_hi}"
             )
+
+    def boundary_touch(self, f: Signal, tol: float = TOUCH_TOL) -> bool:
+        """Whether a sample lies within ``tol`` of a box bound, or beyond it;
+        tol = 0 tests that f is not strictly inside the box (and, as
+        box_lo >= 0, not strictly positive)."""
+        v = f.values
+        return bool(np.any(v <= self.box_lo + tol) or np.any(v >= self.box_hi - tol))
+
+    def in_box(self, f: Signal) -> bool:
+        """Whether every sample lies in the box widened by ``BOX_SLACK``."""
+        v = f.values
+        return not (np.any(v < self.box_lo - BOX_SLACK) or np.any(v > self.box_hi + BOX_SLACK))
 
     def value(self, f: Signal) -> float:
         check_same_grid(f, self.prior)
-        fv = f.values
-        if np.any(fv < self.box_lo - BOX_SLACK) or np.any(fv > self.box_hi + BOX_SLACK):
-            return float("inf")
-        return kl_divergence(f, self.prior)
+        return kl_divergence(f, self.prior) if self.in_box(f) else float("inf")
 
     def bregman(self, f: Signal, base: Signal) -> float:
         """Bregman distance of KL(., prior) from an interior base is KL(f, base)."""
         check_same_grid(f, base, self.prior)
-        bv = base.values
-        if np.any(bv <= self.box_lo) or np.any(bv >= self.box_hi) or np.any(bv <= 0):
-            raise SubgradientUndefined(
-                "Bregman base must lie strictly inside the box and be positive"
-            )
-        if not np.isfinite(self.value(f)):
-            return float("inf")
-        return kl_divergence(f, base)
+        if self.boundary_touch(base, 0.0):
+            raise SubgradientUndefined("Bregman base must lie strictly inside the box")
+        return kl_divergence(f, base) if self.in_box(f) else float("inf")
 
     def subgradient(self, f: Signal) -> Signal:
         """Interior subgradient selection ln(f / prior)."""
         check_same_grid(f, self.prior)
-        fv = f.values
-        if np.any(fv <= self.box_lo) or np.any(fv >= self.box_hi) or np.any(fv <= 0):
-            raise SubgradientUndefined("subgradient needs an interior, positive point")
-        return Signal(f.grid, np.log(fv / self.prior.values))
+        if self.boundary_touch(f, 0.0):
+            raise SubgradientUndefined("subgradient needs a point strictly inside the box")
+        return Signal(f.grid, np.log(f.values / self.prior.values))
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """Array map of the pointwise prox: the root of gamma ln(v/w) + v - x = 0,

@@ -46,8 +46,8 @@ class FourierMultiplierOperator:
         mu = np.asarray(self.symbol, dtype=float)
         if mu.shape != (self.grid.n,):
             raise ConfigError("symbol length does not match grid size")
-        if not np.all(mu > 0):
-            raise ConfigError("symbol must be strictly positive")
+        if not np.all((mu > 0) & (mu < np.inf)):
+            raise ConfigError("symbol must be finite and strictly positive")
         j = self.grid.modes
         mu_by_absj = mu[np.argsort(np.abs(j), kind="stable")]
         if not np.all(np.diff(mu_by_absj) <= 1e-15 * mu_by_absj[:-1] + 1e-300):

@@ -20,39 +20,31 @@ from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
 
 __all__ = ["SolverConfig", "SolveReport", "solve_quadratic_spectral", "solve_generalized_dr"]
 
-BOUNDARY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Douglas-Rachford parameters.
 
-    ``gamma`` is the splitting step. ``None`` selects the penalty-curvature
-    scale gamma = 1, which contracts uniformly in alpha; with gamma ~ alpha
-    the penalty prox degenerates to the identity and the iteration stalls
-    for small alpha (factor 1 - O(alpha) per step).
+    ``gamma`` is the splitting step. The default 1 is the penalty-curvature
+    scale, which contracts uniformly in alpha; with gamma ~ alpha the
+    penalty prox degenerates to the identity and the iteration stalls for
+    small alpha (factor 1 - O(alpha) per step).
     """
 
-    gamma: float | None = None
-    relax: float = 1.0
+    gamma: float = 1.0
     max_iter: int = 20000
     tol: float = 1e-10
     method: str = "dr"
 
     def __post_init__(self):
-        if self.gamma is not None and not 0 < self.gamma < np.inf:
+        if not 0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
-        if not 0 < self.relax <= 2:
-            raise ConfigError(f"relax must lie in (0, 2], got {self.relax}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if not 0 < self.tol < np.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.method not in ("dr", "spectral"):
             raise ConfigError(f"unknown solver method {self.method!r}")
-
-    def effective_gamma(self) -> float:
-        return 1.0 if self.gamma is None else self.gamma
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,9 @@ class SolveReport:
     ``data_residual``, the misfit's L2 norm, by Parseval. ``misfit`` (the
     misfit's samples) and ``objective`` are computed on first read and kept;
     the DR route computes the samples anyway and seeds ``misfit`` with them.
-    ``boundary_touch`` flags samples within 1e-9 of a box bound (the test
-    problems never activate the constraints; this makes that visible).
+    ``boundary_touch`` is the penalty's: a sample within
+    ``functionals.TOUCH_TOL`` of a box bound (the test problems never
+    activate the constraints; this makes that visible).
     """
 
     minimizer: Signal = field(repr=False)
@@ -116,22 +109,13 @@ def _report(
         final_residual=residual,
         alpha=alpha,
         penalty=penalty,
-        boundary_touch=_boundary_touch(penalty, f),
+        boundary_touch=penalty.boundary_touch(f),
     )
 
 
 def _rms(v: np.ndarray) -> float:
     """norm_l2 on a plain array."""
     return math.sqrt(float(np.dot(v, v)) / v.size)
-
-
-def _boundary_touch(penalty, f: Signal) -> bool:
-    if not hasattr(penalty, "box_lo"):
-        return False
-    v = f.values
-    return bool(
-        np.any(v <= penalty.box_lo + BOUNDARY_TOL) or np.any(v >= penalty.box_hi - BOUNDARY_TOL)
-    )
 
 
 def solve_generalized_dr(
@@ -143,7 +127,7 @@ def solve_generalized_dr(
 ) -> SolveReport:
     """Douglas-Rachford splitting for (1/alpha) 1/2 ||Tf - g||^2 + R(f).
 
-    Iterates u = prox_{gamma R}(z), z <- z + relax (prox_{gamma F1}(2u - z) - u)
+    Iterates u = prox_{gamma R}(z), z <- z + prox_{gamma F1}(2u - z) - u
     and stops once the relative step ||z+ - z|| / max(1, ||z||) drops below
     ``cfg.tol``; the reported minimizer is the penalty-prox point u, which is
     feasible with respect to box constraints by construction. The loop runs
@@ -159,7 +143,7 @@ def solve_generalized_dr(
         misfit_rfft.setflags(write=False)
         return _report(alpha, penalty, f, misfit_rfft, 0, 0.0)
 
-    gamma, relax, tol = cfg.effective_gamma(), cfg.relax, cfg.tol
+    gamma, tol = cfg.gamma, cfg.tol
     prox_penalty = penalty.prox_map(gamma)
     # from the samples, not g_obs.rfft: exact data made by apply keep mu f^,
     # which differs from the rfft of their samples at round-off, and at tiny
@@ -174,8 +158,6 @@ def solve_generalized_dr(
         reflected -= z
         step = prox_data(reflected)
         step -= u
-        if relax != 1.0:
-            step *= relax
         residual = _rms(step) / max(1.0, z_norm)
         if not math.isfinite(residual):
             raise NonConvergence(

@@ -77,6 +77,8 @@ class Signal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ConfigError("signal values must be real")
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.n,):
             raise ConfigError(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from torusreg import (
     make_identity,
     make_inverse_helmholtz,
     norm_l2,
+    solve_generalized_dr,
     step_penalty,
     to_spectrum,
 )
@@ -210,6 +213,27 @@ class TestMonotonicityAndWarnings:
         g_obs = Signal(grid, np.full(grid.n, 3.0))  # first iterate pins at 1.5
         with pytest.warns(InteriorityWarning):
             bregman_iterate(op, g_obs, 0.01, pen, 2)
+
+    @pytest.mark.parametrize("level, touches", [(3.0, True), (1.2, False)])
+    def test_warning_follows_previous_boundary_touch(self, grid, level, touches):
+        # the chain above (level 3 pins every iterate at the 1.5 cap), and one
+        # that stays inside the box: step n warns exactly when step n - 1's
+        # report flags a boundary touch
+        op = make_identity(grid)
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 1.5)
+        g_obs = Signal(grid, np.full(grid.n, level))
+        previous = report = None
+        flags = []
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                current = step_penalty(pen, previous)
+            warned = [w for w in caught if issubclass(w.category, InteriorityWarning)]
+            assert len(warned) == len(caught) == int(report is not None and report.boundary_touch)
+            report = solve_generalized_dr(op, g_obs, 0.01, current)
+            flags.append(report.boundary_touch)
+            previous = report.minimizer
+        assert flags == [touches] * 3
 
     def test_zero_touching_iterate_rejected(self, grid):
         f0 = Signal(grid, np.ones(grid.n))

@@ -29,7 +29,7 @@ box_hi = 5.0
 
 [solver]
 tol = 1e-10
-gamma = auto
+gamma = 1.0
 
 [sweep]
 delta_max = 1e-1
@@ -64,7 +64,7 @@ class TestConfigFile:
         assert cfg.sweep.alphas == (1e-1, 1e-2, 1e-3)
         assert len(cfg.sweep.deltas) == 4
         assert cfg.sweep.noise.kind == "worst_case" and cfg.sweep.noise.k_max == 4
-        assert cfg.solver.gamma is None
+        assert cfg.solver.gamma == 1.0
         assert cfg.output.csv_name == "rows.csv"
 
     def test_defaults_without_file(self):
@@ -77,6 +77,19 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("[problem]\nn = 96\nwavelength = 3\n")
         with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text, match", [
+        ("[solver]\nrelax = 1.5\n", r"unknown key 'relax' in section \[solver\]"),
+        ("[solver]\ngamma = auto\n", r"bad value for solver\.gamma: 'auto'"),
+        ("[solver]\ngamma = none\n", r"bad value for solver\.gamma: 'none'"),
+    ])
+    def test_removed_solver_spellings_rejected(self, tmp_path, text, match):
+        # relaxation and the automatic gamma were removed: gamma = 1.0 is the
+        # default and the only step rule
+        path = tmp_path / "removed.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
             load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -108,7 +121,7 @@ class TestConfigFile:
         assert cfg == ExperimentConfig(
             problem=ProblemConfig(n=96, penalty="quadratic", bspline_degree=4, prior_value=0.5,
                                   box_lo=-1.0, box_hi=7.5),
-            solver=SolverConfig(gamma=0.25, relax=1.5, max_iter=321, tol=1e-9, method="spectral"),
+            solver=SolverConfig(gamma=0.25, max_iter=321, tol=1e-9, method="spectral"),
             sweep=SweepConfig(
                 deltas=(1e-1, 3e-2, 1e-2), alphas=(1e-3, 1e-4), alpha_c=0.02, alpha_sigma=0.75,
                 bregman_steps=3, noise=NoiseModel(kind="fixed_sinusoid", k_max=7, k_fixed=3),
@@ -121,7 +134,7 @@ class TestConfigFile:
                 cfg.sweep.bregman_steps, cfg.sweep.noise.k_max, cfg.sweep.noise.k_fixed)
         assert all(type(v) is int for v in ints)
         floats = (cfg.problem.prior_value, cfg.problem.box_lo, cfg.problem.box_hi, cfg.solver.gamma,
-                  cfg.solver.relax, cfg.solver.tol, cfg.sweep.alpha_c, cfg.sweep.alpha_sigma,
+                  cfg.solver.tol, cfg.sweep.alpha_c, cfg.sweep.alpha_sigma,
                   cfg.sweep.predicted_rate, *cfg.sweep.deltas, *cfg.sweep.alphas,
                   *cfg.sweep.calibrate_cs)
         assert all(type(v) is float for v in floats)
@@ -130,16 +143,16 @@ class TestConfigFile:
 
     def test_auto_none_and_grid_shorthand(self, tmp_path):
         path = tmp_path / "auto.cfg"
-        path.write_text(
-            "[solver]\ngamma = auto\n\n"
-            "[sweep]\ndelta_max = 1e-2\ndelta_min = 1e-4\ndelta_count = 3\n"
-            "predicted_rate = none\n\n"
-            "[output]\nwrite_svg = on\n"
-        )
-        cfg = load_config(str(path))
-        assert cfg.solver.gamma is None and cfg.sweep.predicted_rate is None
-        assert cfg.sweep.deltas == pytest.approx((1e-2, 1e-3, 1e-4), rel=1e-15)
-        assert cfg.output.write_svg is True
+        for spelling in ("none", "auto"):
+            path.write_text(
+                "[sweep]\ndelta_max = 1e-2\ndelta_min = 1e-4\ndelta_count = 3\n"
+                f"predicted_rate = {spelling}\n\n"
+                "[output]\nwrite_svg = on\n"
+            )
+            cfg = load_config(str(path))
+            assert cfg.sweep.predicted_rate is None
+            assert cfg.sweep.deltas == pytest.approx((1e-2, 1e-3, 1e-4), rel=1e-15)
+            assert cfg.output.write_svg is True
 
     @pytest.mark.parametrize("text, where", [
         (b"[problem]\nn = 96\nn = 64\n", "line 3"),
@@ -182,7 +195,6 @@ box_hi = 7.5
 
 [solver]
 gamma = 0.25
-relax = 1.5
 max_iter = 321
 tol = 1e-9
 method = spectral

@@ -1,6 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import wrightomega
+
+import torusreg.functionals
 
 from torusreg import (
     ConfigError,
@@ -300,8 +305,118 @@ class TestKLStability:
         got = kl_divergence(f, base)
         assert abs(got - expected) < 1e-4 * expected
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-17])
+    def test_samples_below_round_off_of_the_base(self, grid, ones, tiny):
+        # f/g - 1 rounds to -1: the term is g, as for f = 0, not 0 * -inf
+        f = np.ones(grid.n)
+        f[0] = tiny
+        with np.errstate(all="raise"):
+            got = kl_divergence(Signal(grid, f), ones)
+        assert abs(got - 1.0 / grid.n) < 1e-15
+
+    @pytest.mark.parametrize("f_value, g_value", [(2.5, 5e-324), (1e6, 1e-300)])
+    def test_base_far_below_the_point(self, grid, ones, f_value, g_value):
+        # f/g overflows, or (1 + e) ln(1 + e) does: f ln(f/g) - f + g is finite
+        f, g = np.ones(grid.n), np.ones(grid.n)
+        f[0], g[0] = f_value, g_value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kl_divergence(Signal(grid, f), Signal(grid, g))
+        expected = f_value * (np.log(f_value) - np.log(g_value)) - f_value + g_value
+        assert abs(got - expected / grid.n) <= 1e-14 * expected / grid.n
+
     def test_zero_samples_allowed(self, grid, ones):
         f = np.ones(grid.n)
         f[0] = 0.0
         # 0 ln 0 = 0 leaves the base's contribution
         assert abs(kl_divergence(Signal(grid, f), ones) - 1.0 / grid.n) < 1e-15
+
+
+def _box_edge_values(lo, hi):
+    """Samples at and around the bounds of [lo, hi], at 0 and below it."""
+    return [
+        lo, hi, lo - 1e-12, hi + 1e-12, lo - 2e-12, hi + 2e-12,
+        np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+        np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+        lo + 1e-9, hi - 1e-9, lo + 2e-9, hi - 2e-9,
+        0.0, -1e-13, -1.0, 0.5 * (lo + hi),
+    ]
+
+
+def _edge_outcome(fn):
+    """The value fn() returns, or the exception type it raises."""
+    try:
+        return fn()
+    except SubgradientUndefined as exc:
+        return type(exc)
+
+
+class TestBoxRule:
+    """The box decisions of EntropyPenalty against the formulas each caller
+    used to apply on its own: value's 1e-12 slack, the strict interior of
+    bregman and subgradient, and the 1e-9 touch of the solve report."""
+
+    @staticmethod
+    def oracle_value(pen, f):
+        fv = f.values
+        if np.any(fv < pen.box_lo - 1e-12) or np.any(fv > pen.box_hi + 1e-12):
+            return float("inf")
+        return kl_divergence(f, pen.prior)
+
+    @staticmethod
+    def interior(pen, v):
+        return not (np.any(v <= pen.box_lo) or np.any(v >= pen.box_hi) or np.any(v <= 0))
+
+    def oracle_bregman(self, pen, f, base):
+        if not self.interior(pen, base.values):
+            raise SubgradientUndefined("base")
+        if not math.isfinite(self.oracle_value(pen, f)):
+            return float("inf")
+        return kl_divergence(f, base)
+
+    def oracle_subgradient(self, pen, f):
+        if not self.interior(pen, f.values):
+            raise SubgradientUndefined("point")
+        return tuple(np.log(f.values / pen.prior.values))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5.0), (0.2, 3.0)])
+    def test_edge_values_match_the_separate_formulas(self, grid, ones, lo, hi):
+        pen = EntropyPenalty(ones, lo, hi)
+        inside = Signal(grid, np.full(grid.n, 0.5 * (lo + hi)))
+        for edge in _box_edge_values(lo, hi):
+            values = np.full(grid.n, 1.0)
+            values[5] = edge
+            f = Signal(grid, values)
+
+            assert _edge_outcome(lambda: pen.value(f)) == self.oracle_value(pen, f), edge
+            for f_, base in ((f, inside), (inside, f)):
+                got = _edge_outcome(lambda: pen.bregman(f_, base))
+                assert got == _edge_outcome(lambda: self.oracle_bregman(pen, f_, base)), edge
+            got = _edge_outcome(lambda: tuple(pen.subgradient(f).values))
+            assert got == _edge_outcome(lambda: self.oracle_subgradient(pen, f)), edge
+
+            touch = bool(np.any(values <= lo + 1e-9) or np.any(values >= hi - 1e-9))
+            assert pen.boundary_touch(f) is touch, edge
+            assert pen.boundary_touch(f, 0.0) is not self.interior(pen, values), edge
+            assert QuadraticPenalty(ones).boundary_touch(f) is False
+
+    def test_bregman_evaluates_kl_once(self, grid, ones, monkeypatch):
+        calls = []
+        kl = torusreg.functionals.kl_divergence
+
+        def counted(f, g):
+            calls.append(g)
+            return kl(f, g)
+
+        monkeypatch.setattr(torusreg.functionals, "kl_divergence", counted)
+        pen = EntropyPenalty(ones, 0.0, 5.0)
+        f = Signal(grid, np.full(grid.n, 2.0))
+        base = Signal(grid, np.full(grid.n, 1.5))
+        assert pen.bregman(f, base) == kl(f, base)
+        assert calls == [base]
+
+    def test_box_order_error_names_both_bounds(self, ones):
+        with pytest.raises(ConfigError, match=r"box_lo = 3\.0, box_hi = 2\.0"):
+            EntropyPenalty(ones, 3.0, 2.0)
+        with pytest.raises(ConfigError, match=r"box_lo = -1\.0"):
+            EntropyPenalty(ones, -1.0, 2.0)

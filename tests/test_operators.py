@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestConstruction:
         mu[0] = 0.0
         with pytest.raises(ConfigError):
             FourierMultiplierOperator(grid, mu)
+
+    @pytest.mark.parametrize("mode, bad", [(0, np.inf), ("n/2", np.inf), (3, np.nan)])
+    def test_rejects_non_finite_symbol(self, grid, mode, bad):
+        mu = make_inverse_helmholtz(grid).symbol.copy()
+        j = grid.modes
+        at = j == -grid.n // 2 if mode == "n/2" else np.abs(j) == mode
+        mu[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite and strictly positive"):
+                FourierMultiplierOperator(grid, mu)
 
     def test_rejects_increasing_symbol(self, grid):
         mu = 1.0 + np.abs(grid.modes.astype(float))

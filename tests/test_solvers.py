@@ -33,7 +33,7 @@ from conftest import count_ffts, random_signal
 def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
     """Oracle: the Signal-per-iteration Douglas-Rachford loop, with the
     fidelity prox on the full complex spectrum. Returns (minimizer, iterations)."""
-    gamma = cfg.effective_gamma()
+    gamma = cfg.gamma
     t = gamma / alpha
     mu = np.fft.ifftshift(op.symbol)
     gc = np.fft.fft(g_obs.values)
@@ -46,7 +46,7 @@ def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
     u = penalty.prox(z, gamma)
     for it in range(1, cfg.max_iter + 1):
         w = prox_data(2.0 * u - z)
-        z_new = z + cfg.relax * (w - u)
+        z_new = z + (w - u)
         residual = norm_l2(z_new - z) / max(1.0, norm_l2(z))
         z = z_new
         u = penalty.prox(z, gamma)
@@ -108,15 +108,15 @@ def problem(grid, rng):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.effective_gamma() == 1.0
-        assert cfg.relax == 1.0 and cfg.max_iter == 20000 and cfg.tol == 1e-10
+        assert cfg.gamma == 1.0
+        assert cfg.max_iter == 20000 and cfg.tol == 1e-10 and cfg.method == "dr"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"gamma": -1.0},
-            {"relax": 0.0},
-            {"relax": 2.5},
+            {"gamma": 0.0},
+            {"gamma": float("nan")},
             {"max_iter": 0},
             {"tol": 0.0},
             {"method": "cg"},

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestSignal:
         bad[3] = np.inf
         with pytest.raises(ConfigError):
             Signal(grid, bad)
+
+    @pytest.mark.parametrize("values", [
+        lambda n: np.ones(n, dtype=complex),
+        lambda n: np.ones(n) + 1e-3j,
+        lambda n: [1.0 + 0j] * n,
+    ])
+    def test_complex_values_rejected(self, grid, values):
+        # a complex array is refused by its dtype, even with zero imaginary parts,
+        # and without numpy's ComplexWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="signal values must be real"):
+                Signal(grid, values(grid.n))
 
     def test_arithmetic_needs_same_grid(self, grid):
         other = TorusGrid(32)
