@@ -106,9 +106,6 @@ def _emit_sweep_outputs(config, rows, outdir, x_field, xlabel):
 
 def cmd_approx_sweep(args) -> int:
     config = _load(args)
-    if not config.sweep.alphas:
-        print("error: approx-sweep needs sweep.alphas", file=sys.stderr)
-        return 2
     rows = approx_error_sweep(config)
     outdir = _ensure_outdir(config, args.out)
     _emit_sweep_outputs(config, rows, outdir, "alpha", "alpha")

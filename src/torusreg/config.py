@@ -21,11 +21,9 @@ has a default; docs/config.md documents them.
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields, is_dataclass
-from functools import cache
-from typing import get_type_hints
+from dataclasses import is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, field_types
 from .harness import ExperimentConfig, NoiseModel, SweepConfig, geometric_grid
 
 __all__ = ["load_config", "default_config"]
@@ -66,11 +64,9 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-@cache  # get_type_hints evaluates every annotation string on each call
 def _keys(cls) -> dict:
     """Key -> parser for each field of ``cls``; nested dataclasses are left out."""
-    hints = get_type_hints(cls)
-    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if not is_dataclass(hints[f.name])}
+    return {name: _PARSERS[hint] for name, hint in field_types(cls).items() if not is_dataclass(hint)}
 
 
 def _section_values(parser: configparser.ConfigParser, section: str, keys: dict) -> dict:
@@ -116,7 +112,7 @@ def load_config(path: str) -> ExperimentConfig:
     if defaults:
         keys = ", ".join(map(repr, defaults))
         raise ConfigError(f"config file {path!r}: [DEFAULT] is not supported; it holds {keys}")
-    sections = get_type_hints(ExperimentConfig)
+    sections = field_types(ExperimentConfig)
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")

@@ -18,7 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bregman import BregmanState, bregman_iterate
-from .errors import ConfigError, InsufficientData, NonPositiveError
+from .errors import (
+    AT_LEAST_ONE, FINITE, POSITIVE, ConfigError, InsufficientData, NonPositiveError, check_fields, one_of
+)
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolverConfig
@@ -44,12 +46,6 @@ __all__ = [
     "fit_rate",
     "geometric_grid",
 ]
-
-
-def _check_finite_positive(name: str, values) -> None:
-    a = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ConfigError(f"{name} must be finite and positive, got {tuple(a.tolist())}")
 
 
 def _check_frequency(name: str, k: int, n: int) -> None:
@@ -87,69 +83,40 @@ def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ProblemConfig:
     n: int = 480
-    penalty: str = "entropy"
-    bspline_degree: int = 5
-    prior_value: float = 1.0
-    box_lo: float = 0.0
-    box_hi: float = 5.0
+    penalty: str = field(default="entropy", metadata=one_of("entropy", "quadratic"))
+    bspline_degree: int = field(default=5, metadata=one_of(4, 5))
+    prior_value: float = field(default=1.0, metadata=POSITIVE)
+    box_lo: float = field(default=0.0, metadata=FINITE)
+    box_hi: float = field(default=5.0, metadata=FINITE)
 
-    def __post_init__(self):
-        if self.penalty not in ("entropy", "quadratic"):
-            raise ConfigError(f"unknown penalty {self.penalty!r}")
-        if not 0 < self.prior_value < np.inf:
-            raise ConfigError(f"prior_value must be finite and positive, got {self.prior_value}")
-        for name in ("box_lo", "box_hi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    kind: str = "worst_case"
-    k_max: int = 32
-    k_fixed: int = 1
+    kind: str = field(default="worst_case", metadata=one_of("exact", "worst_case", "fixed_sinusoid"))
+    k_max: int = field(default=32, metadata=AT_LEAST_ONE)
+    k_fixed: int = field(default=1, metadata=AT_LEAST_ONE)
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "worst_case", "fixed_sinusoid"):
-            raise ConfigError(f"unknown noise model {self.kind!r}")
-        for name in ("k_max", "k_fixed"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    deltas: tuple[float, ...] = field(default_factory=lambda: geometric_grid(1e-1, 1e-4, 12))
-    alphas: tuple[float, ...] | None = None
-    alpha_c: float = 1.0
-    alpha_sigma: float = 8.0 / 15.0
-    bregman_steps: int = 2
+    deltas: tuple[float, ...] = field(default=geometric_grid(1e-1, 1e-4, 12), metadata=POSITIVE)
+    alphas: tuple[float, ...] | None = field(default=None, metadata=POSITIVE)
+    alpha_c: float = field(default=1.0, metadata=POSITIVE)
+    alpha_sigma: float = field(default=8.0 / 15.0, metadata={"lie in (0, 2]": lambda v: 0 < v <= 2})
+    bregman_steps: int = field(default=2, metadata=AT_LEAST_ONE)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    metric: str = "kl"
-    predicted_rate: float | None = None
-    calibrate_cs: tuple[float, ...] | None = None
+    metric: str = field(default="kl", metadata=one_of("kl", "l1"))
+    predicted_rate: float | None = field(default=None, metadata=FINITE)
+    calibrate_cs: tuple[float, ...] | None = field(default=None, metadata=POSITIVE)
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
-        if d.size == 0 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
-            raise ConfigError(
-                "deltas must be finite, strictly positive and strictly decreasing, "
-                f"got {tuple(d.tolist())}"
-            )
-        if self.alphas is not None:
-            _check_finite_positive("alphas", self.alphas)
-        if self.calibrate_cs is not None:
-            _check_finite_positive("calibrate_cs", self.calibrate_cs)
-        if not 0 < self.alpha_c < np.inf:
-            raise ConfigError(f"alpha_c must be finite and positive, got {self.alpha_c}")
-        if self.predicted_rate is not None and not np.isfinite(self.predicted_rate):
-            raise ConfigError(f"predicted_rate must be finite, got {self.predicted_rate}")
-        if not 0 < self.alpha_sigma <= 2:
-            raise ConfigError(f"alpha_sigma must lie in (0, 2], got {self.alpha_sigma}")
-        if self.bregman_steps < 1:
-            raise ConfigError("bregman_steps must be >= 1")
-        if self.metric not in ("kl", "l1"):
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        check_fields(self)
+        if not self.deltas or any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
+            raise ConfigError(f"deltas must be non-empty and strictly decreasing, got {self.deltas}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +126,8 @@ class OutputConfig:
     svg_name: str = "sweep.svg"
     write_svg: bool = True
 
+    __post_init__ = check_fields
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,6 +135,8 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -338,11 +309,11 @@ def approx_error_sweep(
     if alphas is None:
         alphas = config.sweep.alphas
     if not alphas:
-        raise ConfigError("approx_error_sweep needs an alpha list")
-    _check_finite_positive("alphas", alphas)
+        raise ConfigError("approx_error_sweep needs alphas: set sweep.alphas or pass them")
+    sweep = replace(config.sweep, alphas=tuple(alphas), noise=NoiseModel(kind="exact"))  # checks them
     if problem is None:
         problem = build_problem(config.problem)
-    exact = replace(config, sweep=replace(config.sweep, noise=NoiseModel(kind="exact")))
+    exact = replace(config, sweep=sweep)
     return [row for alpha in alphas
             for row in _rows(0.0, alpha, worst_case_search(exact, problem, 0.0, alpha))]
 
@@ -378,8 +349,7 @@ def calibrate_c(
         raise ConfigError("calibrate_c needs candidate constants")
     if config.sweep.predicted_rate is None:
         raise ConfigError("calibrate_c needs sweep.predicted_rate")
-    _check_finite_positive("calibrate_cs", candidate_cs)
-    cs = list(candidate_cs)
+    cs = replace(config.sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
     if len(cs) == 1:
         return cs[0]
     if problem is None:

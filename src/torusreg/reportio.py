@@ -6,16 +6,16 @@ round-trip exactly; line endings are LF.
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
+from .errors import field_types
 from .harness import SweepRow
 from .torus import Signal
 
 __all__ = ["SWEEP_HEADER", "format_float", "write_sweep_csv", "read_sweep_csv", "write_signals_csv"]
 
 # column -> int or float, one per SweepRow field in order
-_COLUMNS = {f.name: get_type_hints(SweepRow)[f.name] for f in fields(SweepRow)}
+_COLUMNS = field_types(SweepRow)
 SWEEP_HEADER = ",".join(_COLUMNS)
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, Unsupported
+from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, Unsupported, check_fields, one_of
 from .functionals import Penalty, QuadraticPenalty, fidelity_prox_map, prox_fidelity
 from .operators import FourierMultiplierOperator, apply
 from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
@@ -31,20 +31,12 @@ class SolverConfig:
     small alpha (factor 1 - O(alpha) per step).
     """
 
-    gamma: float = 1.0
-    max_iter: int = 20000
-    tol: float = 1e-10
-    method: str = "dr"
+    gamma: float = field(default=1.0, metadata=POSITIVE)
+    max_iter: int = field(default=20000, metadata=AT_LEAST_ONE)
+    tol: float = field(default=1e-10, metadata=POSITIVE)
+    method: str = field(default="dr", metadata=one_of("dr", "spectral"))
 
-    def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if not 0 < self.tol < np.inf:
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        if self.method not in ("dr", "spectral"):
-            raise ConfigError(f"unknown solver method {self.method!r}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch
+from .errors import ConfigError, GridMismatch, check_fields
 
 __all__ = [
     "TorusGrid",
@@ -45,6 +45,7 @@ class TorusGrid:
     n: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.n < 4 or self.n % 2 != 0:
             raise ConfigError(f"grid size n must be even and >= 4, got {self.n}")
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, Unsupported
+from .errors import POSITIVE, ConfigError, DomainError, Unsupported, check_fields
 from .operators import (
     FourierMultiplierOperator,
     apply,
@@ -45,14 +45,10 @@ __all__ = [
 class HoelderIndexFunction:
     """Phi(t) = amplitude * t**exponent, concave and increasing with Phi(0) = 0."""
 
-    amplitude: float = 1.0
-    exponent: float = 0.5
+    amplitude: float = field(default=1.0, metadata=POSITIVE)
+    exponent: float = field(default=0.5, metadata={"lie in (0, 1]": lambda v: 0 < v <= 1})
 
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ConfigError("amplitude must be positive")
-        if not 0 < self.exponent <= 1:
-            raise ConfigError("exponent must lie in (0, 1]")
+    __post_init__ = check_fields
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

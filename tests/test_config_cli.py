@@ -6,11 +6,13 @@ import torusreg.cli
 from torusreg import (
     ConfigError,
     ExperimentConfig,
+    HoelderIndexFunction,
     NoiseModel,
     OutputConfig,
     ProblemConfig,
     SolverConfig,
     SweepConfig,
+    TorusGrid,
     build_problem,
     default_config,
     load_config,
@@ -220,6 +222,45 @@ write_svg = no
 """
 
 
+class TestFieldChecks:
+    """Each field is checked against its annotation and its range rule."""
+
+    @pytest.mark.parametrize("cls, name, bad", [
+        (SolverConfig, "gamma", None),
+        (SolverConfig, "tol", "1e-3"),
+        (SolverConfig, "max_iter", 2.5),
+        (SolverConfig, "max_iter", True),
+        (NoiseModel, "k_max", None),
+        (NoiseModel, "k_max", 2.5),
+        (SweepConfig, "bregman_steps", None),
+        (SweepConfig, "alpha_c", None),
+        (SweepConfig, "deltas", 0.1),
+        (SweepConfig, "deltas", [1e-1, 1e-2]),
+        (SweepConfig, "alphas", (1e-2, None)),
+        (SweepConfig, "predicted_rate", "1.0"),
+        (SweepConfig, "noise", None),
+        (ProblemConfig, "n", None),
+        (ProblemConfig, "n", 480.0),
+        (ProblemConfig, "bspline_degree", -1),
+        (ProblemConfig, "penalty", "tv"),
+        (OutputConfig, "write_svg", "no"),
+        (ExperimentConfig, "problem", None),
+        (HoelderIndexFunction, "amplitude", float("nan")),
+        (HoelderIndexFunction, "amplitude", float("inf")),
+        (HoelderIndexFunction, "exponent", 0.0),
+        (TorusGrid, "n", 480.0),
+    ])
+    def test_bad_value_names_the_field(self, cls, name, bad):
+        with pytest.raises(ConfigError, match=rf"^{name} must "):
+            cls(**{name: bad})
+
+    def test_numpy_scalars_pass(self):
+        assert SweepConfig(alpha_c=np.float64(0.3)).alpha_c == 0.3
+        assert SweepConfig(alphas=(np.float64(1e-2), 1e-3)).alphas == (1e-2, 1e-3)
+        assert NoiseModel(k_max=np.int64(4)).k_max == 4
+        assert TorusGrid(np.int64(8)).n == 8
+
+
 class TestSweepCsv:
     def test_header_and_round_trip(self, tmp_path):
         rows = [
@@ -407,6 +448,17 @@ class TestCli:
         override = tmp_path / "elsewhere"
         assert main(["approx-sweep", "--config", cfg, "--out", str(override)]) == 0
         assert (override / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("approx-sweep", "[problem]\nn = 96\n", "alphas"),
+        ("rate-sweep", "[problem]\nbspline_degree = 3\n", "bspline_degree"),
+    ])
+    def test_bad_setting_exits_2_naming_the_key(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
