@@ -47,13 +47,7 @@ from .functionals import (
     prox_fidelity,
 )
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr, solve_quadratic_spectral
-from .bregman import (
-    BregmanState,
-    bregman_distance_invariance_check,
-    bregman_iterate,
-    dual_variable,
-    step_penalty,
-)
+from .bregman import accumulated_subgradient, bregman_iterate, step_penalty
 from .vsc import (
     HoelderIndexFunction,
     RatePrediction,

@@ -3,81 +3,26 @@ the Bregman distance to the previous iterate.
 
 For the quadratic penalty this is classical iterated Tikhonov (the step-n
 prior is the previous iterate); for the entropy penalty the step-n penalty
-is KL(., f_{n-1}) as long as the iterates stay inside the box. Dual
-variables come from the extremal relation p_n = (g - T f_n) / alpha, which
-is exact in the Hilbert fidelity case (the chain reads T f_n - g off the
-solve report), and their pullbacks T* p_k accumulate, on the rfft half
-spectrum, to a subgradient of the original penalty at f_n.
-
-Each state keeps the running half-spectrum sum of the pullbacks as a plain
-array. The step dual and the accumulated subgradient, like the report's
-misfit samples (on the spectral route) and objective, are computed on
-first read and kept, so a spectral step computes only its minimizer's
-samples.
+is KL(., f_{n-1}) as long as the iterates stay inside the box. A chain is
+its list of solve reports, one per step. The step dual
+p_n = (g - T f_n) / alpha comes from the extremal relation, exact in the
+Hilbert fidelity case, and is the report's ``dual``; the pullbacks T* p_k
+sum to a subgradient of the original penalty at f_n, which
+:func:`accumulated_subgradient` computes from the reports when asked.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
 
-import numpy as np
-
-from .errors import ConfigError, InteriorityWarning
+from .errors import AT_LEAST_ONE, InteriorityWarning, check_value
 from .functionals import TOUCH_TOL, Penalty
-from .operators import FourierMultiplierOperator, apply
+# apply stays importable here: perfbench/spans.py patches torusreg.bregman.apply
+from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
-from .torus import Signal, check_same_grid
+from .torus import Signal
 
-__all__ = [
-    "BregmanState",
-    "bregman_iterate",
-    "dual_variable",
-    "step_penalty",
-    "bregman_distance_invariance_check",
-]
-
-
-@dataclass(frozen=True)
-class BregmanState:
-    """State after step n: iterate, solve report and the half spectrum
-    ``accumulated_rfft`` of the accumulated dual pullback sum_k T* p_k
-    (read-only).
-
-    ``dual`` and ``accumulated_subgradient`` are computed on first read and
-    kept; alpha is the report's.
-    """
-
-    n: int
-    iterate: Signal = field(repr=False)
-    report: SolveReport = field(repr=False)
-    accumulated_rfft: np.ndarray = field(repr=False)
-
-    __setstate__ = Signal.__setstate__  # unpickled arrays are frozen again
-
-    @cached_property
-    def dual(self) -> Signal:
-        """Step dual p_n = (g - T f_n) / alpha."""
-        return (-1.0 / self.report.alpha) * self.report.misfit
-
-    @cached_property
-    def accumulated_subgradient(self) -> Signal:
-        """sum_{k <= n} T* p_k, a subgradient of the original penalty at f_n."""
-        return Signal.from_rfft(self.iterate.grid, self.accumulated_rfft)
-
-
-def dual_variable(
-    op: FourierMultiplierOperator,
-    f_n: Signal,
-    g_obs: Signal,
-    alpha: float,
-) -> Signal:
-    """Step dual from the extremal relation: p = (g_obs - T f_n) / alpha."""
-    if not 0 < alpha < np.inf:
-        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-    check_same_grid(op, f_n, g_obs)
-    return (1.0 / alpha) * (g_obs - apply(op, f_n))
+__all__ = ["accumulated_subgradient", "bregman_iterate", "step_penalty"]
 
 
 def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
@@ -108,36 +53,26 @@ def bregman_iterate(
     penalty: Penalty,
     n_steps: int,
     cfg: SolverConfig = SolverConfig(),
-) -> list[BregmanState]:
-    """Run n_steps of the Bregman iteration, returning one state per step."""
-    if n_steps < 1:
-        raise ConfigError("n_steps must be >= 1")
-    states: list[BregmanState] = []
+) -> list[SolveReport]:
+    """Run n_steps of the Bregman iteration, returning one solve report per step."""
+    check_value("n_steps", n_steps, int, AT_LEAST_ONE)
+    reports: list[SolveReport] = []
     previous: Signal | None = None
-    accumulated_rfft = 0.0
-    for n in range(1, n_steps + 1):
-        current_penalty = step_penalty(penalty, previous)
-        report = solve_generalized_dr(op, g_obs, alpha, current_penalty, cfg)
-        # T* p_n = -T misfit / alpha, mode-wise -mu misfit^ / alpha
-        accumulated_rfft = accumulated_rfft - op.symbol_rfft * report.misfit_rfft / alpha
-        accumulated_rfft.setflags(write=False)
-        states.append(BregmanState(n, report.minimizer, report, accumulated_rfft))
+    for _ in range(n_steps):
+        report = solve_generalized_dr(op, g_obs, alpha, step_penalty(penalty, previous), cfg)
+        reports.append(report)
         previous = report.minimizer
-    return states
+    return reports
 
 
-def bregman_distance_invariance_check(
-    penalty: Penalty,
-    states: list[BregmanState],
-    f: Signal,
-    base: Signal,
-) -> tuple[float, float]:
-    """Bregman distance of the last step's penalty vs the original penalty's.
+def accumulated_subgradient(op: FourierMultiplierOperator, reports: list[SolveReport]) -> Signal:
+    """sum_k T* p_k over the reports of a chain's first steps, a subgradient
+    of the original penalty at the last minimizer (zero for no reports).
 
-    The step penalties differ from R by an affine functional, so the two
-    distances coincide; returns (lhs, rhs) for the caller to compare.
+    Summed on the rfft half spectrum in step order: T* p_k is mode-wise
+    -mu m^_k / alpha, with m^_k the report's ``misfit_rfft``.
     """
-    if not states:
-        return penalty.bregman(f, base), penalty.bregman(f, base)
-    current = step_penalty(penalty, states[-1].iterate)
-    return current.bregman(f, base), penalty.bregman(f, base)
+    acc = 0.0 * op.symbol_rfft
+    for r in reports:
+        acc = acc - op.symbol_rfft * r.misfit_rfft / r.alpha
+    return Signal.from_rfft(op.grid, acc)

@@ -54,19 +54,19 @@ def cmd_reconstruct(args) -> int:
     sweep = config.sweep
     delta = sweep.deltas[0]
     alpha = sweep.alphas[0] if sweep.alphas else apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
-    k, g_obs, states, _ = worst_case_search(config, problem, delta, alpha)[-1]
+    k, g_obs, reports, _ = worst_case_search(config, problem, delta, alpha)[-1]
     outdir = _ensure_outdir(config, args.out)
     path = os.path.join(outdir, "reconstruction.csv")
     columns = {"f_true": problem.f_true, "g_true": problem.g_true, "g_obs": g_obs}
-    for st in states:
-        columns[f"f_step{st.n}"] = st.iterate
+    for n, r in enumerate(reports, 1):
+        columns[f"f_step{n}"] = r.minimizer
     write_signals_csv(path, columns)
     print(f"reconstruct: delta={delta:g} alpha={alpha:g} noise_k={k}")
-    for st in states:
-        err = problem.penalty.bregman(st.iterate, problem.f_true)
+    for n, r in enumerate(reports, 1):
+        err = problem.penalty.bregman(r.minimizer, problem.f_true)
         print(
-            f"  step {st.n}: penalty_error={err:.6e} data_residual={st.report.data_residual:.6e} "
-            f"iterations={st.report.iterations} boundary_touch={st.report.boundary_touch}"
+            f"  step {n}: penalty_error={err:.6e} data_residual={r.data_residual:.6e} "
+            f"iterations={r.iterations} boundary_touch={r.boundary_touch}"
         )
     print(f"wrote {path}")
     return 0
@@ -182,13 +182,13 @@ def cmd_selftest(args) -> int:
     rel = norm_l2(report.minimizer - exact) / max(norm_l2(exact), 1e-30)
     checks.append(("douglas-rachford vs spectral", rel < 1e-6))
 
-    states = bregman_iterate(op, g_obs, 0.5, QuadraticPenalty(prior), 3, SolverConfig(method="spectral"))
+    reports = bregman_iterate(op, g_obs, 0.5, QuadraticPenalty(prior), 3, SolverConfig(method="spectral"))
     mu = op.symbol
     beta = 0.5 / (mu**2 + 0.5)
     gc = to_spectrum(g_obs)
     pc = to_spectrum(prior)
     filt = gc / mu + beta**3 * (pc - gc / mu)
-    got = to_spectrum(states[-1].iterate)
+    got = to_spectrum(reports[-1].minimizer)
     checks.append(("iterated filter formula", float(np.max(np.abs(filt - got))) < 1e-9))
 
     ok = True

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package, and the config field check."""
+"""Exception and warning types shared across the package, and the config field and
+argument check."""
 
 import math
 import numbers
@@ -77,9 +78,11 @@ def field_types(cls) -> dict:
     return get_type_hints(cls)
 
 
-# range rules, as field metadata for check_fields: a value failing the test "must <key>"
+# range rules, as field metadata for check_fields or rules for check_value: a value
+# failing the test "must <key>"
 FINITE = {"be finite": lambda v: -math.inf < v < math.inf}
 POSITIVE = {"be finite and positive": lambda v: 0 < v < math.inf}
+NON_NEGATIVE = {"be finite and non-negative": lambda v: 0 <= v < math.inf}
 AT_LEAST_ONE = {"be >= 1": lambda v: v >= 1}
 
 
@@ -97,16 +100,21 @@ def _fits(value, hint) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
 
 
+def check_value(name: str, value, hint, rules, shown=None) -> None:
+    """Raise ConfigError naming ``name`` if ``value`` does not fit the type ``hint`` (int
+    and float take numpy scalars, a bool is neither; shown as ``shown``, default its
+    name) or fails a range rule of ``rules``; rules test each item of a tuple and skip None."""
+    if not _fits(value, hint):
+        raise ConfigError(f"{name} must be {shown or hint.__name__}, got {value!r}")
+    if value is None:
+        return
+    for text, test in rules.items():
+        if not all(map(test, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must {text}, got {value!r}")
+
+
 def check_fields(obj) -> None:
-    """Raise ConfigError naming the first field of dataclass ``obj`` whose value does not
-    fit its annotation (int and float take numpy scalars, a bool is neither) or fails a
-    range rule of its metadata; rules test each item of a tuple and skip None."""
+    """check_value on each field of dataclass ``obj``, first to last: its annotation and
+    the range rules of its metadata."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _fits(value, field_types(type(obj))[f.name]):
-            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if value is None:
-            continue
-        for text, test in f.metadata.items():
-            if not all(map(test, value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{f.name} must {text}, got {value!r}")
+        check_value(f.name, getattr(obj, f.name), field_types(type(obj))[f.name], f.metadata, f.type)

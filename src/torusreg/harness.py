@@ -17,13 +17,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bregman import BregmanState, bregman_iterate
+from .bregman import bregman_iterate
 from .errors import (
-    AT_LEAST_ONE, FINITE, POSITIVE, ConfigError, InsufficientData, NonPositiveError, check_fields, one_of
+    AT_LEAST_ONE, FINITE, NON_NEGATIVE, POSITIVE, ConfigError, InsufficientData, NonPositiveError,
+    check_fields, check_value, one_of,
 )
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
-from .solvers import SolverConfig
+from .solvers import SolveReport, SolverConfig
 from .torus import Signal, TorusGrid, bspline_truth, norm_l1_array
 
 __all__ = [
@@ -71,12 +72,9 @@ def _map(fn, jobs: Sequence, threads: int) -> list:
 
 def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
     """Strictly decreasing geometric grid from top to bottom inclusive."""
-    if not 0 < top < np.inf:
-        raise ConfigError(f"top must be finite and positive, got {top}")
-    if not 0 < bottom < top:
-        raise ConfigError(f"bottom must lie in (0, top = {top}), got {bottom}")
-    if count < 2:
-        raise ConfigError(f"count must be >= 2, got {count}")
+    check_value("top", top, float, POSITIVE)
+    check_value("bottom", bottom, float, {f"lie in (0, top = {top})": lambda v: 0 < v < top})
+    check_value("count", count, int, {"be >= 2": lambda v: v >= 2})
     return tuple(np.geomspace(top, bottom, count).tolist())
 
 
@@ -172,16 +170,12 @@ class SweepRow:
     alpha: float
     k_worst: int
     n_bregman: int
-    kl_error: float
-    l1_error: float
-    data_residual: float
+    kl_error: float = field(metadata=NON_NEGATIVE)
+    l1_error: float = field(metadata=NON_NEGATIVE)
+    data_residual: float = field(metadata=NON_NEGATIVE)
     dr_iterations: int
 
-    def __post_init__(self):
-        for name in ("kl_error", "l1_error", "data_residual"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and non-negative, got {v}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -204,8 +198,7 @@ def _sinusoid(grid: TorusGrid, delta: float, k: int) -> np.ndarray:
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
     """A-priori rule alpha = c * delta^sigma."""
     for name, value in (("delta", delta), ("c", c), ("sigma", sigma)):
-        if not 0 < value < np.inf:
-            raise ConfigError(f"apriori rule needs finite positive {name}, got {value}")
+        check_value(name, value, float, POSITIVE)
     return c * delta**sigma
 
 
@@ -214,7 +207,7 @@ class Choice(NamedTuple):
 
     k: int  # noise frequency; 0 for exact data
     g_obs: Signal
-    states: list[BregmanState]  # the whole chain run on g_obs
+    reports: list[SolveReport]  # the whole chain run on g_obs, one per step
     metrics: tuple[float, float, float, int]  # (kl, l1, data residual, DR iterations)
 
 
@@ -224,15 +217,15 @@ def _chain_metrics(
     alpha: float,
     n_steps: int,
     solver: SolverConfig,
-) -> tuple[list[BregmanState], list[tuple[float, float, float, int]]]:
+) -> tuple[list[SolveReport], list[tuple[float, float, float, int]]]:
     """The chain on g_obs and (kl, l1, data residual, iterations) for each step."""
-    states = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
+    reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
     out = []
-    for st in states:
-        kl = problem.penalty.bregman(st.iterate, problem.f_true)
-        l1 = norm_l1_array(st.iterate.values - problem.f_true.values)
-        out.append((kl, l1, st.report.data_residual, st.report.iterations))
-    return states, out
+    for r in reports:
+        kl = problem.penalty.bregman(r.minimizer, problem.f_true)
+        l1 = norm_l1_array(r.minimizer.values - problem.f_true.values)
+        out.append((kl, l1, r.data_residual, r.iterations))
+    return reports, out
 
 
 def worst_case_search(
@@ -264,10 +257,10 @@ def worst_case_search(
         g_obs = problem.g_true
         if k:  # g_true + sinusoid_noise(grid, delta, k), as one signal
             g_obs = Signal(problem.grid, g_obs.values + _sinusoid(problem.grid, delta, k))
-        states, metrics = _chain_metrics(problem, g_obs, alpha, sweep.bregman_steps, config.solver)
+        reports, metrics = _chain_metrics(problem, g_obs, alpha, sweep.bregman_steps, config.solver)
         for i, m in enumerate(metrics):
             if best[i] is None or m[col] > best[i].metrics[col]:
-                best[i] = Choice(k, g_obs, states, m)
+                best[i] = Choice(k, g_obs, reports, m)
     return best
 
 

@@ -45,10 +45,11 @@ class SolveReport:
 
     ``alpha`` and ``penalty`` are the problem solved. ``misfit_rfft`` is
     the rfft half spectrum of the misfit Tf - g at the minimizer
-    (read-only); the step dual's numerator comes from it, and so does
-    ``data_residual``, the misfit's L2 norm, by Parseval. ``misfit`` (the
-    misfit's samples) and ``objective`` are computed on first read and kept;
-    the DR route computes the samples anyway and seeds ``misfit`` with them.
+    (read-only); ``data_residual``, the misfit's L2 norm, comes from it by
+    Parseval. ``misfit`` (the misfit's samples), ``objective`` and ``dual``
+    (the Bregman step dual (g - Tf) / alpha) are computed on first read and
+    kept; the DR route computes the samples anyway and seeds ``misfit`` with
+    them.
     ``boundary_touch`` is the penalty's: a sample within
     ``functionals.TOUCH_TOL`` of a box bound (the test problems never
     activate the constraints; this makes that visible).
@@ -74,6 +75,11 @@ class SolveReport:
     def objective(self) -> float:
         """(1/alpha) 1/2 ||Tf - g||^2 + R(f) at the minimizer."""
         return 0.5 * norm_l2(self.misfit) ** 2 / self.alpha + self.penalty.value(self.minimizer)
+
+    @cached_property
+    def dual(self) -> Signal:
+        """(g - Tf) / alpha, the step dual of the extremal relation."""
+        return (-1.0 / self.alpha) * self.misfit
 
 
 def solve_quadratic_spectral(

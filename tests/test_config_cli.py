@@ -222,6 +222,13 @@ write_svg = no
 """
 
 
+def sweep_row(**fields):
+    """A valid SweepRow with the given fields replaced."""
+    valid = dict(delta=0.1, alpha=0.01, k_worst=3, n_bregman=1, kl_error=1.25e-4,
+                 l1_error=2e-3, data_residual=5e-5, dr_iterations=37)
+    return SweepRow(**{**valid, **fields})
+
+
 class TestFieldChecks:
     """Each field is checked against its annotation and its range rule."""
 
@@ -249,6 +256,10 @@ class TestFieldChecks:
         (HoelderIndexFunction, "amplitude", float("inf")),
         (HoelderIndexFunction, "exponent", 0.0),
         (TorusGrid, "n", 480.0),
+        (sweep_row, "k_worst", 1.5),
+        (sweep_row, "kl_error", None),
+        (sweep_row, "l1_error", float("nan")),
+        (sweep_row, "data_residual", -1e-3),
     ])
     def test_bad_value_names_the_field(self, cls, name, bad):
         with pytest.raises(ConfigError, match=rf"^{name} must "):

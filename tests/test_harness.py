@@ -119,8 +119,11 @@ class TestConfigs:
         assert g[0] == pytest.approx(1e-1) and g[-1] == pytest.approx(1e-4)
         assert all(b < a for a, b in zip(g, g[1:]))
         for name, args in (("top", (np.inf, 1e-3, 3)), ("top", (np.nan, 1e-3, 3)),
+                           ("top", (None, 1e-2, 3)), ("top", (True, 1e-2, 3)),
                            ("bottom", (1e-1, np.nan, 3)), ("bottom", (1e-1, 0.0, 3)),
-                           ("count", (1e-1, 1e-3, 1))):
+                           ("bottom", (1e-1, "1e-2", 3)),
+                           ("count", (1e-1, 1e-3, 1)), ("count", (1e-1, 1e-2, 2.5)),
+                           ("count", (1e-1, 1e-2, None))):
             with pytest.raises(ConfigError, match=f"^{name} "):
                 geometric_grid(*args)
 
@@ -148,8 +151,9 @@ class TestAprioriAlpha:
             apriori_alpha(0.0, 1.0, 1.0)
         for name, args in (("delta", (np.nan, 1.0, 0.5)), ("delta", (np.inf, 1.0, 0.5)),
                            ("c", (0.1, np.inf, 0.5)), ("c", (0.1, np.nan, 0.5)),
-                           ("sigma", (0.1, 1.0, np.nan))):
-            with pytest.raises(ConfigError, match=f"positive {name},"):
+                           ("sigma", (0.1, 1.0, np.nan)), ("c", (0.1, None, 0.5)),
+                           ("delta", ("0.1", 1.0, 0.5)), ("sigma", (0.1, 1.0, True))):
+            with pytest.raises(ConfigError, match=f"^{name} must be"):
                 apriori_alpha(*args)
 
 

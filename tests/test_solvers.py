@@ -14,10 +14,10 @@ from torusreg import (
     SolverConfig,
     TorusGrid,
     Unsupported,
+    accumulated_subgradient,
     apply,
     bregman_iterate,
     bspline_truth,
-    dual_variable,
     make_identity,
     make_inverse_helmholtz,
     norm_l2,
@@ -180,30 +180,33 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
     def test_fields_read_on_demand_match_eager_arithmetic(self, problem, alpha):
-        # misfit, objective, dual and accumulated_subgradient are computed on
-        # first read; each is bit-identical to the eager per-step arithmetic
+        # misfit, objective and dual are computed on first read, and the
+        # accumulated subgradient only when asked for; each is bit-identical
+        # to the eager per-step arithmetic
         op, g_obs, prior = problem
-        states = bregman_iterate(op, g_obs, alpha, QuadraticPenalty(prior), 3, self.SPECTRAL)
+        reports = bregman_iterate(op, g_obs, alpha, QuadraticPenalty(prior), 3, self.SPECTRAL)
         expected = array_level_spectral_route(op, g_obs, alpha, prior, steps=3)
-        for st, ex in zip(states, expected, strict=True):
-            assert np.array_equal(st.iterate.values, ex["f"])
-            assert np.array_equal(st.report.misfit.values, ex["misfit"])
-            assert st.report.objective == ex["objective"]
-            assert np.array_equal(st.dual.values, ex["dual"])
-            assert np.array_equal(st.accumulated_subgradient.values, ex["accumulated"])
+        for n, (r, ex) in enumerate(zip(reports, expected, strict=True), 1):
+            assert np.array_equal(r.minimizer.values, ex["f"])
+            assert np.array_equal(r.misfit.values, ex["misfit"])
+            assert r.objective == ex["objective"]
+            assert np.array_equal(r.dual.values, ex["dual"])
+            assert np.array_equal(accumulated_subgradient(op, reports[:n]).values, ex["accumulated"])
 
     def test_accumulated_subgradient_matches_signal_sum(self, problem):
         op, g_obs, prior = problem
-        states = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), 3, self.SPECTRAL)
+        reports = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), 3, self.SPECTRAL)
         total = np.zeros(op.grid.n)
-        for st in states:
-            total = total + apply(op, st.dual).values
-            assert np.max(np.abs(st.accumulated_subgradient.values - total)) <= 1e-12
+        assert np.array_equal(accumulated_subgradient(op, []).values, total)
+        for n, r in enumerate(reports, 1):
+            total = total + apply(op, r.dual).values
+            got = accumulated_subgradient(op, reports[:n]).values
+            assert np.max(np.abs(got - total)) <= 1e-12
 
     def test_fft_budget(self, grid, rng, monkeypatch):
         # one irfft per spectral step (the minimizer) plus one rfft per fresh
-        # g_obs; the prior's spectrum is shared, and the misfit samples, the
-        # dual and the accumulated pullback are only computed when read
+        # g_obs; the prior's spectrum is shared, the misfit samples and the
+        # dual are only computed when read, and the chain sums no pullbacks
         op = make_inverse_helmholtz(grid)
         prior = random_signal(grid, rng)
         prior.rfft
@@ -211,8 +214,8 @@ class TestSpectralRoute:
         counts = count_ffts(monkeypatch)
         steps = 3
         for g_obs in observations:
-            states = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), steps, self.SPECTRAL)
-            assert len(states) == steps
+            reports = bregman_iterate(op, g_obs, 1e-2, QuadraticPenalty(prior), steps, self.SPECTRAL)
+            assert len(reports) == steps
         assert sum(counts.values()) <= len(observations) * (steps + 1)
 
 
@@ -395,10 +398,9 @@ class TestArrayCoreMatchesSignalLoop:
 
 class TestReportFields:
     LAZY = {
-        "misfit": lambda st: st.report.misfit.values,
-        "objective": lambda st: st.report.objective,
-        "dual": lambda st: st.dual.values,
-        "accumulated_subgradient": lambda st: st.accumulated_subgradient.values,
+        "misfit": lambda r: r.misfit.values,
+        "objective": lambda r: r.objective,
+        "dual": lambda r: r.dual.values,
     }
 
     @pytest.fixture(params=["spectral", "dr_entropy", "dr_quadratic"])
@@ -418,35 +420,36 @@ class TestReportFields:
 
     @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
     def test_data_residual_is_the_misfit_norm(self, chain, alpha):
-        for st in chain(alpha):
-            report = st.report
-            expected = norm_l2(report.misfit)
-            assert abs(report.data_residual - expected) <= 1e-13 * expected
-            assert np.array_equal(report.misfit_rfft, report.misfit.rfft)
-            assert not report.misfit_rfft.flags.writeable
-            assert not st.accumulated_rfft.flags.writeable
+        for r in chain(alpha):
+            expected = norm_l2(r.misfit)
+            assert abs(r.data_residual - expected) <= 1e-13 * expected
+            assert np.array_equal(r.misfit_rfft, r.misfit.rfft)
+            assert not r.misfit_rfft.flags.writeable
 
     def test_pickled_state_stays_read_only(self, chain):
-        for st in chain():
-            back = pickle.loads(pickle.dumps(st))
-            assert np.array_equal(back.report.misfit_rfft, st.report.misfit_rfft)
-            assert np.array_equal(back.accumulated_rfft, st.accumulated_rfft)
-            assert not back.report.misfit_rfft.flags.writeable
-            assert not back.accumulated_rfft.flags.writeable
-            assert np.array_equal(back.accumulated_subgradient.values,
-                                  st.accumulated_subgradient.values)
+        # a report pickled before and after its fields are first read
+        for fresh, read in zip(chain(), chain(), strict=True):
+            reference = {name: get(read) for name, get in self.LAZY.items()}
+            for r in (fresh, read):
+                back = pickle.loads(pickle.dumps(r))
+                assert np.array_equal(back.misfit_rfft, r.misfit_rfft)
+                assert not back.misfit_rfft.flags.writeable
+                assert all(np.array_equal(get(back), reference[name])
+                           for name, get in self.LAZY.items())
+                assert not back.misfit.values.flags.writeable
+                assert not back.dual.values.flags.writeable
 
     def test_read_order_does_not_matter(self, chain):
-        reference = [{name: get(st) for name, get in self.LAZY.items()} for st in chain()]
+        reference = [{name: get(r) for name, get in self.LAZY.items()} for r in chain()]
         for order in itertools.permutations(self.LAZY):
-            states = chain()
+            reports = chain()
             for name in order:
-                for st, ref in zip(states, reference, strict=True):
-                    assert np.array_equal(self.LAZY[name](st), ref[name])
-            for st, ref in zip(states, reference, strict=True):
+                for r, ref in zip(reports, reference, strict=True):
+                    assert np.array_equal(self.LAZY[name](r), ref[name])
+            for r, ref in zip(reports, reference, strict=True):
                 # computed once, then kept
-                assert st.dual is st.dual and st.report.misfit is st.report.misfit
-                assert all(np.array_equal(get(st), ref[name]) for name, get in self.LAZY.items())
+                assert r.dual is r.dual and r.misfit is r.misfit
+                assert all(np.array_equal(get(r), ref[name]) for name, get in self.LAZY.items())
 
 
 class TestInputChecks:
@@ -462,7 +465,6 @@ class TestInputChecks:
             ),
             lambda: solve_quadratic_spectral(op, g_obs, alpha, prior),
             lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
-            lambda: dual_variable(op, prior, g_obs, alpha),
         )
         for call in calls:
             with pytest.raises(ConfigError, match="alpha"):
