@@ -17,7 +17,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .errors import ConfigError, SubgradientUndefined
 from .operators import FourierMultiplierOperator
@@ -166,26 +165,21 @@ class EntropyPenalty:
         one from it with :func:`_newton_omega` (DR moves x by small steps);
         its first call evaluates omega. zeta is floored one unit below
         ln(lo/gamma): every root under that floor is clamped to ``lo``
-        anyway, and the floor keeps y a normal positive float, so omega
-        never underflows and the logs of the Newton steps stay finite.
+        anyway, and the floor keeps y positive, so the logs of the Newton
+        steps stay finite: for finite gamma it is at least
+        ln(1e-12) - ln(1.8e308) - 1 = -738.4, and omega(-738.4) = 2.0e-321.
         """
         if not 0 < gamma < np.inf:
             raise ConfigError("prox step must be finite and positive")
         shift = np.log(self.prior.values / gamma)
         lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
         zeta_floor = np.log(lo) - np.log(gamma) - 1.0
-        # omega(zeta_floor) underflows to 0 only for gamma beyond ~1e290;
-        # such a map evaluates omega on every call
-        warm = wrightomega(zeta_floor) > 0
         y = None
 
         def prox(x: np.ndarray) -> np.ndarray:
             nonlocal y
             zeta = np.maximum(x / gamma + shift, zeta_floor)
-            if warm and y is not None:
-                y = _newton_omega(zeta, y)
-            else:
-                y = wrightomega(zeta)
+            y = wrightomega(zeta) if y is None else _newton_omega(zeta, y)
             return np.minimum(np.maximum(gamma * y, lo), hi)
 
         return prox
@@ -199,6 +193,32 @@ class EntropyPenalty:
 
 
 Penalty = QuadraticPenalty | EntropyPenalty
+
+
+def wrightomega(z):
+    """Wright omega of real z: the y with y + ln y = z (0 at -inf and where
+    e^z underflows, z at +inf, NaN at NaN).
+
+    Starts from the softplus s = ln(1 + e^z), which has omega's asymptotes
+    e^z and z, and takes two Fritsch-Shafer-Crowley steps (Fritsch, Shafer
+    & Crowley, CACM 16(2), 1973; as in Lawrence, Corless & Jeffrey, ACM
+    TOMS 38(3), 2012): with r = z - y - ln y and q = (1 + y)(1 + y + 2r/3),
+    y *= 1 + r/(1 + y) (1 + r/2/(q - r)), a form with no inf/inf for z
+    near the largest float. s >= omega(z), as (1 + t) ln(1 + t) >= t for
+    t = e^z, so fmin with s keeps the steps' value, and gives s where the
+    steps turn a start of 0, inf or NaN into NaN.
+    """
+    z = np.asarray(z, dtype=float)
+    if not z.ndim:
+        return wrightomega(z.reshape(1))[0]
+    with np.errstate(all="ignore"):
+        s = y = np.logaddexp(0.0, z)
+        for _ in range(2):
+            r = z - y - np.log(y)
+            wp1 = 1.0 + y
+            q = wp1 * (wp1 + r * (2.0 / 3.0))
+            y = y * (1.0 + r / wp1 * (1.0 + 0.5 * r / (q - r)))
+        return np.fmin(y, s)
 
 
 def _newton_omega(zeta: np.ndarray, y: np.ndarray) -> np.ndarray:

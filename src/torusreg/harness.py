@@ -61,8 +61,7 @@ def _map(fn, jobs: Sequence, threads: int) -> list:
     One worker runs in-process; a pool starts every worker at once, so it is
     never larger than the job count.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    check_value("threads", threads, int, AT_LEAST_ONE)
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
@@ -241,8 +240,7 @@ def worst_case_search(
     per candidate covers every step.
     """
     sweep, noise, n = config.sweep, config.sweep.noise, problem.grid.n
-    if not delta >= 0:
-        raise ConfigError(f"delta must be non-negative, got {delta}")
+    check_value("delta", delta, float, NON_NEGATIVE)
     if noise.kind == "exact":
         ks = [0]
     elif noise.kind == "fixed_sinusoid":

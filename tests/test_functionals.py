@@ -266,6 +266,30 @@ class TestWarmStartedProxMap:
             assert np.all(np.abs(got - pen.prox_map(1.0)(x)) <= 1e-14 * got)
 
 
+class TestWrightOmega:
+    """The numpy Wright omega of the entropy prox, against scipy's as the oracle."""
+
+    Z = np.concatenate([np.linspace(-760.0, 50.0, 16201), np.geomspace(1.0, 1.7e308, 6161),
+                        np.geomspace(1e-300, 1.0, 301), -np.geomspace(1e-300, 1.0, 301)])
+
+    def test_matches_scipy(self):
+        with np.errstate(all="raise"):
+            got = torusreg.functionals.wrightomega(self.Z)
+        want = wrightomega(self.Z)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-14 * want[normal])
+        assert np.any(want == 0) and np.array_equal(got == 0, want == 0)
+        assert not np.any(np.isnan(got))
+
+    def test_special_values(self):
+        with np.errstate(all="raise"):
+            got = torusreg.functionals.wrightomega(np.array([np.inf, -np.inf, np.nan, 1.0]))
+            scalar = torusreg.functionals.wrightomega(1.0)
+        assert got[0] == np.inf and got[1] == 0.0 and np.isnan(got[2])
+        assert got[3] == pytest.approx(wrightomega(1.0), rel=1e-14)
+        assert np.ndim(scalar) == 0 and scalar == got[3]
+
+
 class TestProxFidelity:
     def test_single_mode_normal_equation(self, grid):
         op = make_identity(grid)

@@ -456,6 +456,23 @@ class TestWorkerPool:
                 calibrate_c(cfg, (0.1, 1.0), threads=bad)
         assert pool_sizes == []
 
+    def test_arguments_checked_by_name(self, pool_sizes):
+        cfg = exact_quadratic_config((1e-1, 1e-2, 1e-3))
+        search = search_config(k_max=4)
+        problem = quad_problem(n=64)
+        calls = {
+            "threads": (lambda bad: rate_sweep(cfg, threads=bad),
+                        lambda bad: calibrate_c(cfg, (0.1, 1.0), threads=bad)),
+            "delta": (lambda bad: worst_case_search(search, problem, bad, 0.1),),
+        }
+        table = (("threads", 2.5), ("threads", None), ("threads", True), ("threads", "2"),
+                 ("delta", np.inf), ("delta", np.nan), ("delta", None), ("delta", True))
+        for name, bad in table:
+            for call in calls[name]:
+                with pytest.raises(ConfigError, match=f"^{name} must be"):
+                    call(bad)
+        assert pool_sizes == []
+
 
 class TestCalibrateC:
     def test_single_candidate_returned(self):
