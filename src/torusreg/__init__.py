@@ -34,11 +34,9 @@ from .operators import (
     FourierMultiplierOperator,
     apply,
     kernel_signal,
-    make_identity,
     make_inverse_helmholtz,
     multiplier_power_apply,
     power_apply,
-    spectral_projection,
 )
 from .functionals import (
     EntropyPenalty,
@@ -76,7 +74,6 @@ from .harness import (
     fit_rate,
     geometric_grid,
     rate_sweep,
-    sinusoid_noise,
     worst_case_search,
 )
 from .config import default_config, load_config

@@ -141,15 +141,17 @@ def cmd_vsc_diagnose(args) -> int:
         except SourceDivisionError as exc:
             lines.append(f"order {order} source: fails at mode {exc.mode}")
     omega = construct_source(problem.op, problem.f_true, 1).leading()
-    amplitude = 1.0
-    for _ in range(60):
+    for doubling in range(60):
+        amplitude = 2.0**doubling
         phi = HoelderIndexFunction(amplitude, 1.0 / 3.0)
         residual = vsc_violation_search(problem.op, omega, phi, trials=32, seed=args.seed)
         if residual <= 1e-9:
+            verdict = "satisfied at"
             break
-        amplitude *= 2.0
+    else:
+        verdict = "not satisfied up to"
     lines.append(
-        f"first-order inequality satisfied at amplitude {amplitude:g} "
+        f"first-order inequality {verdict} amplitude {amplitude:g} "
         f"(residual {residual:.3e}, exponent 1/3)"
     )
     with open(path, "w", newline="\n") as handle:

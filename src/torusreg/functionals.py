@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SubgradientUndefined
+from .errors import POSITIVE, ConfigError, SubgradientUndefined, check_fields, check_value
 from .operators import FourierMultiplierOperator
 from .torus import Signal, check_same_grid, norm_l2_array
 
@@ -90,14 +90,9 @@ class QuadraticPenalty:
 
     def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """Array map x -> argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma)."""
-        if not 0 < gamma < np.inf:
-            raise ConfigError("prox step must be finite and positive")
+        check_value("gamma", gamma, float, POSITIVE)
         shift, scale = gamma * self.prior.values, 1.0 + gamma
         return lambda x: (x + shift) / scale
-
-    def prox(self, x: Signal, gamma: float) -> Signal:
-        check_same_grid(x, self.prior)
-        return Signal(x.grid, self.prox_map(gamma)(x.values))
 
     def with_prior(self, prior: Signal) -> "QuadraticPenalty":
         return QuadraticPenalty(prior)
@@ -112,6 +107,7 @@ class EntropyPenalty:
     box_hi: float = 5.0
 
     def __post_init__(self):
+        check_fields(self)
         if np.any(self.prior.values <= 0):
             raise SubgradientUndefined("entropy prior must be strictly positive")
         if not (0 <= self.box_lo < self.box_hi):
@@ -169,8 +165,7 @@ class EntropyPenalty:
         steps stay finite: for finite gamma it is at least
         ln(1e-12) - ln(1.8e308) - 1 = -738.4, and omega(-738.4) = 2.0e-321.
         """
-        if not 0 < gamma < np.inf:
-            raise ConfigError("prox step must be finite and positive")
+        check_value("gamma", gamma, float, POSITIVE)
         shift = np.log(self.prior.values / gamma)
         lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
         zeta_floor = np.log(lo) - np.log(gamma) - 1.0

@@ -37,7 +37,6 @@ __all__ = [
     "SweepRow",
     "RateFit",
     "build_problem",
-    "sinusoid_noise",
     "Choice",
     "worst_case_search",
     "apriori_alpha",
@@ -47,12 +46,6 @@ __all__ = [
     "fit_rate",
     "geometric_grid",
 ]
-
-
-def _check_frequency(name: str, k: int, n: int) -> None:
-    """Sinusoid frequencies beyond 1..n/2 - 1 alias on n points (k = n/2 samples to 0)."""
-    if not 1 <= k <= n // 2 - 1:
-        raise ConfigError(f"{name} must lie in [1, n/2 - 1] = [1, {n // 2 - 1}], got {k}")
 
 
 def _map(fn, jobs: Sequence, threads: int) -> list:
@@ -144,6 +137,8 @@ class Problem:
     f_true: Signal = field(repr=False)
     g_true: Signal = field(repr=False)
 
+    __post_init__ = check_fields
+
 
 def build_problem(cfg: ProblemConfig) -> Problem:
     grid = TorusGrid(cfg.n)
@@ -185,12 +180,8 @@ class RateFit:
     n_points: int
 
 
-def sinusoid_noise(grid: TorusGrid, delta: float, k: int) -> Signal:
-    """delta * sin(2 pi k x); its L2 norm is delta/sqrt(2) <= delta."""
-    return Signal(grid, _sinusoid(grid, delta, k))
-
-
 def _sinusoid(grid: TorusGrid, delta: float, k: int) -> np.ndarray:
+    """delta * sin(2 pi k x); its L2 norm is delta/sqrt(2) <= delta."""
     return delta * np.sin(2.0 * np.pi * k * grid.points)
 
 
@@ -241,19 +232,21 @@ def worst_case_search(
     """
     sweep, noise, n = config.sweep, config.sweep.noise, problem.grid.n
     check_value("delta", delta, float, NON_NEGATIVE)
+    # frequencies beyond 1..n/2 - 1 alias on n points (k = n/2 samples to 0)
+    frequency = {f"lie in [1, n/2 - 1] = [1, {n // 2 - 1}]": lambda k: 1 <= k <= n // 2 - 1}
     if noise.kind == "exact":
         ks = [0]
     elif noise.kind == "fixed_sinusoid":
-        _check_frequency("k_fixed", noise.k_fixed, n)
+        check_value("k_fixed", noise.k_fixed, int, frequency)
         ks = [noise.k_fixed]
     else:
-        _check_frequency("k_max", noise.k_max, n)
+        check_value("k_max", noise.k_max, int, frequency)
         ks = range(1, noise.k_max + 1)
     col = 0 if sweep.metric == "kl" else 1
     best: list[Choice | None] = [None] * sweep.bregman_steps
     for k in ks:
         g_obs = problem.g_true
-        if k:  # g_true + sinusoid_noise(grid, delta, k), as one signal
+        if k:  # g_true + delta sin(2 pi k .), as one signal
             g_obs = Signal(problem.grid, g_obs.values + _sinusoid(problem.grid, delta, k))
         reports, metrics = _chain_metrics(problem, g_obs, alpha, sweep.bregman_steps, config.solver)
         for i, m in enumerate(metrics):
@@ -359,8 +352,8 @@ def fit_rate(
 
     Positive slope means the error decays like x^slope as x shrinks.
     """
-    if x not in ("delta", "alpha") or y not in ("kl_error", "l1_error"):
-        raise ConfigError(f"cannot fit {y!r} against {x!r}")
+    check_value("x", x, str, one_of("delta", "alpha"))
+    check_value("y", y, str, one_of("kl_error", "l1_error"))
     picked = [r for r in rows if n_bregman is None or r.n_bregman == n_bregman]
     if len(picked) < 3:
         raise InsufficientData(f"need >= 3 rows, have {len(picked)}")

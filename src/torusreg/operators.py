@@ -13,18 +13,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, SourceDivisionError
+from .errors import NON_NEGATIVE, ConfigError, SourceDivisionError, check_value
 from .torus import Signal, TorusGrid, check_same_grid
 
 __all__ = [
     "FourierMultiplierOperator",
     "make_inverse_helmholtz",
-    "make_identity",
     "kernel_signal",
     "apply",
     "power_apply",
     "multiplier_power_apply",
-    "spectral_projection",
 ]
 
 OVERFLOW_LIMIT = 1e300
@@ -43,6 +41,7 @@ class FourierMultiplierOperator:
     smoothing_order: float = 0.0
 
     def __post_init__(self):
+        check_value("smoothing_order", self.smoothing_order, float, NON_NEGATIVE)
         mu = np.asarray(self.symbol, dtype=float)
         if mu.shape != (self.grid.n,):
             raise ConfigError("symbol length does not match grid size")
@@ -57,8 +56,6 @@ class FourierMultiplierOperator:
         if not np.allclose(mu[pos][: neg_sorted.size], neg_sorted[: mu[pos].size], rtol=1e-14):
             raise ConfigError("symbol must be even in j")
         object.__setattr__(self, "symbol", mu)
-        if self.smoothing_order < 0:
-            raise ConfigError("smoothing_order must be >= 0")
 
     @cached_property
     def symbol_rfft(self) -> np.ndarray:
@@ -74,11 +71,6 @@ def make_inverse_helmholtz(grid: TorusGrid) -> FourierMultiplierOperator:
     return FourierMultiplierOperator(grid, mu, smoothing_order=2.0)
 
 
-def make_identity(grid: TorusGrid) -> FourierMultiplierOperator:
-    """Identity multiplier, handy for single-mode normal-equation checks."""
-    return FourierMultiplierOperator(grid, np.ones(grid.n), smoothing_order=0.0)
-
-
 def kernel_signal(grid: TorusGrid) -> Signal:
     """Samples of the closed-form convolution kernel of the inverse Helmholtz T.
 
@@ -91,15 +83,10 @@ def kernel_signal(grid: TorusGrid) -> Signal:
     return Signal(grid, vals)
 
 
-def multiply_modes(f: Signal, factor_rfft: np.ndarray) -> Signal:
-    """Mode-wise multiplication by a real, even factor given on the rfft half spectrum."""
-    return Signal.from_rfft(f.grid, f.rfft * factor_rfft)
-
-
 def apply(op: FourierMultiplierOperator, f: Signal) -> Signal:
     """Apply the multiplier: (Tf)^_j = mu_j f^_j."""
     check_same_grid(op, f)
-    return multiply_modes(f, op.symbol_rfft)
+    return Signal.from_rfft(f.grid, f.rfft * op.symbol_rfft)
 
 
 def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -> Signal:
@@ -127,12 +114,3 @@ def multiplier_power_apply(op: FourierMultiplierOperator, p: float, f: Signal) -
 def power_apply(op: FourierMultiplierOperator, s: float, f: Signal) -> Signal:
     """Apply (T*T)^s, i.e. the multiplier mu_j^{2s} (T is self-adjoint)."""
     return multiplier_power_apply(op, 2.0 * s, f)
-
-
-def spectral_projection(op: FourierMultiplierOperator, lam: float, f: Signal) -> Signal:
-    """Spectral projection 1_{[0, lam)}(T*T): keeps modes with mu_j^2 < lam."""
-    if lam <= 0:
-        raise ConfigError("projection threshold must be positive")
-    check_same_grid(op, f)
-    keep = (op.symbol_rfft**2 < lam).astype(float)
-    return multiply_modes(f, keep)

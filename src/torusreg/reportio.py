@@ -12,7 +12,7 @@ from .errors import field_types
 from .harness import SweepRow
 from .torus import Signal
 
-__all__ = ["SWEEP_HEADER", "format_float", "write_sweep_csv", "read_sweep_csv", "write_signals_csv"]
+__all__ = ["SWEEP_HEADER", "format_float", "write_sweep_csv", "write_signals_csv"]
 
 # column -> int or float, one per SweepRow field in order
 _COLUMNS = field_types(SweepRow)
@@ -30,18 +30,6 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
             cells = [str(getattr(r, name)) if kind is int else format_float(getattr(r, name))
                      for name, kind in _COLUMNS.items()]
             handle.write(",".join(cells) + "\n")
-
-
-def read_sweep_csv(path: str) -> list[SweepRow]:
-    rows = []
-    with open(path, newline="\n") as handle:
-        header = handle.readline().strip()
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep CSV header: {header!r}")
-        for line in handle:
-            cells = zip(_COLUMNS.values(), line.strip().split(","), strict=True)
-            rows.append(SweepRow(*(kind(cell) for kind, cell in cells)))
-    return rows
 
 
 def write_signals_csv(path: str, columns: dict[str, Signal]) -> None:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, check_fields
+from .errors import ConfigError, GridMismatch, check_fields, check_value, one_of
 
 __all__ = [
     "TorusGrid",
@@ -183,8 +183,7 @@ def bspline_truth(grid: TorusGrid, degree: int = 5) -> Signal:
     hence integral 1/(degree+1) after rescaling; the phantom is >= 1
     everywhere, equals 1 at x = 0, and peaks at x = 1/2.
     """
-    if degree not in (4, 5):
-        raise ConfigError(f"unsupported B-spline degree {degree}; use 4 or 5")
+    check_value("degree", degree, int, one_of(4, 5))
     if grid.n < 8 * (degree + 1):
         raise ConfigError(
             f"grid size {grid.n} too coarse for degree {degree} (need >= {8 * (degree + 1)})"

@@ -11,12 +11,12 @@ the defining variational inequality.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import POSITIVE, ConfigError, DomainError, Unsupported, check_fields
+from .errors import AT_LEAST_ONE, POSITIVE, DomainError, Unsupported, check_fields, check_value
 from .operators import (
     FourierMultiplierOperator,
     apply,
@@ -41,12 +41,15 @@ __all__ = [
 ]
 
 
+_UNIT_INTERVAL = {"lie in (0, 1]": lambda v: 0 < v <= 1}
+
+
 @dataclass(frozen=True)
 class HoelderIndexFunction:
     """Phi(t) = amplitude * t**exponent, concave and increasing with Phi(0) = 0."""
 
     amplitude: float = field(default=1.0, metadata=POSITIVE)
-    exponent: float = field(default=0.5, metadata={"lie in (0, 1]": lambda v: 0 < v <= 1})
+    exponent: float = field(default=0.5, metadata=_UNIT_INTERVAL)
 
     __post_init__ = check_fields
 
@@ -106,15 +109,11 @@ class RatePrediction:
     """A-priori parameter rule alpha ~ delta^alpha_exponent and the resulting
     error exponent, together with the theoretical error envelope."""
 
-    alpha_exponent: float
-    error_exponent: float
-    envelope: Callable[[float, float], float] = field(repr=False)
+    alpha_exponent: float = field(metadata={"lie in (0, 2]": lambda v: 0 < v <= 2})
+    error_exponent: float = field(metadata={"lie in (0, 2)": lambda v: 0 < v < 2})
+    envelope: Callable = field(repr=False)  # (delta, alpha) -> error bound
 
-    def __post_init__(self):
-        if not 0 < self.alpha_exponent <= 2:
-            raise ConfigError("alpha exponent must lie in (0, 2]")
-        if not 0 < self.error_exponent < 2:
-            raise ConfigError("error exponent must lie in (0, 2)")
+    __post_init__ = check_fields
 
 
 def predict_rate_hoelder(l: int, nu: float) -> RatePrediction:
@@ -124,10 +123,8 @@ def predict_rate_hoelder(l: int, nu: float) -> RatePrediction:
     delta^2/alpha + alpha^{l-1} psi(-1/alpha) and gives the norm rate
     delta^{(l-1+nu)/(l+nu)}.
     """
-    if l < 1:
-        raise ConfigError("order must be >= 1")
-    if not 0 < nu <= 1:
-        raise ConfigError("nu must lie in (0, 1]")
+    check_value("l", l, int, AT_LEAST_ONE)
+    check_value("nu", nu, float, _UNIT_INTERVAL)
     phi = HoelderIndexFunction(1.0, nu / (nu + 1.0))
 
     def envelope(delta: float, alpha: float) -> float:
@@ -144,8 +141,8 @@ def predict_rate_entropy(s: float, a: float) -> RatePrediction:
     """KL rate of second-step entropy regularization for an s-smooth truth
     under an a-times smoothing operator: alpha ~ delta^{2a/(s+a)} and
     KL ~ delta^{2s/(s+a)}, with envelope delta^2/alpha + alpha^{s/a}."""
-    if s <= 0 or a <= 0:
-        raise ConfigError("smoothness and smoothing order must be positive")
+    check_value("s", s, float, POSITIVE)
+    check_value("a", a, float, POSITIVE)
 
     def envelope(delta: float, alpha: float) -> float:
         return delta**2 / alpha + alpha ** (s / a)
@@ -189,8 +186,7 @@ def construct_source(
     Raises :class:`SourceDivisionError` (with the first offending mode) when
     the truth lacks the required smoothness.
     """
-    if l < 1:
-        raise ConfigError("order must be >= 1")
+    check_value("l", l, int, AT_LEAST_ONE)
     n = (l + 1) // 2 if l % 2 == 1 else l // 2
     omegas = [power_apply(op, -float(j), f_true) for j in range(1, n)]
     pbars = [multiplier_power_apply(op, -(2.0 * j - 1.0), f_true) for j in range(1, n)]
@@ -257,8 +253,7 @@ def vsc_violation_search(
     seen. A positive value certifies a violation; a non-positive value over
     finitely many samples proves nothing.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    check_value("trials", trials, int, AT_LEAST_ONE)
     if amplitudes is None:
         amplitudes = np.logspace(-8, 4, 61)
     best = -float("inf")

@@ -3,7 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torusreg import Signal, TorusGrid
+from torusreg import FourierMultiplierOperator, Signal, TorusGrid
+from torusreg.errors import field_types
+from torusreg.harness import SweepRow
+from torusreg.reportio import SWEEP_HEADER
 
 
 @pytest.fixture
@@ -50,3 +53,35 @@ def count_ffts(monkeypatch) -> Counter:
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+def make_identity(grid):
+    """Identity multiplier, handy for single-mode normal-equation checks."""
+    return FourierMultiplierOperator(grid, np.ones(grid.n))
+
+
+def spectral_projection(op, lam, f):
+    """Brute-force spectral projection E_lam = 1_{[0, lam)}(T*T): keeps the modes
+    with mu_j^2 < lam."""
+    keep = op.symbol_rfft**2 < lam
+    return Signal.from_rfft(f.grid, f.rfft * keep)
+
+
+def sinusoid_noise(grid, delta, k):
+    """delta * sin(2 pi k x); its L2 norm is delta/sqrt(2) <= delta."""
+    return Signal(grid, delta * np.sin(2.0 * np.pi * k * grid.points))
+
+
+def prox_signal(penalty, x, gamma):
+    """The penalty's prox at the signal x, through its array map."""
+    return Signal(x.grid, penalty.prox_map(gamma)(x.values))
+
+
+def read_sweep_csv(path):
+    """The SweepRows of a sweep CSV, each cell parsed by its column's type."""
+    columns = field_types(SweepRow)
+    with open(path, newline="\n") as handle:
+        assert handle.readline().strip() == SWEEP_HEADER
+        return [SweepRow(*(kind(cell) for kind, cell in
+                           zip(columns.values(), line.strip().split(","), strict=True)))
+                for line in handle]

@@ -46,7 +46,7 @@ from torusreg import (
     vsc_violation_search,
 )
 
-from conftest import band_limited_signal, random_signal, single_mode_signal
+from conftest import band_limited_signal, prox_signal, random_signal, single_mode_signal
 from test_bregman import iterated_tikhonov_filter
 from test_vsc import golden_section_sup
 
@@ -305,7 +305,7 @@ def test_criterion_5_property_suites():
         worst = max(worst, float(np.max(np.abs(res), initial=0.0)))
 
         quad = QuadraticPenalty(random_signal(grid, rng))
-        vq = quad.prox(x, gamma)
+        vq = prox_signal(quad, x, gamma)
         res_q = gamma * (vq - quad.prior) + (vq - x)
         worst = max(worst, float(np.max(np.abs(res_q.values))))
 

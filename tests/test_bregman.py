@@ -15,7 +15,6 @@ from torusreg import (
     accumulated_subgradient,
     apply,
     bregman_iterate,
-    make_identity,
     make_inverse_helmholtz,
     norm_l2,
     solve_generalized_dr,
@@ -23,7 +22,7 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import random_signal
+from conftest import make_identity, random_signal
 
 
 def iterated_tikhonov_filter(op, g_obs, prior, alpha, n):

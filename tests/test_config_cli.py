@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,21 +7,36 @@ import torusreg.cli
 
 from torusreg import (
     ConfigError,
+    EntropyPenalty,
     ExperimentConfig,
+    FourierMultiplierOperator,
     HoelderIndexFunction,
     NoiseModel,
     OutputConfig,
+    Problem,
     ProblemConfig,
+    QuadraticPenalty,
+    RatePrediction,
+    Signal,
     SolverConfig,
     SweepConfig,
     TorusGrid,
+    bspline_truth,
     build_problem,
+    construct_source,
     default_config,
+    fit_rate,
     load_config,
+    make_inverse_helmholtz,
+    predict_rate_entropy,
+    predict_rate_hoelder,
+    vsc_violation_search,
 )
 from torusreg.cli import main
-from torusreg.reportio import SWEEP_HEADER, read_sweep_csv, write_sweep_csv
+from torusreg.reportio import SWEEP_HEADER, write_sweep_csv
 from torusreg.harness import SweepRow
+
+from conftest import read_sweep_csv
 
 
 GOOD_CONFIG = """
@@ -272,6 +289,41 @@ class TestFieldChecks:
         assert TorusGrid(np.int64(8)).n == 8
 
 
+GRID = TorusGrid(64)
+ONES = Signal(GRID, np.ones(GRID.n))
+HELMHOLTZ = make_inverse_helmholtz(GRID)
+
+
+class TestArgumentChecks:
+    """Each function or constructor argument is checked by its name."""
+
+    @pytest.mark.parametrize("call, name, bad", [
+        (partial(RatePrediction, alpha_exponent=1.0, error_exponent=0.5, envelope=max),
+         "alpha_exponent", float("nan")),
+        (partial(predict_rate_hoelder, l=1, nu=0.5), "l", 1.5),
+        (partial(predict_rate_hoelder, l=1, nu=0.5), "l", True),
+        (partial(predict_rate_entropy, s=5.5, a=2.0), "s", None),
+        (partial(predict_rate_entropy, s=5.5, a=2.0), "s", float("nan")),
+        (partial(predict_rate_entropy, s=5.5, a=2.0), "a", 0.0),
+        (partial(construct_source, HELMHOLTZ, ONES), "l", 2.5),
+        (partial(construct_source, HELMHOLTZ, ONES), "l", None),
+        (partial(vsc_violation_search, HELMHOLTZ, ONES, HoelderIndexFunction()), "trials", 2.5),
+        (partial(FourierMultiplierOperator, GRID, HELMHOLTZ.symbol), "smoothing_order", float("nan")),
+        (partial(FourierMultiplierOperator, GRID, HELMHOLTZ.symbol), "smoothing_order", None),
+        (partial(bspline_truth, GRID), "degree", 4.0),
+        (partial(EntropyPenalty, ONES), "box_lo", None),
+        (QuadraticPenalty(ONES).prox_map, "gamma", None),
+        (EntropyPenalty(ONES).prox_map, "gamma", None),
+        (partial(Problem, grid=GRID, op=HELMHOLTZ, penalty=QuadraticPenalty(ONES), f_true=ONES,
+                 g_true=ONES), "penalty", np.ones(GRID.n)),
+        (partial(fit_rate, [], x="delta", y="kl_error"), "x", "k_worst"),
+        (partial(fit_rate, [], x="delta", y="kl_error"), "y", None),
+    ])
+    def test_bad_argument_names_it(self, call, name, bad):
+        with pytest.raises(ConfigError, match=rf"^{name} must "):
+            call(**{name: bad})
+
+
 class TestSweepCsv:
     def test_header_and_round_trip(self, tmp_path):
         rows = [
@@ -431,6 +483,17 @@ class TestCli:
         report = (tmp_path / "out" / "vsc_report.txt").read_text()
         assert "decay norm" in report
         assert "order 1 source: ok" in report
+
+    def test_vsc_diagnose_reports_when_no_amplitude_works(self, tmp_path, monkeypatch):
+        # a residual that grows with the amplitude fails every doubling; the
+        # report names the last amplitude tried and the residual measured there
+        monkeypatch.setattr(torusreg.cli, "vsc_violation_search",
+                            lambda op, omega, phi, **kwargs: phi.amplitude)
+        cfg = small_cli_config(tmp_path)
+        assert main(["vsc-diagnose", "--config", cfg]) == 0
+        report = (tmp_path / "out" / "vsc_report.txt").read_text()
+        assert report.endswith("first-order inequality not satisfied up to amplitude 5.76461e+17 "
+                               "(residual 5.765e+17, exponent 1/3)\n")
 
     def test_vsc_generator_norm_survives_round_off(self, tmp_path):
         # mu^-3 amplifies the truth's aliased top modes by ~1e19, so only the

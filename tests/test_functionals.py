@@ -16,7 +16,6 @@ from torusreg import (
     SubgradientUndefined,
     TorusGrid,
     kl_divergence,
-    make_identity,
     make_inverse_helmholtz,
     norm_l1,
     norm_l2,
@@ -25,7 +24,7 @@ from torusreg import (
 )
 from torusreg.functionals import PROX_FLOOR
 
-from conftest import random_signal
+from conftest import make_identity, prox_signal, random_signal
 
 
 def positive_signal(grid, rng, lo=0.1, hi=4.0):
@@ -127,15 +126,15 @@ class TestProxPenalty:
         prior = random_signal(grid, rng)
         pen = QuadraticPenalty(prior)
         x = random_signal(grid, rng)
-        out = pen.prox(x, 2.5)
+        out = pen.prox_map(2.5)(x.values)
         expected = (x.values + 2.5 * prior.values) / 3.5
-        assert np.max(np.abs(out.values - expected)) < 1e-14
+        assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_quadratic_large_gamma_goes_to_prior(self, grid, rng):
         prior = random_signal(grid, rng)
         x = random_signal(grid, rng)
-        out = QuadraticPenalty(prior).prox(x, 1e12)
-        assert np.max(np.abs(out.values - prior.values)) < 1e-9
+        out = QuadraticPenalty(prior).prox_map(1e12)(x.values)
+        assert np.max(np.abs(out - prior.values)) < 1e-9
 
     def test_entropy_prior_fixed_point(self, grid, ones):
         pen = EntropyPenalty(ones)
@@ -176,12 +175,13 @@ class TestProxPenalty:
             for _ in range(100):
                 x1, x2 = random_signal(grid, rng), random_signal(grid, rng)
                 gamma = float(rng.uniform(0.1, 10.0))
-                p1, p2 = pen.prox(x1, gamma), pen.prox(x2, gamma)
+                p1, p2 = prox_signal(pen, x1, gamma), prox_signal(pen, x2, gamma)
                 assert norm_l2(p1 - p2) <= norm_l2(x1 - x2) + 1e-12
 
     def test_rejects_nonpositive_gamma(self, grid, ones):
-        with pytest.raises(ConfigError):
-            QuadraticPenalty(ones).prox(ones, 0.0)
+        for pen in (QuadraticPenalty(ones), EntropyPenalty(ones)):
+            with pytest.raises(ConfigError, match="^gamma must"):
+                pen.prox_map(0.0)
 
 
 def dr_like_inputs(rng, n):

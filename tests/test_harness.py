@@ -29,13 +29,12 @@ from torusreg import (
     make_inverse_helmholtz,
     norm_l2,
     rate_sweep,
-    sinusoid_noise,
     solve_quadratic_spectral,
     to_spectrum,
     worst_case_search,
 )
 
-from conftest import band_limited_signal, count_ffts
+from conftest import band_limited_signal, count_ffts, sinusoid_noise
 
 
 def quad_problem(n=128, seed=5, band=10):

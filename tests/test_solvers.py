@@ -18,7 +18,6 @@ from torusreg import (
     apply,
     bregman_iterate,
     bspline_truth,
-    make_identity,
     make_inverse_helmholtz,
     norm_l2,
     prox_fidelity,
@@ -27,7 +26,7 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import count_ffts, random_signal
+from conftest import count_ffts, make_identity, prox_signal, random_signal
 
 
 def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
@@ -43,13 +42,13 @@ def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
         return Signal(x.grid, np.fft.ifft(vc).real)
 
     z = Signal(g_obs.grid, penalty.prior.values.copy())
-    u = penalty.prox(z, gamma)
+    u = prox_signal(penalty, z, gamma)
     for it in range(1, cfg.max_iter + 1):
         w = prox_data(2.0 * u - z)
         z_new = z + (w - u)
         residual = norm_l2(z_new - z) / max(1.0, norm_l2(z))
         z = z_new
-        u = penalty.prox(z, gamma)
+        u = prox_signal(penalty, z, gamma)
         if residual <= cfg.tol:
             return u, it
     raise AssertionError("oracle loop did not converge")

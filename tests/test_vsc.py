@@ -24,7 +24,7 @@ from torusreg import (
 )
 from torusreg.vsc import _mode_inner_products, characteristic_function, characteristic_inverse
 
-from conftest import band_limited_signal, random_signal, single_mode_signal
+from conftest import band_limited_signal, random_signal, single_mode_signal, spectral_projection
 
 
 def golden_section_sup(phi, s, lo=0.0, hi=None, iters=200):
@@ -259,6 +259,17 @@ class TestDecaySpaceNorm:
             expected = 1.0 / kappa(mu**2)
             got = decay_space_norm(op, f, kappa)
             assert abs(got - expected) <= 1e-9 * expected
+
+    def test_matches_brute_force_projections(self, grid, rng):
+        # ||E_lambda f|| is constant on (v, v'] between eigenvalues and 1/kappa
+        # decreases, so the sup is the max over v of the projection just above v
+        op = make_inverse_helmholtz(grid)
+        kappa = HoelderIndexFunction(1.0, 0.3)
+        for _ in range(5):
+            f = random_signal(grid, rng)
+            brute = max(norm_l2(spectral_projection(op, v * (1.0 + 1e-9), f)) / kappa(v)
+                        for v in np.unique(op.symbol**2))
+            assert abs(decay_space_norm(op, f, kappa) - brute) <= 1e-12 * brute
 
     def test_monotone_in_kappa(self, grid, rng):
         op = make_inverse_helmholtz(grid)
