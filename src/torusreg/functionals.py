@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import POSITIVE, ConfigError, SubgradientUndefined, check_fields, check_value
 from .operators import FourierMultiplierOperator
-from .torus import Signal, check_same_grid, norm_l2_array
+from .torus import Signal, check_same_grid, norm_l2_array, norm_l2_rfft
 
 __all__ = [
     "QuadraticPenalty",
@@ -76,9 +76,10 @@ class QuadraticPenalty:
         return 0.5 * norm_l2_array(f.values - self.prior.values) ** 2
 
     def bregman(self, f: Signal, base: Signal) -> float:
-        """Bregman distance; for the quadratic penalty simply 1/2 ||f - base||^2."""
+        """Bregman distance; for the quadratic penalty simply 1/2 ||f - base||^2,
+        from the half spectra by Parseval."""
         check_same_grid(f, base, self.prior)
-        return 0.5 * norm_l2_array(f.values - base.values) ** 2
+        return 0.5 * norm_l2_rfft(f.rfft - base.rfft, f.grid.n) ** 2
 
     def subgradient(self, f: Signal) -> Signal:
         check_same_grid(f, self.prior)

@@ -9,8 +9,10 @@ Spectra use the continuous-Fourier-coefficient normalization
 
 which makes operator symbols grid independent. Inside the program a real
 signal's transform is its rfft half spectrum j = 0, ..., n/2 (numpy's
-unnormalized ``rfft``), which a :class:`Signal` computes once and keeps;
-the full shifted spectrum above is only the analysis view :func:`to_spectrum`.
+unnormalized ``rfft``). A :class:`Signal` is built from either form, its
+samples or its half spectrum, and computes the other on first read and
+keeps it; the full shifted spectrum above is only the analysis view
+:func:`to_spectrum`.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class TorusGrid:
 class Signal:
     """Real samples of a function on a :class:`TorusGrid`.
 
-    The values are read-only, so the rfft half spectrum :attr:`rfft` is
-    computed on first use and kept. A writeable input array is copied:
-    building a signal never freezes, or aliases, the caller's array.
+    A signal is built from its samples, or by :meth:`from_rfft` from its
+    rfft half spectrum :attr:`rfft`; it computes the other form on first
+    read and keeps it. Both are read-only. A writeable input array is
+    copied: building a signal never freezes, or aliases, the caller's array.
     """
 
     grid: TorusGrid
@@ -85,10 +88,7 @@ class Signal:
             raise ConfigError(
                 f"signal length {values.shape} does not match grid size {self.grid.n}"
             )
-        # a finite sum proves every value finite (inf and nan propagate); only
-        # an overflowing sum or a non-finite value takes the full check. The
-        # dot with ones is that sum through BLAS, faster than .sum() here.
-        if not math.isfinite(values.dot(self.grid.ones)) and not np.isfinite(values).all():
+        if not _finite_samples(values, self.grid):
             raise ConfigError("signal values must be finite")
         object.__setattr__(self, "values", _read_only(values))
 
@@ -96,16 +96,19 @@ class Signal:
     def from_rfft(cls, grid: TorusGrid, c: np.ndarray) -> "Signal":
         """The signal irfft(c, n) with half spectrum c, which it keeps as :attr:`rfft`.
 
-        c[0] and c[n/2] must be real, as they are for every real signal.
+        c must be finite, and c[0] and c[n/2] real, as they are for every
+        real signal. The samples are computed on the first read of
+        :attr:`values`, which raises :class:`ConfigError` if they overflow.
         """
         c = np.asarray(c, dtype=complex)
         if c.shape != (grid.n // 2 + 1,):
             raise ConfigError(f"half spectrum length {c.shape} does not match grid size {grid.n}")
         if c[0].imag or c[-1].imag:
             raise ConfigError("half spectrum needs real modes 0 and n/2")
-        out = cls(grid, _freeze(np.fft.irfft(c, grid.n)))
-        out.__dict__["rfft"] = _read_only(c)
-        return out
+        # a finite sum of squares proves every mode finite, as for the samples
+        if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(c).all():
+            raise ConfigError("half spectrum must be finite")
+        return _built(grid, rfft=_read_only(c))
 
     @cached_property
     def rfft(self) -> np.ndarray:
@@ -131,6 +134,65 @@ class Signal:
         return Signal(self.grid, _freeze(self.values * float(scalar)))
 
     __rmul__ = __mul__
+
+
+class _SamplesOnFirstRead:
+    """:attr:`Signal.values` of a signal built from its half spectrum:
+    irfft(rfft, n), computed on the first read and kept in the instance.
+
+    A non-data descriptor: kept samples, and those of a signal built from
+    samples, shadow it, so reading them costs what a plain attribute does.
+    """
+
+    def __get__(self, signal, owner=None):
+        if signal is None:
+            return self
+        if "rfft" not in signal.__dict__:  # neither form: not a built signal
+            raise AttributeError("values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.fft.irfft(signal.rfft, signal.grid.n)
+        if not _finite_samples(values, signal.grid):
+            raise ConfigError("signal values must be finite: the half spectrum's samples overflow")
+        signal.__dict__["values"] = _freeze(values)
+        return values
+
+
+# set after the dataclass decorator, which removes a field's class attribute
+Signal.values = _SamplesOnFirstRead()
+
+
+def _built(grid: TorusGrid, **fields: np.ndarray) -> Signal:
+    """A signal with the given checked, read-only fields, built without
+    :meth:`Signal.__post_init__`."""
+    out = object.__new__(Signal)
+    out.__dict__.update(grid=grid, **fields)
+    return out
+
+
+def signal_rows(grid: TorusGrid, block: np.ndarray) -> list[Signal]:
+    """One signal per row of the (K, n) sample block, each with its half
+    spectrum from one batched rfft of the block.
+
+    The signals hold rows of the block and of its spectra as views; a row's
+    half spectrum is bit-equal to the rfft of that row alone. As for
+    :class:`Signal`, a writeable block is copied first.
+    """
+    if np.iscomplexobj(block):
+        raise ConfigError("signal values must be real")
+    block = _read_only(np.asarray(block, dtype=float))
+    if block.ndim != 2 or block.shape[1] != grid.n:
+        raise ConfigError(f"sample block shape {block.shape} does not match grid size {grid.n}")
+    if not np.isfinite(block).all():
+        raise ConfigError("signal values must be finite")
+    spectra = _freeze(np.fft.rfft(block))
+    return [_built(grid, values=v, rfft=c) for v, c in zip(block, spectra)]
+
+
+def _finite_samples(values: np.ndarray, grid: TorusGrid) -> bool:
+    """Whether every sample is finite. A finite sum proves it (inf and nan
+    propagate); only an overflowing sum or a non-finite value takes the full
+    check. The dot with ones is that sum through BLAS, faster than .sum()."""
+    return math.isfinite(values.dot(grid.ones)) or bool(np.isfinite(values).all())
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ the defining variational inequality.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -96,8 +97,12 @@ def fenchel_psi(phi: HoelderIndexFunction, s: float) -> float:
     t* = (A theta / (-s))^{1/(1-theta)}. For theta = 1 the sup is 0 when
     s <= -A and +inf otherwise.
     """
-    if s >= 0:
-        raise DomainError("fenchel_psi is evaluated on s < 0 only")
+    try:
+        negative = -math.inf < s < 0
+    except TypeError:  # s is not a number
+        negative = False
+    if not negative:
+        raise DomainError(f"fenchel_psi is evaluated on finite s < 0 only, got s = {s!r}")
     a, theta = phi.amplitude, phi.exponent
     if theta == 1.0:
         return 0.0 if s <= -a else float("inf")

@@ -3,10 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torusreg import FourierMultiplierOperator, Signal, TorusGrid
+from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
 from torusreg.errors import field_types
-from torusreg.harness import SweepRow
+from torusreg.harness import Choice, SweepRow
 from torusreg.reportio import SWEEP_HEADER
+from torusreg.torus import norm_l1_array, norm_l2_array
 
 
 @pytest.fixture
@@ -85,3 +86,31 @@ def read_sweep_csv(path):
         return [SweepRow(*(kind(cell) for kind, cell in
                            zip(columns.values(), line.strip().split(","), strict=True)))
                 for line in handle]
+
+
+def per_candidate_search(config, problem, delta, alpha):
+    """Reference for ``harness.worst_case_search``: one Signal built from its
+    samples and one chain per candidate, both errors of every step from the
+    minimizer's samples, and per step the first candidate with the largest
+    error in the sweep's metric."""
+    sweep, noise = config.sweep, config.sweep.noise
+    ks = {"exact": [0], "fixed_sinusoid": [noise.k_fixed]}.get(noise.kind, range(1, noise.k_max + 1))
+    col = 0 if sweep.metric == "kl" else 1
+    best = [None] * sweep.bregman_steps
+    for k in ks:
+        g_obs = problem.g_true
+        if k:
+            noise_k = delta * np.sin(2.0 * np.pi * k * problem.grid.points)
+            g_obs = Signal(problem.grid, g_obs.values + noise_k)
+        reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, sweep.bregman_steps,
+                                  config.solver)
+        for i, r in enumerate(reports):
+            error = r.minimizer.values - problem.f_true.values
+            if isinstance(problem.penalty, QuadraticPenalty):
+                kl = 0.5 * norm_l2_array(error) ** 2
+            else:
+                kl = problem.penalty.bregman(r.minimizer, problem.f_true)
+            m = (kl, norm_l1_array(error), r.data_residual, r.iterations)
+            if best[i] is None or m[col] > best[i].metrics[col]:
+                best[i] = Choice(k, g_obs, reports, m)
+    return best

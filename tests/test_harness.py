@@ -34,7 +34,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from conftest import band_limited_signal, count_ffts, sinusoid_noise
+from conftest import band_limited_signal, count_ffts, per_candidate_search, sinusoid_noise
 
 
 def quad_problem(n=128, seed=5, band=10):
@@ -156,11 +156,11 @@ class TestAprioriAlpha:
                 apriori_alpha(*args)
 
 
-def search_config(steps=1, **noise):
+def search_config(steps=1, metric="kl", **noise):
     """Spectral solves; the noise model defaults to the worst case over k = 1..32."""
     return ExperimentConfig(
         solver=SolverConfig(method="spectral"),
-        sweep=SweepConfig(bregman_steps=steps, noise=NoiseModel(**noise)),
+        sweep=SweepConfig(bregman_steps=steps, metric=metric, noise=NoiseModel(**noise)),
     )
 
 
@@ -213,15 +213,55 @@ class TestWorstCaseNoise:
 
 
     def test_spectral_search_fft_budget(self, monkeypatch):
-        # one rfft per candidate g_obs and one irfft per spectral step: the
-        # search reads each step's data residual, taken from the misfit's
-        # half spectrum, and never the misfit samples, dual or pullback
+        # one batched rfft for the candidate block, and one irfft per step for
+        # the samples of the selected minimizer, which its l1 error reads: kl
+        # and the data residual come from half spectra by Parseval
         problem = quad_problem()
-        problem.penalty.prior.rfft
+        problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
         steps, k_max = 2, 8
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
+        assert sum(counts.values()) <= 1 + steps
+
+    def test_spectral_search_fft_budget_l1(self, monkeypatch):
+        # selecting by l1 reads the samples of every candidate's minimizers
+        problem = quad_problem()
+        problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
+        steps, k_max = 2, 8
+        counts = count_ffts(monkeypatch)
+        worst_case_search(search_config(steps=steps, k_max=k_max, metric="l1"), problem, 1e-2, 1e-2)
         assert sum(counts.values()) <= k_max * (steps + 1)
+
+
+class TestSearchMatchesPerCandidateLoop:
+    """worst_case_search against the per-candidate loop of conftest: the same
+    choice, chain, l1, residual and iterations per step; kl alike on entropy
+    and within round-off on the quadratic route, where it comes by Parseval."""
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("route", ["spectral_quadratic", "dr_entropy"])
+    @pytest.mark.parametrize("noise", [
+        {"k_max": 12}, {"kind": "fixed_sinusoid", "k_fixed": 5}, {"kind": "exact"},
+    ])
+    def test_choices_match(self, route, metric, noise):
+        if route == "spectral_quadratic":
+            problem, solver, kl_rtol = quad_problem(), SolverConfig(method="spectral"), 1e-14
+        else:
+            problem, solver, kl_rtol = build_problem(ProblemConfig(n=64)), SolverConfig(), 0.0
+        config = ExperimentConfig(
+            solver=solver, sweep=SweepConfig(bregman_steps=2, metric=metric, noise=NoiseModel(**noise)))
+        for delta in (1e-1, 1e-3):
+            alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
+            got = worst_case_search(config, problem, delta, alpha)
+            want = per_candidate_search(config, problem, delta, alpha)
+            assert len(got) == len(want) == 2
+            for g, w in zip(got, want):
+                assert g.k == w.k
+                assert np.array_equal(g.g_obs.values, w.g_obs.values)
+                assert g.metrics[1:] == w.metrics[1:]
+                assert abs(g.metrics[0] - w.metrics[0]) <= kl_rtol * w.metrics[0]
+                for a, b in zip(g.reports, w.reports):
+                    assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 class TestApproxErrorSweep:

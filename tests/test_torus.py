@@ -20,8 +20,9 @@ from torusreg import (
     norm_l2,
     to_spectrum,
 )
+from torusreg.torus import signal_rows
 
-from conftest import random_signal
+from conftest import count_ffts, random_signal
 
 
 def cox_de_boor(x, p, i, t):
@@ -136,6 +137,72 @@ class TestSignal:
         back = pickle.loads(pickle.dumps(f))
         assert np.array_equal(back.values, f.values) and np.array_equal(back.rfft, f.rfft)
         assert not back.values.flags.writeable and not back.rfft.flags.writeable
+
+    def test_from_rfft_samples_on_first_read(self, grid, rng, monkeypatch):
+        c = np.fft.rfft(rng.standard_normal(grid.n)) * 0.5
+        counts = count_ffts(monkeypatch)
+        f = Signal.from_rfft(grid, c)
+        assert sum(counts.values()) == 0  # building from the spectrum computes no samples
+        values = f.values
+        assert np.array_equal(values, np.fft.irfft(c, grid.n))
+        assert not values.flags.writeable
+        assert f.values is values and f.values is values
+        assert counts == {"irfft": 2}  # the read above and the oracle's, nothing since
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_from_rfft_pickles_before_and_after_the_first_read(self, grid, rng, read_first):
+        c = np.fft.rfft(rng.standard_normal(grid.n))
+        f = Signal.from_rfft(grid, c)
+        if read_first:
+            f.values
+        back = pickle.loads(pickle.dumps(f))
+        assert ("values" in back.__dict__) == read_first
+        assert np.array_equal(back.rfft, c) and not back.rfft.flags.writeable
+        assert np.array_equal(back.values, np.fft.irfft(c, grid.n))
+        assert not back.values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0)])
+    def test_from_rfft_rejects_non_finite_spectrum(self, grid, bad):
+        for mode in (1, grid.n // 4):
+            c = np.full(grid.n // 2 + 1, 1e200, dtype=complex)  # its sum of squares overflows
+            c[mode] = bad
+            with pytest.raises(ConfigError, match="half spectrum must be finite"):
+                Signal.from_rfft(grid, c)
+
+    def test_from_rfft_overflowing_samples_rejected_by_the_first_read(self, grid):
+        # a finite spectrum whose samples (sums over modes) overflow
+        c = np.full(grid.n // 2 + 1, 1.7e308, dtype=complex)
+        with pytest.raises(ConfigError, match="finite"):
+            Signal.from_rfft(grid, c).values
+
+
+class TestSignalRows:
+    def test_rows_match_one_signal_per_row(self, grid, rng):
+        block = rng.standard_normal((5, grid.n))
+        rows = signal_rows(grid, block)
+        assert len(rows) == 5
+        for v, f in zip(block, rows):
+            assert np.array_equal(f.values, v)
+            assert np.array_equal(f.rfft, np.fft.rfft(v))
+            assert not f.values.flags.writeable and not f.rfft.flags.writeable
+
+    def test_writeable_block_copied_read_only_block_shared(self, grid, rng):
+        block = rng.standard_normal((3, grid.n))
+        rows = signal_rows(grid, block)
+        block[0, 0] += 1.0  # the rows do not alias the caller's writeable array
+        assert rows[0].values[0] == block[0, 0] - 1.0
+        block.setflags(write=False)
+        assert np.shares_memory(signal_rows(grid, block)[2].values, block)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda n: np.ones((2, n + 2)), "shape"),
+        (lambda n: np.ones(n), "shape"),
+        (lambda n: np.ones((2, n), dtype=complex), "real"),
+        (lambda n: np.where(np.arange(2 * n).reshape(2, n) == n + 3, np.nan, 1.0), "finite"),
+    ])
+    def test_bad_block_rejected(self, grid, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            signal_rows(grid, bad(grid.n))
 
 
 class TestTransforms:

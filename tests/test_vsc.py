@@ -107,6 +107,11 @@ class TestFenchelPsi:
         with pytest.raises(DomainError):
             fenchel_psi(HoelderIndexFunction(1.0, 0.5), 0.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), None, float("inf"), -float("inf")])
+    def test_rejects_non_finite_or_missing_argument(self, s):
+        with pytest.raises(DomainError, match=r"\bs = "):
+            fenchel_psi(HoelderIndexFunction(1.0, 0.5), s)
+
     def test_theta_one_piecewise(self):
         phi = HoelderIndexFunction(2.0, 1.0)
         assert fenchel_psi(phi, -2.0) == 0.0
