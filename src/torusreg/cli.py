@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__
 from .bregman import bregman_iterate
 from .config import default_config, load_config
-from .errors import SourceDivisionError, TorusRegError
+from .errors import ConfigError, SourceDivisionError, TorusRegError
 from .functionals import QuadraticPenalty
 from .harness import (
     apriori_alpha,
@@ -39,8 +39,12 @@ from .vsc import (
 
 
 def _ensure_outdir(config, override):
+    """Make the output directory; every command does so before it computes."""
     directory = override or config.output.directory
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory!r}: {exc.strerror}") from exc
     return directory
 
 
@@ -50,12 +54,12 @@ def _load(args):
 
 def cmd_reconstruct(args) -> int:
     config = _load(args)
+    outdir = _ensure_outdir(config, args.out)
     problem = build_problem(config.problem)
     sweep = config.sweep
     delta = sweep.deltas[0]
     alpha = sweep.alphas[0] if sweep.alphas else apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
     k, g_obs, reports, _ = worst_case_search(config, problem, delta, alpha)[-1]
-    outdir = _ensure_outdir(config, args.out)
     path = os.path.join(outdir, "reconstruction.csv")
     columns = {"f_true": problem.f_true, "g_true": problem.g_true, "g_obs": g_obs}
     for n, r in enumerate(reports, 1):
@@ -106,28 +110,28 @@ def _emit_sweep_outputs(config, rows, outdir, x_field, xlabel):
 
 def cmd_approx_sweep(args) -> int:
     config = _load(args)
-    rows = approx_error_sweep(config)
     outdir = _ensure_outdir(config, args.out)
+    rows = approx_error_sweep(config)
     _emit_sweep_outputs(config, rows, outdir, "alpha", "alpha")
     return 0
 
 
 def cmd_rate_sweep(args) -> int:
     config = _load(args)
+    outdir = _ensure_outdir(config, args.out)
     if config.sweep.calibrate_cs:
         c = calibrate_c(config, threads=args.threads)
         print(f"calibrated c = {c:g}")
         config = replace(config, sweep=replace(config.sweep, alpha_c=c))
     rows = rate_sweep(config, threads=args.threads)
-    outdir = _ensure_outdir(config, args.out)
     _emit_sweep_outputs(config, rows, outdir, "delta", "delta")
     return 0
 
 
 def cmd_vsc_diagnose(args) -> int:
     config = _load(args)
-    problem = build_problem(config.problem)
     outdir = _ensure_outdir(config, args.out)
+    problem = build_problem(config.problem)
     path = os.path.join(outdir, "vsc_report.txt")
     lines = [f"torusreg {__version__} vsc diagnostics (n={problem.grid.n})"]
     for nu in (0.25, 0.5, 1.0):

@@ -262,16 +262,16 @@ def _fidelity_prox_constants(
 
 def fidelity_prox_map(
     op: FourierMultiplierOperator,
-    g_values: np.ndarray,
+    g_rfft: np.ndarray,
     gamma: float,
     alpha: float,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Array map of :func:`prox_fidelity` for fixed data, on the rfft half spectrum.
+    """Array map of :func:`prox_fidelity` for the data of rfft half spectrum ``g_rfft``.
 
     t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once; each call
-    then costs one rfft and one irfft.
+    then costs one rfft and one irfft of its argument.
     """
-    shift, scale = _fidelity_prox_constants(op, np.fft.rfft(g_values), gamma, alpha)
+    shift, scale = _fidelity_prox_constants(op, g_rfft, gamma, alpha)
     n = op.grid.n
     return lambda x: np.fft.irfft((np.fft.rfft(x) + shift) / scale, n)
 

@@ -182,8 +182,8 @@ class RateFit:
 
 def _sinusoids(grid: TorusGrid, delta: float, ks: Sequence[int]) -> np.ndarray:
     """delta * sin(2 pi k x), one row per k, as a new (K, n) array; each row's
-    L2 norm is delta/sqrt(2) <= delta. Computed in place, so that building it
-    holds one (K, n) array at a time."""
+    L2 norm is delta/sqrt(2) <= delta, and k = 0 gives a row of zeros.
+    Computed in place, so that building it holds one (K, n) array at a time."""
     out = np.multiply.outer(2.0 * np.pi * np.asarray(ks), grid.points)
     np.sin(out, out=out)
     out *= delta
@@ -239,28 +239,27 @@ def worst_case_search(
     ties); the first n steps of a chain are the n-step chain, so one chain
     per candidate covers every step.
 
-    The noisy candidates are the rows of one (K, n) sample block, whose half
-    spectra come from one batched rfft. Every candidate's steps are scored
-    in the selection metric only; the other error is computed for each
-    step's selected candidate.
+    Every candidate, the exact data included, is a row of one (K, n) sample
+    block; its half spectrum, from one batched rfft, is the rfft of its
+    samples. Every candidate's steps are scored in the selection metric
+    only; the other error is computed for each step's selected candidate.
     """
     sweep, noise, n = config.sweep, config.sweep.noise, problem.grid.n
     check_value("delta", delta, float, NON_NEGATIVE)
     # frequencies beyond 1..n/2 - 1 alias on n points (k = n/2 samples to 0)
     frequency = {f"lie in [1, n/2 - 1] = [1, {n // 2 - 1}]": lambda k: 1 <= k <= n // 2 - 1}
     if noise.kind == "exact":
-        ks, observations = [0], [problem.g_true]
+        ks = [0]
+    elif noise.kind == "fixed_sinusoid":
+        check_value("k_fixed", noise.k_fixed, int, frequency)
+        ks = [noise.k_fixed]
     else:
-        if noise.kind == "fixed_sinusoid":
-            check_value("k_fixed", noise.k_fixed, int, frequency)
-            ks = [noise.k_fixed]
-        else:
-            check_value("k_max", noise.k_max, int, frequency)
-            ks = range(1, noise.k_max + 1)
-        noisy = _sinusoids(problem.grid, delta, ks)
-        noisy += problem.g_true.values
-        noisy.setflags(write=False)  # so the candidates share it without a copy
-        observations = signal_rows(problem.grid, noisy)
+        check_value("k_max", noise.k_max, int, frequency)
+        ks = range(1, noise.k_max + 1)
+    block = _sinusoids(problem.grid, delta, ks)
+    block += problem.g_true.values
+    block.setflags(write=False)  # so the candidates share it without a copy
+    observations = signal_rows(problem.grid, block)
     # per step: (score, k, g_obs, reports) of the first candidate with the largest score
     best: list[tuple | None] = [None] * sweep.bregman_steps
     for k, g_obs in zip(ks, observations):

@@ -236,7 +236,7 @@ def _mode_inner_products(op, omega: Signal) -> tuple[np.ndarray, np.ndarray]:
     then cos/sin pairs for j = 1..n/2-1.
     """
     n = omega.grid.n
-    c = np.fft.rfft(omega.values)[: n // 2] / n
+    c = omega.rfft[: n // 2] / n
     mu = op.symbol_rfft[: n // 2]
     pairs = np.sqrt(2.0) * np.column_stack([c[1:].real, -c[1:].imag]).ravel()
     return np.append(c[0].real, pairs), np.append(mu[0], np.repeat(mu[1:], 2))

@@ -98,10 +98,8 @@ def per_candidate_search(config, problem, delta, alpha):
     col = 0 if sweep.metric == "kl" else 1
     best = [None] * sweep.bregman_steps
     for k in ks:
-        g_obs = problem.g_true
-        if k:
-            noise_k = delta * np.sin(2.0 * np.pi * k * problem.grid.points)
-            g_obs = Signal(problem.grid, g_obs.values + noise_k)
+        noise_k = delta * np.sin(2.0 * np.pi * k * problem.grid.points)
+        g_obs = Signal(problem.grid, problem.g_true.values + noise_k)
         reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, sweep.bregman_steps,
                                   config.solver)
         for i, r in enumerate(reports):

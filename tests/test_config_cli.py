@@ -523,6 +523,32 @@ class TestCli:
         assert main(["approx-sweep", "--config", cfg, "--out", str(override)]) == 0
         assert (override / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command, computes", [
+        ("reconstruct", ["build_problem", "worst_case_search"]),
+        ("approx-sweep", ["approx_error_sweep"]),
+        ("rate-sweep", ["calibrate_c", "rate_sweep"]),
+        ("vsc-diagnose", ["build_problem", "vsc_violation_search"]),
+    ])
+    def test_unusable_out_exits_2_before_computing(
+        self, tmp_path, capsys, monkeypatch, command, computes
+    ):
+        def computed(*args, **kwargs):
+            raise AssertionError(f"{command} computed before making its output directory")
+
+        for name in computes:
+            monkeypatch.setattr(torusreg.cli, name, computed)
+        cfg = small_cli_config(tmp_path)
+        with open(cfg) as handle:  # so that rate-sweep calibrates first
+            text = handle.read().replace("alpha_c = 0.005", "predicted_rate = 1.0\ncalibrate_cs = 0.1, 1.0")
+        with open(cfg, "w") as handle:
+            handle.write(text)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, "--config", cfg, "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ") and str(blocker / "x") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, text, key", [
         ("approx-sweep", "[problem]\nn = 96\n", "alphas"),
         ("rate-sweep", "[problem]\nbspline_degree = 3\n", "bspline_degree"),

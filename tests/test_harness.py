@@ -171,6 +171,16 @@ class TestWorstCaseNoise:
             assert choice.k == 1
             assert np.array_equal(choice.g_obs.values, problem.g_true.values)
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_exact_data_are_a_row_of_samples(self, delta):
+        # like every candidate, the exact data carry the rfft of their
+        # samples, not the mu f^ that g_true keeps
+        problem = quad_problem()
+        for choice in worst_case_search(search_config(steps=2, kind="exact"), problem, delta, 0.1):
+            assert choice.k == 0
+            assert np.array_equal(choice.g_obs.values, problem.g_true.values)
+            assert np.array_equal(choice.g_obs.rfft, np.fft.rfft(problem.g_true.values))
+
     def test_matches_brute_force_oracle(self):
         problem = quad_problem()
         alpha, delta, k_max = 1e-3, 1e-2, 16
