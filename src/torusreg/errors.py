@@ -91,6 +91,8 @@ def one_of(*choices) -> dict:
 
 
 def _fits(value, hint) -> bool:
+    if type(value) is hint:  # the common case, a value of exactly the hinted type
+        return True
     if get_origin(hint) is tuple:  # tuple[X, ...]
         return isinstance(value, tuple) and all(_fits(v, get_args(hint)[0]) for v in value)
     if get_args(hint):  # X | None

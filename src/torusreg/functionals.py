@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import POSITIVE, ConfigError, SubgradientUndefined, check_fields, check_value
 from .operators import FourierMultiplierOperator
-from .torus import Signal, check_same_grid, norm_l2_array, norm_l2_rfft
+from .torus import (
+    Signal, _built, _check_finite_rfft, _freeze, check_same_grid, norm_l2_array, norm_l2_rfft,
+)
 
 __all__ = [
     "QuadraticPenalty",
@@ -250,14 +252,24 @@ def _fidelity_prox_constants(
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(t mu g^, 1 + t mu^2) with t = gamma/alpha: the fidelity prox maps the
-    half spectrum c of its argument to (c + t mu g^) / (1 + t mu^2)."""
+    half spectrum c of its argument to (c + t mu g^) / (1 + t mu^2).
+
+    t mu and 1 + t mu^2 depend on the operator and t only. The last t's pair
+    is kept in the operator's instance dict, read-only, as ``symbol_rfft``
+    is, so a run of solves at one alpha (a worst-case search) forms only
+    (t mu) g^ per call.
+    """
     if not 0 < gamma < np.inf:
         raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
     if not 0 < alpha < np.inf:
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     t = gamma / alpha
-    mu = op.symbol_rfft
-    return t * mu * g_rfft, 1.0 + t * mu**2
+    kept = op.__dict__.get("_fidelity_constants")
+    if kept is None or kept[0] != t:
+        mu = op.symbol_rfft
+        kept = (t, _freeze(t * mu), _freeze(1.0 + t * mu**2))
+        op.__dict__["_fidelity_constants"] = kept
+    return kept[1] * g_rfft, kept[2]
 
 
 def fidelity_prox_map(
@@ -268,7 +280,8 @@ def fidelity_prox_map(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Array map of :func:`prox_fidelity` for the data of rfft half spectrum ``g_rfft``.
 
-    t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once; each call
+    t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once, the latter
+    kept on the operator per t (:func:`_fidelity_prox_constants`); each call
     then costs one rfft and one irfft of its argument.
     """
     shift, scale = _fidelity_prox_constants(op, g_rfft, gamma, alpha)
@@ -286,7 +299,11 @@ def prox_fidelity(
     """Exact prox of f -> (gamma/alpha) * 1/2 ||Tf - g||^2 at x, mode-wise.
 
     Per mode: v_j = (x_j + (gamma/alpha) mu_j g_j) / (1 + (gamma/alpha) mu_j^2).
+    The result is built from its fresh half spectrum, which is only tested
+    for finiteness: its modes 0 and n/2 are real, as those of x and g are.
     """
     check_same_grid(op, g, x)
     shift, scale = _fidelity_prox_constants(op, g.rfft, gamma, alpha)
-    return Signal.from_rfft(x.grid, (x.rfft + shift) / scale)
+    c = (x.rfft + shift) / scale
+    _check_finite_rfft(c)
+    return _built(x.grid, rfft=_freeze(c))

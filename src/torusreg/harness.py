@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
-from .torus import Signal, TorusGrid, bspline_truth, norm_l1_array, signal_rows
+from .torus import Signal, TorusGrid, _freeze, bspline_truth, norm_l1_array, signal_rows
 
 __all__ = [
     "ProblemConfig",
@@ -180,14 +180,21 @@ class RateFit:
     n_points: int
 
 
-def _sinusoids(grid: TorusGrid, delta: float, ks: Sequence[int]) -> np.ndarray:
-    """delta * sin(2 pi k x), one row per k, as a new (K, n) array; each row's
-    L2 norm is delta/sqrt(2) <= delta, and k = 0 gives a row of zeros.
-    Computed in place, so that building it holds one (K, n) array at a time."""
+@lru_cache(maxsize=4)
+def _unit_sinusoids(grid: TorusGrid, ks: tuple[int, ...]) -> np.ndarray:
+    """sin(2 pi k x), one row per k, read-only; kept per (grid, ks), as a
+    search runs once per (delta, alpha) on the same grid and frequencies."""
     out = np.multiply.outer(2.0 * np.pi * np.asarray(ks), grid.points)
     np.sin(out, out=out)
-    out *= delta
-    return out
+    return _freeze(out)
+
+
+def _sinusoids(grid: TorusGrid, delta: float, ks: Sequence[int]) -> np.ndarray:
+    """delta * sin(2 pi k x), one row per k, as a new writeable (K, n) array;
+    each row's L2 norm is delta/sqrt(2) <= delta, and k = 0 gives a row of
+    zeros. The unit table is kept (:func:`_unit_sinusoids`), so a call
+    costs one (K, n) product."""
+    return _unit_sinusoids(grid, tuple(ks)) * delta
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:

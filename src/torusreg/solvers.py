@@ -47,10 +47,11 @@ class SolveReport:
     ``alpha`` and ``penalty`` are the problem solved. ``misfit_rfft`` is
     the rfft half spectrum mu f^ - g^ of the misfit Tf - g at the minimizer
     f (read-only), formed from the two signals' half spectra on both
-    routes; ``data_residual``, the misfit's L2 norm, comes from it by
-    Parseval. ``misfit`` (the misfit's samples, irfft(misfit_rfft)),
+    routes. ``data_residual`` (the misfit's L2 norm, from ``misfit_rfft``
+    by Parseval), ``misfit`` (the misfit's samples, irfft(misfit_rfft)),
     ``objective`` and ``dual`` (the Bregman step dual (g - Tf) / alpha) are
-    computed on first read and kept.
+    computed on first read and kept; a worst-case search reads them for
+    its selected candidates only.
     ``boundary_touch`` is the penalty's: a sample within
     ``functionals.TOUCH_TOL`` of a box bound (the test problems never
     activate the constraints; this makes that visible).
@@ -58,7 +59,6 @@ class SolveReport:
 
     minimizer: Signal = field(repr=False)
     misfit_rfft: np.ndarray = field(repr=False)
-    data_residual: float
     iterations: int
     final_residual: float
     alpha: float
@@ -66,6 +66,11 @@ class SolveReport:
     boundary_touch: bool = False
 
     __setstate__ = Signal.__setstate__  # unpickled arrays are frozen again
+
+    @cached_property
+    def data_residual(self) -> float:
+        """||Tf - g|| at the minimizer."""
+        return norm_l2_rfft(self.misfit_rfft, self.minimizer.grid.n)
 
     @cached_property
     def misfit(self) -> Signal:
@@ -104,7 +109,6 @@ def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) 
     return SolveReport(
         minimizer=f,
         misfit_rfft=misfit_rfft,
-        data_residual=norm_l2_rfft(misfit_rfft, f.grid.n),
         iterations=iterations,
         final_residual=residual,
         alpha=alpha,

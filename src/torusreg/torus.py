@@ -97,17 +97,16 @@ class Signal:
         """The signal irfft(c, n) with half spectrum c, which it keeps as :attr:`rfft`.
 
         c must be finite, and c[0] and c[n/2] real, as they are for every
-        real signal. The samples are computed on the first read of
+        real signal; finiteness is tested first, so a NaN or inf mode is
+        reported as such. The samples are computed on the first read of
         :attr:`values`, which raises :class:`ConfigError` if they overflow.
         """
         c = np.asarray(c, dtype=complex)
         if c.shape != (grid.n // 2 + 1,):
             raise ConfigError(f"half spectrum length {c.shape} does not match grid size {grid.n}")
+        _check_finite_rfft(c)
         if c[0].imag or c[-1].imag:
             raise ConfigError("half spectrum needs real modes 0 and n/2")
-        # a finite sum of squares proves every mode finite, as for the samples
-        if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(c).all():
-            raise ConfigError("half spectrum must be finite")
         return _built(grid, rfft=_read_only(c))
 
     @cached_property
@@ -186,6 +185,13 @@ def signal_rows(grid: TorusGrid, block: np.ndarray) -> list[Signal]:
         raise ConfigError("signal values must be finite")
     spectra = _freeze(np.fft.rfft(block))
     return [_built(grid, values=v, rfft=c) for v, c in zip(block, spectra)]
+
+
+def _check_finite_rfft(c: np.ndarray) -> None:
+    """Raise :class:`ConfigError` unless every mode of the half spectrum c is
+    finite. A finite sum of squares proves it, as for the samples."""
+    if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(c).all():
+        raise ConfigError("half spectrum must be finite")
 
 
 def _finite_samples(values: np.ndarray, grid: TorusGrid) -> bool:

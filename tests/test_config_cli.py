@@ -33,6 +33,7 @@ from torusreg import (
     vsc_violation_search,
 )
 from torusreg.cli import main
+from torusreg.errors import AT_LEAST_ONE, POSITIVE, check_value
 from torusreg.reportio import SWEEP_HEADER, write_sweep_csv
 from torusreg.harness import SweepRow
 
@@ -322,6 +323,36 @@ class TestArgumentChecks:
     def test_bad_argument_names_it(self, call, name, bad):
         with pytest.raises(ConfigError, match=rf"^{name} must "):
             call(**{name: bad})
+
+
+class TestCheckValue:
+    """check_value's type rule, whose common case (a value of exactly the
+    hinted type) takes a shortcut."""
+
+    @pytest.mark.parametrize("hint", [int, float])
+    def test_bool_is_neither_int_nor_float(self, hint):
+        for flag in (True, False):
+            with pytest.raises(ConfigError, match=rf"^x must be {hint.__name__}, got {flag}$"):
+                check_value("x", flag, hint, {})
+
+    def test_numpy_scalars_and_int_for_float_pass(self):
+        check_value("x", np.int64(3), int, AT_LEAST_ONE)
+        check_value("x", np.float64(0.5), float, POSITIVE)
+        check_value("x", 2, float, POSITIVE)
+        check_value("x", np.int64(2), float, POSITIVE)
+
+    @pytest.mark.parametrize("value, hint, rules, message", [
+        (2.5, int, AT_LEAST_ONE, "n_steps must be int, got 2.5"),
+        (0, int, AT_LEAST_ONE, "n_steps must be >= 1, got 0"),
+        (np.int64(0), int, AT_LEAST_ONE, f"n_steps must be >= 1, got {np.int64(0)!r}"),
+        ("1", float, POSITIVE, "n_steps must be float, got '1'"),
+        (float("nan"), float, POSITIVE, "n_steps must be finite and positive, got nan"),
+        (-1, float, POSITIVE, "n_steps must be finite and positive, got -1"),
+    ])
+    def test_message_text(self, value, hint, rules, message):
+        with pytest.raises(ConfigError) as info:
+            check_value("n_steps", value, hint, rules)
+        assert str(info.value) == message
 
 
 class TestSweepCsv:

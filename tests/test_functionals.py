@@ -12,6 +12,7 @@ from torusreg import (
     EntropyPenalty,
     GridMismatch,
     QuadraticPenalty,
+    FourierMultiplierOperator,
     Signal,
     SubgradientUndefined,
     TorusGrid,
@@ -22,7 +23,7 @@ from torusreg import (
     prox_fidelity,
     to_spectrum,
 )
-from torusreg.functionals import PROX_FLOOR
+from torusreg.functionals import PROX_FLOOR, fidelity_prox_map
 
 from conftest import make_identity, prox_signal, random_signal
 
@@ -317,6 +318,42 @@ class TestProxFidelity:
             mu = op.symbol
             residual = gamma / alpha * mu * (mu * vc - gc) + (vc - xc)
             assert np.max(np.abs(residual)) <= 1e-10
+
+
+    @staticmethod
+    def fresh_formula(op, g, x, gamma, alpha):
+        t, mu = gamma / alpha, op.symbol_rfft
+        return (x.rfft + t * mu * g.rfft) / (1.0 + t * mu**2)
+
+    def test_kept_constants_match_a_fresh_operator(self, grid, rng):
+        # alpha1, alpha2, alpha1 on one operator: its kept constants are
+        # replaced each time, and every result is that of a fresh operator
+        op = make_inverse_helmholtz(grid)
+        g, x = random_signal(grid, rng), random_signal(grid, rng)
+        for alpha in (1e-2, 3e-5, 1e-2):
+            fresh = make_inverse_helmholtz(grid)
+            out = prox_fidelity(op, g, x, 1.0, alpha)
+            assert np.array_equal(out.rfft, prox_fidelity(fresh, g, x, 1.0, alpha).rfft)
+            assert np.array_equal(out.rfft, self.fresh_formula(fresh, g, x, 1.0, alpha))
+            kept = fidelity_prox_map(op, g.rfft, 1.0, alpha)(x.values)
+            assert np.array_equal(kept, fidelity_prox_map(fresh, g.rfft, 1.0, alpha)(x.values))
+            assert np.array_equal(kept, np.fft.irfft(out.rfft, grid.n))
+
+    def test_operators_on_equal_grids_keep_their_own_constants(self, rng):
+        grid = TorusGrid(64)
+        j = grid.modes.astype(float)
+        other = FourierMultiplierOperator(TorusGrid(64), (1.0 + j**2) ** -0.5, smoothing_order=1.0)
+        g, x = random_signal(grid, rng), random_signal(grid, rng)
+        for op in (make_inverse_helmholtz(grid), other) * 2:  # alternating, at one alpha
+            out = prox_fidelity(op, g, x, 1.0, 1e-3)
+            assert np.array_equal(out.rfft, self.fresh_formula(op, g, x, 1.0, 1e-3))
+
+    def test_result_is_a_read_only_signal_with_real_edge_modes(self, grid, rng):
+        op = make_inverse_helmholtz(grid)
+        out = prox_fidelity(op, random_signal(grid, rng), random_signal(grid, rng), 1.0, 1e-2)
+        assert out.rfft[0].imag == 0.0 and out.rfft[-1].imag == 0.0
+        assert not out.rfft.flags.writeable and not out.values.flags.writeable
+        assert np.array_equal(out.values, np.fft.irfft(out.rfft, grid.n))
 
 
 class TestKLStability:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,8 @@ from torusreg import (
     to_spectrum,
     worst_case_search,
 )
+
+from torusreg.harness import _sinusoids, _unit_sinusoids
 
 from conftest import band_limited_signal, count_ffts, per_candidate_search, sinusoid_noise
 
@@ -203,6 +207,17 @@ class TestWorstCaseNoise:
             err = problem.penalty.bregman(evaluator(candidate), problem.f_true)
             assert err <= best + 1e-15
 
+    def test_sinusoids_are_the_formula_in_a_block_of_their_own(self):
+        grid = TorusGrid(64)
+        for delta in (1e-2, 3e-5, 1e-2):
+            for ks in ([0], [5], range(1, 32)):
+                block = _sinusoids(grid, delta, ks)
+                fresh = np.multiply.outer(2.0 * np.pi * np.asarray(ks), grid.points)
+                assert np.array_equal(block, np.sin(fresh) * delta)
+                table = _unit_sinusoids(grid, tuple(ks))
+                assert not table.flags.writeable
+                assert block.flags.writeable and not np.shares_memory(block, table)
+
     def test_noise_within_ball(self):
         grid = TorusGrid(64)
         noise = sinusoid_noise(grid, 0.3, 5)
@@ -342,6 +357,22 @@ class TestRateSweep:
             assert got.kl_error == pytest.approx(ref.kl_error, rel=1e-12)
             assert got.alpha == pytest.approx(ref.alpha, rel=1e-15)
 
+    def test_repeat_in_one_process_gives_identical_rows(self):
+        # later runs start with the kept sinusoid table, and on one problem
+        # at one alpha with the operator's kept fidelity constants
+        cfg = ExperimentConfig(
+            problem=ProblemConfig(n=64, penalty="quadratic"),
+            solver=SolverConfig(method="spectral"),
+            sweep=SweepConfig(deltas=geometric_grid(1e-1, 1e-3, 3), bregman_steps=2,
+                              noise=NoiseModel(k_max=8)),
+        )
+        first = rate_sweep(cfg)
+        assert rate_sweep(cfg) == first
+        last = replace(cfg, sweep=replace(cfg.sweep, deltas=cfg.sweep.deltas[-1:]))
+        problem = build_problem(cfg.problem)
+        for _ in range(2):
+            assert rate_sweep(last, problem=problem) == first[-2:]
+
     def test_single_step_matches_closed_form_oracle(self):
         problem = quad_problem()
         cfg = ExperimentConfig(
@@ -380,8 +411,6 @@ class TestRateSweep:
         cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=base)
         worst_rows = rate_sweep(cfg, problem=problem)
         for k in (1, 4, 9):
-            from dataclasses import replace
-
             fixed = replace(base, noise=NoiseModel(kind="fixed_sinusoid", k_fixed=k))
             rows_k = rate_sweep(
                 ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=fixed),

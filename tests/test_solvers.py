@@ -410,6 +410,7 @@ class TestArrayCoreMatchesSignalLoop:
 
 class TestReportFields:
     LAZY = {
+        "data_residual": lambda r: r.data_residual,
         "misfit": lambda r: r.misfit.values,
         "objective": lambda r: r.objective,
         "dual": lambda r: r.dual.values,
@@ -455,6 +456,7 @@ class TestReportFields:
         reference = [{name: get(r) for name, get in self.LAZY.items()} for r in chain()]
         for order in itertools.permutations(self.LAZY):
             reports = chain()
+            assert not any(name in r.__dict__ for r in reports for name in self.LAZY)
             for name in order:
                 for r, ref in zip(reports, reference, strict=True):
                     assert np.array_equal(self.LAZY[name](r), ref[name])
@@ -481,6 +483,16 @@ class TestInputChecks:
         for call in calls:
             with pytest.raises(ConfigError, match="alpha"):
                 call()
+
+    @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
+    def test_non_finite_spectral_solve_is_reported_as_not_finite(self, grid, data, alpha):
+        # (gamma/alpha) mu g^ overflows, or gamma/alpha itself is inf
+        op = make_inverse_helmholtz(grid)
+        g_obs = Signal(grid, np.full(grid.n, data))
+        penalty = QuadraticPenalty(Signal(grid, np.zeros(grid.n)))
+        with pytest.raises(ConfigError, match="half spectrum must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            solve_generalized_dr(op, g_obs, alpha, penalty, SolverConfig(method="spectral"))
 
     def test_overflowing_step_ratio_stops_at_once(self, grid):
         # gamma / alpha overflows to inf, so the first step is non-finite

@@ -161,13 +161,17 @@ class TestSignal:
         assert np.array_equal(back.values, np.fft.irfft(c, grid.n))
         assert not back.values.flags.writeable
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0),
+                                     complex(np.nan, np.nan)])
     def test_from_rfft_rejects_non_finite_spectrum(self, grid, bad):
-        for mode in (1, grid.n // 4):
-            c = np.full(grid.n // 2 + 1, 1e200, dtype=complex)  # its sum of squares overflows
-            c[mode] = bad
-            with pytest.raises(ConfigError, match="half spectrum must be finite"):
-                Signal.from_rfft(grid, c)
+        # finiteness is tested before the realness of modes 0 and n/2
+        for mode in (0, 1, grid.n // 4, grid.n // 2):
+            for fill in (0.0, 1e200):  # 1e200: the sum of squares overflows
+                c = np.full(grid.n // 2 + 1, fill, dtype=complex)
+                c[mode] = bad
+                with pytest.raises(ConfigError, match="half spectrum must be finite"), \
+                        np.errstate(invalid="ignore"):
+                    Signal.from_rfft(grid, c)
 
     def test_from_rfft_overflowing_samples_rejected_by_the_first_read(self, grid):
         # a finite spectrum whose samples (sums over modes) overflow
