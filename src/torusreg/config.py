@@ -116,8 +116,15 @@ def load_config(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-    return ExperimentConfig(**{
+    config = ExperimentConfig(**{
         name: _build_sweep(parser) if cls is SweepConfig
         else cls(**_section_values(parser, name, _keys(cls)))
         for name, cls in sections.items()
     })
+    # a file names its problem's penalty; a library caller may pair a spectral
+    # solver with a quadratic Problem of its own, so ExperimentConfig cannot check this
+    penalty = config.problem.penalty
+    if config.solver.method == "spectral" and penalty != "quadratic":
+        raise ConfigError(
+            f"[solver] method = spectral needs [problem] penalty = quadratic, got penalty = {penalty!r}")
+    return config

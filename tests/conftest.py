@@ -44,16 +44,22 @@ def single_mode_signal(grid, j, kind="cos"):
     return Signal(grid, np.sqrt(2.0) * np.sin(2 * np.pi * j * x))
 
 
-def count_ffts(monkeypatch) -> Counter:
-    """Count every numpy FFT call from here on."""
+def count_calls(monkeypatch, owner, *names) -> Counter:
+    """Count the calls of each named function of ``owner`` from here on,
+    patched on ``owner`` as the tracer of ``perfbench/spans.py`` patches it."""
     counts = Counter()
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def count_ffts(monkeypatch) -> Counter:
+    """Count every numpy FFT call from here on."""
+    return count_calls(monkeypatch, np.fft, "fft", "ifft", "rfft", "irfft")
 
 
 def make_identity(grid):

@@ -591,6 +591,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "reconstruct"])
+    def test_spectral_method_needs_quadratic_penalty_at_load(self, tmp_path, capsys, command):
+        # rejected by load_config, before any output directory is made or
+        # problem built; the default penalty is entropy
+        path = tmp_path / "spectral.cfg"
+        path.write_text("[problem]\nn = 64\n\n[solver]\nmethod = spectral\n")
+        message = ("[solver] method = spectral needs [problem] penalty = quadratic, "
+                   "got penalty = 'entropy'")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(path))
+        assert str(caught.value) == message
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[problem]\nn = 96\nbogus = 1\n")

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import torusreg.bregman
 import torusreg.harness
+import torusreg.solvers
 
 from torusreg import (
     ConfigError,
@@ -19,9 +21,11 @@ from torusreg import (
     SweepConfig,
     SweepRow,
     TorusGrid,
+    Unsupported,
     apply,
     apriori_alpha,
     approx_error_sweep,
+    bregman_iterate,
     build_problem,
     bspline_truth,
     calibrate_c,
@@ -38,7 +42,9 @@ from torusreg import (
 
 from torusreg.harness import _sinusoids, _unit_sinusoids
 
-from conftest import band_limited_signal, count_ffts, per_candidate_search, sinusoid_noise
+from conftest import (
+    band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
+)
 
 
 def quad_problem(n=128, seed=5, band=10):
@@ -287,6 +293,75 @@ class TestSearchMatchesPerCandidateLoop:
                 assert abs(g.metrics[0] - w.metrics[0]) <= kl_rtol * w.metrics[0]
                 for a, b in zip(g.reports, w.reports):
                     assert np.array_equal(a.minimizer.values, b.minimizer.values)
+
+
+NOISE_KINDS = [
+    ({"k_max": 6}, 6), ({"kind": "fixed_sinusoid", "k_fixed": 5}, 1), ({"kind": "exact"}, 1),
+]
+
+
+class TestSolveCount:
+    """A worst-case search makes exactly one solve per (candidate, Bregman
+    step), each a call of a name the benchmark's tracer counts: the spectral
+    solve and its fidelity prox, looked up on ``torusreg.solvers``, or the
+    DR solve, looked up on ``torusreg.bregman``."""
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("noise, K", NOISE_KINDS)
+    def test_spectral_route(self, monkeypatch, metric, noise, K):
+        steps = 3
+        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "prox_fidelity")
+        dr = count_calls(monkeypatch, torusreg.bregman, "solve_generalized_dr")
+        worst_case_search(search_config(steps=steps, metric=metric, **noise), quad_problem(), 1e-2, 1e-2)
+        assert solves == {"solve_quadratic_spectral": K * steps, "prox_fidelity": K * steps}
+        assert not dr
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("noise, K", NOISE_KINDS)
+    def test_dr_route(self, monkeypatch, metric, noise, K):
+        steps = 2
+        config = ExperimentConfig(
+            sweep=SweepConfig(bregman_steps=steps, metric=metric, noise=NoiseModel(**noise)))
+        dr = count_calls(monkeypatch, torusreg.bregman, "solve_generalized_dr")
+        spectral = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
+        worst_case_search(config, build_problem(ProblemConfig(n=64)), 1e-2, 1e-2)
+        assert dr == {"solve_generalized_dr": K * steps}
+        assert not spectral
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_reports_are_bregman_iterate_on_the_chosen_data(self, metric, delta):
+        problem, steps, alpha = quad_problem(), 3, 1e-2
+        config = search_config(steps=steps, metric=metric, k_max=8)
+        choices = worst_case_search(config, problem, delta, alpha)
+        for choice in choices:
+            want = bregman_iterate(problem.op, choice.g_obs, alpha, problem.penalty, steps,
+                                   SolverConfig(method="spectral"))
+            assert len(choice.reports) == steps
+            for got, ref in zip(choice.reports, want):
+                assert np.array_equal(got.minimizer.values, ref.minimizer.values)
+                assert np.array_equal(got.misfit_rfft, ref.misfit_rfft)
+                assert np.array_equal(got.penalty.prior.values, ref.penalty.prior.values)
+                assert type(got.penalty) is type(ref.penalty)
+                assert got.iterations == ref.iterations == 0
+                assert got.final_residual == ref.final_residual == 0.0
+                assert got.alpha == ref.alpha == alpha
+                assert got.boundary_touch is ref.boundary_touch is False
+                assert got.data_residual == ref.data_residual
+        # a chain selected at several steps is one report list
+        for a, b in zip(choices, choices[1:]):
+            assert (a.reports is b.reports) == (a.k == b.k)
+        if delta == 0.0:  # every candidate ties: the first is selected at every step
+            assert all(c.k == 1 and c.reports is choices[0].reports for c in choices)
+
+    def test_entropy_penalty_is_unsupported_before_any_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "prox_fidelity")
+        with pytest.raises(Unsupported, match="spectral solve requires a quadratic penalty"):
+            worst_case_search(search_config(steps=2, k_max=4), build_problem(ProblemConfig(n=64)),
+                              1e-2, 1e-2)
+        assert not solves
 
 
 class TestApproxErrorSweep:
