@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import warnings
 
-from .errors import AT_LEAST_ONE, InteriorityWarning, check_value
-from .functionals import TOUCH_TOL, Penalty
+from . import solvers
+from .errors import AT_LEAST_ONE, InteriorityWarning, Unsupported, check_value
+from .functionals import TOUCH_TOL, Penalty, QuadraticPenalty
 # apply stays importable here: perfbench/spans.py patches torusreg.bregman.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
 from .torus import Signal
 
-__all__ = ["accumulated_subgradient", "bregman_iterate", "step_penalty"]
+__all__ = ["accumulated_subgradient", "bregman_iterate", "spectral_chain", "spectral_reports",
+           "step_penalty"]
 
 
 def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
@@ -46,6 +48,34 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
     return current
 
 
+def spectral_chain(
+    op: FourierMultiplierOperator, g_obs: Signal, alpha: float, penalty: Penalty, n_steps: int
+) -> list[Signal]:
+    """The minimizers of the quadratic chain (iterated Tikhonov) on g_obs; step n
+    is one ``solvers.solve_quadratic_spectral`` call with prior f_{n-1}, looked up
+    on the module so that a name patched there sees each solve. A non-quadratic
+    penalty raises :class:`Unsupported` before any solve."""
+    if not isinstance(penalty, QuadraticPenalty):
+        raise Unsupported("spectral solve requires a quadratic penalty")
+    chain, previous = [], penalty.prior
+    for _ in range(n_steps):
+        previous = solvers.solve_quadratic_spectral(op, g_obs, alpha, previous)
+        chain.append(previous)
+    return chain
+
+
+def spectral_reports(
+    op: FourierMultiplierOperator, g_obs: Signal, alpha: float, penalty: Penalty, chain: list[Signal]
+) -> list[SolveReport]:
+    """The solve reports of a :func:`spectral_chain` on g_obs: 0 iterations, residual 0."""
+    reports, previous = [], None
+    for f in chain:
+        step = step_penalty(penalty, previous)
+        reports.append(solvers._report(op, g_obs, alpha, step, f, 0, 0.0))
+        previous = f
+    return reports
+
+
 def bregman_iterate(
     op: FourierMultiplierOperator,
     g_obs: Signal,
@@ -54,8 +84,12 @@ def bregman_iterate(
     n_steps: int,
     cfg: SolverConfig = SolverConfig(),
 ) -> list[SolveReport]:
-    """Run n_steps of the Bregman iteration, returning one solve report per step."""
+    """Run n_steps of the Bregman iteration, returning one solve report per step;
+    ``cfg.method == "spectral"`` runs the closed-form :func:`spectral_chain`."""
     check_value("n_steps", n_steps, int, AT_LEAST_ONE)
+    if cfg.method == "spectral":
+        chain = spectral_chain(op, g_obs, alpha, penalty, n_steps)
+        return spectral_reports(op, g_obs, alpha, penalty, chain)
     reports: list[SolveReport] = []
     previous: Signal | None = None
     for _ in range(n_steps):

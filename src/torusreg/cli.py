@@ -21,12 +21,13 @@ from .harness import (
     build_problem,
     calibrate_c,
     fit_rate,
+    noise_frequencies,
     rate_sweep,
     worst_case_search,
 )
 # apply is unused here but stays importable: perfbench/spans.py patches cli.apply
 from .operators import apply, kernel_signal, make_inverse_helmholtz  # noqa: F401
-from .solvers import SolverConfig, solve_quadratic_spectral
+from .solvers import SolverConfig, solve_generalized_dr, solve_quadratic_spectral
 from .svgplot import Line, Series, svg_loglog
 from .reportio import write_signals_csv, write_sweep_csv
 from .torus import Signal, TorusGrid, norm_l2, to_spectrum
@@ -54,6 +55,7 @@ def _load(args):
 
 def cmd_reconstruct(args) -> int:
     config = _load(args)
+    noise_frequencies(config.sweep.noise, config.problem.n)  # the search's rule, before any output
     outdir = _ensure_outdir(config, args.out)
     problem = build_problem(config.problem)
     sweep = config.sweep
@@ -118,6 +120,7 @@ def cmd_approx_sweep(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     config = _load(args)
+    noise_frequencies(config.sweep.noise, config.problem.n)  # the search's rule, before any output
     outdir = _ensure_outdir(config, args.out)
     if config.sweep.calibrate_cs:
         c = calibrate_c(config, threads=args.threads)
@@ -182,8 +185,6 @@ def cmd_selftest(args) -> int:
     prior = Signal(grid, rng.standard_normal(grid.n))
     g_obs = Signal(grid, rng.standard_normal(grid.n))
     exact = solve_quadratic_spectral(op, g_obs, 0.1, prior)
-    from .solvers import solve_generalized_dr
-
     report = solve_generalized_dr(op, g_obs, 0.1, QuadraticPenalty(prior), SolverConfig())
     rel = norm_l2(report.minimizer - exact) / max(norm_l2(exact), 1e-30)
     checks.append(("douglas-rachford vs spectral", rel < 1e-6))

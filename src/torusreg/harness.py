@@ -13,15 +13,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import solvers
-from .bregman import bregman_iterate, step_penalty
+from .bregman import bregman_iterate, spectral_chain, spectral_reports
 from .errors import (
     AT_LEAST_ONE, FINITE, NON_NEGATIVE, POSITIVE, ConfigError, InsufficientData, NonPositiveError,
-    Unsupported, check_fields, check_value, one_of,
+    check_fields, check_value, one_of,
 )
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
@@ -39,6 +38,7 @@ __all__ = [
     "RateFit",
     "build_problem",
     "Choice",
+    "noise_frequencies",
     "worst_case_search",
     "apriori_alpha",
     "calibrate_c",
@@ -209,8 +209,8 @@ class Choice(NamedTuple):
     """The candidate a worst-case search selected for one Bregman step.
 
     ``reports`` is the whole chain run on ``g_obs``, one report per step,
-    as :func:`~torusreg.bregman.bregman_iterate` returns it; a chain
-    selected at several steps is one list, shared by their choices.
+    as :func:`~torusreg.bregman.bregman_iterate` returns it on ``config.solver``;
+    a chain selected at several steps is one list, shared by their choices.
     """
 
     k: int  # noise frequency; 0 for exact data
@@ -227,34 +227,6 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
-def _spectral_chain(problem: Problem, g_obs: Signal, alpha: float, n_steps: int) -> list[Signal]:
-    """The minimizers of the iterated-Tikhonov chain on g_obs: f_1 = solve(g, prior),
-    then f_{n+1} = solve(g, f_n), each step one spectral solve.
-
-    The solve is looked up on the ``solvers`` module at every step, as
-    ``bregman_iterate``'s route does, so a name patched there sees each one.
-    """
-    chain, previous = [], problem.penalty.prior
-    for _ in range(n_steps):
-        previous = solvers.solve_quadratic_spectral(problem.op, g_obs, alpha, previous)
-        chain.append(previous)
-    return chain
-
-
-def _spectral_reports(
-    problem: Problem, g_obs: Signal, alpha: float, chain: list[Signal]
-) -> list[SolveReport]:
-    """The reports ``bregman_iterate`` returns on the spectral route for the
-    chain of minimizers on g_obs: 0 iterations, residual 0 and, at step n > 1,
-    the penalty with the step n - 1 minimizer as its prior."""
-    reports, previous = [], None
-    for f in chain:
-        penalty = step_penalty(problem.penalty, previous)
-        reports.append(solvers._report(problem.op, g_obs, alpha, penalty, f, 0, 0.0))
-        previous = f
-    return reports
-
-
 def _chain_metrics(
     problem: Problem,
     g_obs: Signal,
@@ -262,18 +234,31 @@ def _chain_metrics(
     n_steps: int,
     solver: SolverConfig,
     metric: str,
-) -> tuple[list, list[float]]:
-    """The chain on g_obs and the error of each step's minimizer in ``metric``.
-
-    The chain is its list of solve reports on the DR route, and its list of
-    minimizers on the spectral route, whose reports a search builds for the
-    candidates it selects only (:func:`_spectral_reports`).
-    """
+) -> tuple[Callable[[], list[SolveReport]], list[float]]:
+    """A function giving the chain's solve reports on g_obs, and the error of
+    each step's minimizer in ``metric``. On the spectral route the function
+    builds the reports when called, so a search builds them for the chains
+    it selects only; on the DR route it returns the list already built."""
     if solver.method == "spectral":
-        chain = _spectral_chain(problem, g_obs, alpha, n_steps)
-        return chain, [_error(problem, metric, f) for f in chain]
-    reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
-    return reports, [_error(problem, metric, r.minimizer) for r in reports]
+        chain = spectral_chain(problem.op, g_obs, alpha, problem.penalty, n_steps)
+        reports = partial(spectral_reports, problem.op, g_obs, alpha, problem.penalty, chain)
+        return reports, [_error(problem, metric, f) for f in chain]
+    built = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
+    return lambda: built, [_error(problem, metric, r.minimizer) for r in built]
+
+
+def noise_frequencies(noise: NoiseModel, n: int) -> Sequence[int]:
+    """The noise frequencies of a search on n points: [0] for exact data,
+    [k_fixed], or 1..k_max; a frequency beyond n/2 - 1 is rejected, as it
+    aliases on n points (k = n/2 samples to 0)."""
+    frequency = {f"lie in [1, n/2 - 1] = [1, {n // 2 - 1}]": lambda k: 1 <= k <= n // 2 - 1}
+    if noise.kind == "exact":
+        return [0]
+    if noise.kind == "fixed_sinusoid":
+        check_value("k_fixed", noise.k_fixed, int, frequency)
+        return [noise.k_fixed]
+    check_value("k_max", noise.k_max, int, frequency)
+    return range(1, noise.k_max + 1)
 
 
 def worst_case_search(
@@ -293,51 +278,33 @@ def worst_case_search(
     samples. Every candidate's steps are scored in the selection metric
     only; the other error is computed for each step's selected candidate.
 
-    With ``config.solver.method == "spectral"`` the search runs each
-    candidate's chain itself, one ``solvers.solve_quadratic_spectral`` call
-    per step, and builds the solve reports of the selected chains only,
-    equal to those ``bregman_iterate`` returns; the penalty must be
-    quadratic (:class:`Unsupported` otherwise, before any solve). The DR
-    route runs ``bregman_iterate`` per candidate.
+    Each candidate's chain is one :func:`_chain_metrics` call; the reports
+    are fetched once per selected chain.
     """
-    sweep, noise, n = config.sweep, config.sweep.noise, problem.grid.n
+    sweep = config.sweep
     check_value("delta", delta, float, NON_NEGATIVE)
-    spectral = config.solver.method == "spectral"
-    if spectral and not isinstance(problem.penalty, QuadraticPenalty):
-        raise Unsupported("spectral solve requires a quadratic penalty")
-    # frequencies beyond 1..n/2 - 1 alias on n points (k = n/2 samples to 0)
-    frequency = {f"lie in [1, n/2 - 1] = [1, {n // 2 - 1}]": lambda k: 1 <= k <= n // 2 - 1}
-    if noise.kind == "exact":
-        ks = [0]
-    elif noise.kind == "fixed_sinusoid":
-        check_value("k_fixed", noise.k_fixed, int, frequency)
-        ks = [noise.k_fixed]
-    else:
-        check_value("k_max", noise.k_max, int, frequency)
-        ks = range(1, noise.k_max + 1)
+    ks = noise_frequencies(sweep.noise, problem.grid.n)
     block = _sinusoids(problem.grid, delta, ks)
     block += problem.g_true.values
     block.setflags(write=False)  # so the candidates share it without a copy
     observations = signal_rows(problem.grid, block)
-    # per step: (score, k, g_obs, chain) of the first candidate with the largest score
+    # per step: (score, k, g_obs, get_reports) of the first candidate with the largest score
     best: list[tuple | None] = [None] * sweep.bregman_steps
     for k, g_obs in zip(ks, observations):
-        chain, scores = _chain_metrics(
+        get_reports, scores = _chain_metrics(
             problem, g_obs, alpha, sweep.bregman_steps, config.solver, sweep.metric)
         for i, score in enumerate(scores):
             if best[i] is None or score > best[i][0]:
-                best[i] = (score, k, g_obs, chain)
-    if spectral:  # the reports of the selected chains only, one list per chain
-        selected = {k: (g_obs, chain) for _, k, g_obs, chain in best}
-        reports_of = {k: _spectral_reports(problem, g_obs, alpha, chain)
-                      for k, (g_obs, chain) in selected.items()}
-        best = [(score, k, g_obs, reports_of[k]) for score, k, g_obs, _ in best]
+                best[i] = (score, k, g_obs, get_reports)
+    reports_of: dict[int, list[SolveReport]] = {}  # one list per selected chain
     choices = []
-    for i, (score, k, g_obs, reports) in enumerate(best):
-        r = reports[i]
+    for i, (score, k, g_obs, get_reports) in enumerate(best):
+        if k not in reports_of:
+            reports_of[k] = get_reports()
+        r = reports_of[k][i]
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
         l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
-        choices.append(Choice(k, g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
+        choices.append(Choice(k, g_obs, reports_of[k], (kl, l1, r.data_residual, r.iterations)))
     return choices
 
 

@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, Unsupported, check_fields, one_of
-from .functionals import Penalty, QuadraticPenalty, fidelity_prox_map, prox_fidelity
+from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, check_fields, check_value, one_of
+from .functionals import Penalty, fidelity_prox_map, prox_fidelity
 # apply stays importable here: perfbench/spans.py patches torusreg.solvers.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
@@ -46,9 +46,10 @@ class SolveReport:
 
     ``alpha`` and ``penalty`` are the problem solved. ``misfit_rfft`` is
     the rfft half spectrum mu f^ - g^ of the misfit Tf - g at the minimizer
-    f (read-only), formed from the two signals' half spectra on both
-    routes. ``data_residual`` (the misfit's L2 norm, from ``misfit_rfft``
-    by Parseval), ``misfit`` (the misfit's samples, irfft(misfit_rfft)),
+    f (read-only), formed from the two signals' half spectra for a DR solve
+    and a closed-form step (``bregman.spectral_reports``) alike.
+    ``data_residual`` (the misfit's L2 norm, from ``misfit_rfft`` by
+    Parseval), ``misfit`` (the misfit's samples, irfft(misfit_rfft)),
     ``objective`` and ``dual`` (the Bregman step dual (g - Tf) / alpha) are
     computed on first read and kept; a worst-case search reads them for
     its selected candidates only.
@@ -103,7 +104,7 @@ def solve_quadratic_spectral(
 
 
 def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) -> SolveReport:
-    """The report of the minimizer f of a solve on g_obs, for both routes."""
+    """The report of the minimizer f of a DR solve or a closed-form step on g_obs."""
     misfit_rfft = op.symbol_rfft * f.rfft - g_obs.rfft
     misfit_rfft.setflags(write=False)
     return SolveReport(
@@ -136,18 +137,14 @@ def solve_generalized_dr(
     ``cfg.tol``; the reported minimizer is the penalty-prox point u, which is
     feasible with respect to box constraints by construction. The loop runs
     on plain arrays with both proxes' constants computed once per solve; a
-    non-finite step stops it at once. ``alpha`` must be finite and positive.
+    non-finite step stops it at once. ``alpha`` must be finite and positive;
+    ``cfg.method`` must be ``"dr"`` (``bregman_iterate`` runs ``"spectral"``).
 
-    Both routes read the data by their half spectrum ``g_obs.rfft``. A DR
-    solve costs 2 FFTs per iteration and the minimizer's rfft.
+    The data are read by their half spectrum ``g_obs.rfft``. A solve costs
+    2 FFTs per iteration and the minimizer's rfft.
     """
+    check_value("method", cfg.method, str, one_of("dr"))
     check_same_grid(op, g_obs, penalty.prior)
-    if cfg.method == "spectral":
-        if not isinstance(penalty, QuadraticPenalty):
-            raise Unsupported("spectral solve requires a quadratic penalty")
-        f = solve_quadratic_spectral(op, g_obs, alpha, penalty.prior)
-        return _report(op, g_obs, alpha, penalty, f, 0, 0.0)
-
     gamma, tol = cfg.gamma, cfg.tol
     prox_penalty = penalty.prox_map(gamma)
     prox_data = fidelity_prox_map(op, g_obs.rfft, gamma, alpha)

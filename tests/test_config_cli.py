@@ -607,6 +607,35 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "reconstruct"])
+    @pytest.mark.parametrize("sweep, message", [
+        ("", "k_max must lie in [1, n/2 - 1] = [1, 31], got 32"),
+        ("noise = fixed_sinusoid\nk_fixed = 40\n", "k_fixed must lie in [1, n/2 - 1] = [1, 31], got 40"),
+    ], ids=["k_max", "k_fixed"])
+    def test_noise_frequency_beyond_the_grid_exits_2_before_any_output(
+        self, tmp_path, capsys, command, sweep, message
+    ):
+        # the search's frequency rule is checked before the output directory is made
+        path = tmp_path / "n64.cfg"
+        path.write_text("[problem]\nn = 64\n\n[sweep]\nalphas = 1e-1, 1e-2\nbregman_steps = 1\n" + sweep)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, written", [
+        ("approx-sweep", "sweep.csv"), ("vsc-diagnose", "vsc_report.txt"),
+    ])
+    def test_commands_without_a_search_run_at_any_noise_frequency(self, tmp_path, command, written):
+        # approx-sweep forces exact data and vsc-diagnose never searches, so the
+        # default k_max = 32 beyond n/2 - 1 = 31 does not stop them
+        path = tmp_path / "n64.cfg"
+        path.write_text("[problem]\nn = 64\n\n[sweep]\nalphas = 1e-1, 1e-2\nbregman_steps = 1\n")
+        assert load_config(str(path)).sweep.noise.k_max == 32
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert (out / written).exists()
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[problem]\nn = 96\nbogus = 1\n")

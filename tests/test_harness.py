@@ -328,6 +328,18 @@ class TestSolveCount:
         assert dr == {"solve_generalized_dr": K * steps}
         assert not spectral
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_spectral_bregman_iterate(self, monkeypatch, steps):
+        # bregman_iterate's spectral chain is the search's: one closed-form solve per step
+        problem = quad_problem()
+        spectral = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
+        dr = count_calls(monkeypatch, torusreg.bregman, "solve_generalized_dr")
+        reports = bregman_iterate(problem.op, problem.g_true, 1e-2, problem.penalty, steps,
+                                  SolverConfig(method="spectral"))
+        assert len(reports) == steps
+        assert spectral == {"solve_quadratic_spectral": steps}
+        assert not dr
+
 
 class TestSpectralRoute:
     @pytest.mark.parametrize("metric", ["kl", "l1"])

@@ -166,7 +166,7 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-6])
     def test_matches_array_level_oracle(self, problem, alpha):
         op, g_obs, prior = problem
-        report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior), self.SPECTRAL)
+        (report,) = bregman_iterate(op, g_obs, alpha, QuadraticPenalty(prior), 1, self.SPECTRAL)
         (expected,) = array_level_spectral_route(op, g_obs, alpha, prior)
         assert np.array_equal(report.minimizer.values, expected["f"])
         assert np.array_equal(report.minimizer.values,
@@ -306,18 +306,29 @@ class TestDouglasRachford:
         op = make_inverse_helmholtz(grid)
         f0 = Signal(grid, np.ones(grid.n))
         with pytest.raises(Unsupported):
-            solve_generalized_dr(
-                op, apply(op, f0), 1.0, EntropyPenalty(f0), SolverConfig(method="spectral")
+            bregman_iterate(
+                op, apply(op, f0), 1.0, EntropyPenalty(f0), 1, SolverConfig(method="spectral")
             )
 
     def test_spectral_method_matches_direct(self, problem):
         op, g_obs, prior = problem
         direct = solve_quadratic_spectral(op, g_obs, 0.3, prior)
-        report = solve_generalized_dr(
-            op, g_obs, 0.3, QuadraticPenalty(prior), SolverConfig(method="spectral")
+        (report,) = bregman_iterate(
+            op, g_obs, 0.3, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
         )
         assert np.array_equal(report.minimizer.values, direct.values)
         assert report.iterations == 0
+
+    @pytest.mark.parametrize("penalty", [QuadraticPenalty, EntropyPenalty])
+    def test_spectral_method_is_rejected(self, grid, monkeypatch, penalty):
+        # a closed-form chain is bregman_iterate's; the DR solve takes only method = dr
+        op = make_inverse_helmholtz(grid)
+        f0 = Signal(grid, np.ones(grid.n))
+        g_obs = apply(op, f0)
+        counts = count_ffts(monkeypatch)
+        with pytest.raises(ConfigError, match="^method must be one of 'dr', got 'spectral'$"):
+            solve_generalized_dr(op, g_obs, 1.0, penalty(f0), SolverConfig(method="spectral"))
+        assert not counts
 
     def test_boundary_touch_reported(self, grid):
         op = make_identity(grid)
@@ -474,8 +485,8 @@ class TestInputChecks:
         calls = (
             lambda: solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior)),
             lambda: solve_generalized_dr(op, g_obs, alpha, entropy),
-            lambda: solve_generalized_dr(
-                op, g_obs, alpha, QuadraticPenalty(prior), SolverConfig(method="spectral")
+            lambda: bregman_iterate(
+                op, g_obs, alpha, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
             ),
             lambda: solve_quadratic_spectral(op, g_obs, alpha, prior),
             lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
@@ -492,7 +503,7 @@ class TestInputChecks:
         penalty = QuadraticPenalty(Signal(grid, np.zeros(grid.n)))
         with pytest.raises(ConfigError, match="half spectrum must be finite"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            solve_generalized_dr(op, g_obs, alpha, penalty, SolverConfig(method="spectral"))
+            bregman_iterate(op, g_obs, alpha, penalty, 1, SolverConfig(method="spectral"))
 
     def test_overflowing_step_ratio_stops_at_once(self, grid):
         # gamma / alpha overflows to inf, so the first step is non-finite
