@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -21,7 +22,6 @@ from .harness import (
     build_problem,
     calibrate_c,
     fit_rate,
-    noise_frequencies,
     rate_sweep,
     worst_case_search,
 )
@@ -39,9 +39,17 @@ from .vsc import (
 )
 
 
-def _ensure_outdir(config, override):
-    """Make the output directory; every command does so before it computes."""
-    directory = override or config.output.directory
+def _ensure_outdir(config, args):
+    """Make the output directory; every command does so before it computes.
+
+    The directories it makes are listed in ``args.made``, deepest first, so
+    that :func:`main` can remove them again when the command exits 2.
+    """
+    directory = args.out or config.output.directory
+    head = os.path.abspath(directory)
+    while not os.path.exists(head):
+        args.made.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
@@ -55,8 +63,7 @@ def _load(args):
 
 def cmd_reconstruct(args) -> int:
     config = _load(args)
-    noise_frequencies(config.sweep.noise, config.problem.n)  # the search's rule, before any output
-    outdir = _ensure_outdir(config, args.out)
+    outdir = _ensure_outdir(config, args)
     problem = build_problem(config.problem)
     sweep = config.sweep
     delta = sweep.deltas[0]
@@ -112,7 +119,7 @@ def _emit_sweep_outputs(config, rows, outdir, x_field, xlabel):
 
 def cmd_approx_sweep(args) -> int:
     config = _load(args)
-    outdir = _ensure_outdir(config, args.out)
+    outdir = _ensure_outdir(config, args)
     rows = approx_error_sweep(config)
     _emit_sweep_outputs(config, rows, outdir, "alpha", "alpha")
     return 0
@@ -120,8 +127,7 @@ def cmd_approx_sweep(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     config = _load(args)
-    noise_frequencies(config.sweep.noise, config.problem.n)  # the search's rule, before any output
-    outdir = _ensure_outdir(config, args.out)
+    outdir = _ensure_outdir(config, args)
     if config.sweep.calibrate_cs:
         c = calibrate_c(config, threads=args.threads)
         print(f"calibrated c = {c:g}")
@@ -133,7 +139,7 @@ def cmd_rate_sweep(args) -> int:
 
 def cmd_vsc_diagnose(args) -> int:
     config = _load(args)
-    outdir = _ensure_outdir(config, args.out)
+    outdir = _ensure_outdir(config, args)
     problem = build_problem(config.problem)
     path = os.path.join(outdir, "vsc_report.txt")
     lines = [f"torusreg {__version__} vsc diagnostics (n={problem.grid.n})"]
@@ -240,9 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.made = []
     try:
         return args.fn(args)
     except TorusRegError as exc:
+        for directory in args.made:  # rmdir leaves a directory with output in it
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -346,7 +346,7 @@ def approx_error_sweep(
     if alphas is None:
         alphas = config.sweep.alphas
     if not alphas:
-        raise ConfigError("approx_error_sweep needs alphas: set sweep.alphas or pass them")
+        raise ConfigError("alphas must be non-empty: set [sweep] alphas or pass them")
     sweep = replace(config.sweep, alphas=tuple(alphas), noise=NoiseModel(kind="exact"))  # checks them
     if problem is None:
         problem = build_problem(config.problem)
@@ -383,9 +383,9 @@ def calibrate_c(
     if candidate_cs is None:
         candidate_cs = config.sweep.calibrate_cs
     if not candidate_cs:
-        raise ConfigError("calibrate_c needs candidate constants")
+        raise ConfigError("calibrate_cs must be non-empty: set [sweep] calibrate_cs or pass them")
     if config.sweep.predicted_rate is None:
-        raise ConfigError("calibrate_c needs sweep.predicted_rate")
+        raise ConfigError("predicted_rate must be set in [sweep] to calibrate c")
     cs = replace(config.sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
     if len(cs) == 1:
         return cs[0]

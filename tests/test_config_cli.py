@@ -408,6 +408,14 @@ directory = {out}
     return str(path)
 
 
+COMMANDS = ("reconstruct", "approx-sweep", "rate-sweep", "vsc-diagnose")
+# configs that every command rejects only after it made its output directory
+N32 = "[problem]\nn = 32\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
+BOX_HI = "[problem]\nn = 64\nbox_hi = 1.5\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
+COARSE = "grid size 32 too coarse for degree 5 (need >= 48)"
+LOW_BOX = "box_hi = 1.5 must lie above max(f_true) = 1.55"
+
+
 class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "0"]) == 0
@@ -615,13 +623,41 @@ class TestCli:
     def test_noise_frequency_beyond_the_grid_exits_2_before_any_output(
         self, tmp_path, capsys, command, sweep, message
     ):
-        # the search's frequency rule is checked before the output directory is made
+        # the search rejects the frequency; the exit 2 leaves no output directory
         path = tmp_path / "n64.cfg"
         path.write_text("[problem]\nn = 64\n\n[sweep]\nalphas = 1e-1, 1e-2\nbregman_steps = 1\n" + sweep)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        *[(command, N32, COARSE) for command in COMMANDS],
+        *[(command, BOX_HI, LOW_BOX) for command in COMMANDS],
+        ("approx-sweep", "[problem]\nn = 64\n",
+         "alphas must be non-empty: set [sweep] alphas or pass them"),
+        ("rate-sweep", "[problem]\nn = 64\n\n[sweep]\nk_max = 8\ncalibrate_cs = 0.1, 1.0\n",
+         "predicted_rate must be set in [sweep] to calibrate c"),
+    ])
+    def test_exit_2_after_making_the_output_directory_removes_it(
+        self, tmp_path, capsys, command, text, message
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "out" / "nested"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_2_keeps_an_output_directory_that_existed(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(N32)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {COARSE}\n"
+        assert out.is_dir()
 
     @pytest.mark.parametrize("command, written", [
         ("approx-sweep", "sweep.csv"), ("vsc-diagnose", "vsc_report.txt"),

@@ -9,6 +9,7 @@ from torusreg import (
     SourceDivisionError,
     TorusGrid,
     Unsupported,
+    apply,
     construct_source,
     decay_space_norm,
     fenchel_psi,
@@ -322,7 +323,61 @@ class TestModeInnerProducts:
             assert list(mus) == [op.symbol[grid.modes == j][0] for j, _ in modes]
 
 
+def per_family_violation_search(op, omega, phi, trials, seed, amplitudes=np.logspace(-8, 4, 61)):
+    """Oracle: scores the single modes, the scaled copies of omega and the
+    Gaussian directions one family at a time, one Signal per trial."""
+    coeffs, mus = _mode_inner_products(op, omega)
+    t = amplitudes[:, None]
+    best = float(np.max(np.abs(coeffs) * t - 0.5 * t**2 - phi((mus * t) ** 2)))
+    norm_omega = norm_l2(omega)
+    if norm_omega > 0:
+        scales = amplitudes / norm_omega
+        residual = (inner(omega, omega) * scales - 0.5 * (scales * norm_omega) ** 2
+                    - phi((scales * norm_l2(apply(op, omega))) ** 2))
+        best = max(best, float(np.max(residual)))
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        g = Signal(omega.grid, rng.standard_normal(omega.grid.n))
+        g = (1.0 / norm_l2(g)) * g
+        proj = inner(omega, g)
+        image = norm_l2(apply(op, g))
+        residual = abs(proj) * amplitudes - 0.5 * amplitudes**2 - phi((image * amplitudes) ** 2)
+        best = max(best, float(np.max(residual)))
+    return best
+
+
 class TestViolationSearch:
+    @pytest.mark.parametrize("n", [64, 480])
+    def test_matches_the_per_family_oracle(self, n):
+        # 40 seeds x 3 amplitudes x 3 exponents; the generators (T*T)^s w for
+        # s = 0 .. 3/4 give both verdicts at the 1e-9 threshold
+        grid = TorusGrid(n)
+        op = make_inverse_helmholtz(grid)
+        verdicts = set()
+        for seed in range(40):
+            w = band_limited_signal(grid, np.random.default_rng(seed), band=8)
+            omega = power_apply(op, 0.25 * (seed % 4), w)
+            for amplitude in (0.5, 1.0, 4.0):
+                for exponent in (1.0 / 3.0, 0.5, 1.0):
+                    phi = HoelderIndexFunction(amplitude, exponent)
+                    got = vsc_violation_search(op, omega, phi, trials=16, seed=seed)
+                    want = per_family_violation_search(op, omega, phi, 16, seed)
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                    verdicts.add(want <= 1e-9)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", ["one trial", "zero generator"])
+    def test_matches_the_per_family_oracle_at_the_edges(self, grid, rng, kind):
+        op = make_inverse_helmholtz(grid)
+        phi = HoelderIndexFunction(1.0, 0.5)
+        if kind == "one trial":
+            omega, trials = band_limited_signal(grid, rng, band=6), 1
+        else:
+            omega, trials = Signal(grid, np.zeros(grid.n)), 8
+        got = vsc_violation_search(op, omega, phi, trials=trials, seed=5)
+        want = per_family_violation_search(op, omega, phi, trials, 5)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_zero_generator_has_no_violation(self, grid):
         op = make_inverse_helmholtz(grid)
         phi = HoelderIndexFunction(1.0, 0.5)
