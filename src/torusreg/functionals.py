@@ -28,7 +28,6 @@ __all__ = [
     "QuadraticPenalty",
     "EntropyPenalty",
     "kl_divergence",
-    "fidelity_prox_map",
     "prox_fidelity",
 ]
 
@@ -161,24 +160,31 @@ class EntropyPenalty:
         numerically zero, but kept positive for later logs.
 
         The map keeps the root y of its previous call and starts the next
-        one from it with :func:`_newton_omega` (DR moves x by small steps);
-        its first call evaluates omega. zeta is floored one unit below
+        one from it with :func:`_newton_omega`, in place (DR moves x by small
+        steps); its first call evaluates omega. zeta is floored one unit below
         ln(lo/gamma): every root under that floor is clamped to ``lo``
         anyway, and the floor keeps y positive, so the logs of the Newton
         steps stay finite: for finite gamma it is at least
         ln(1e-12) - ln(1.8e308) - 1 = -738.4, and omega(-738.4) = 2.0e-321.
+        zeta and the Newton work arrays belong to the map and are reused by
+        every call; each call reads x only and returns a fresh array.
         """
         check_value("gamma", gamma, float, POSITIVE)
         shift = np.log(self.prior.values / gamma)
         lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
         zeta_floor = np.log(lo) - np.log(gamma) - 1.0
+        zeta, rel, tmp = (np.empty_like(shift) for _ in range(3))
         y = None
 
         def prox(x: np.ndarray) -> np.ndarray:
             nonlocal y
-            zeta = np.maximum(x / gamma + shift, zeta_floor)
-            y = wrightomega(zeta) if y is None else _newton_omega(zeta, y)
-            return np.minimum(np.maximum(gamma * y, lo), hi)
+            np.divide(x, gamma, out=zeta)
+            np.add(zeta, shift, out=zeta)
+            np.maximum(zeta, zeta_floor, out=zeta)
+            y = wrightomega(zeta) if y is None else _newton_omega(zeta, y, rel, tmp)
+            v = np.multiply(gamma, y)
+            np.maximum(v, lo, out=v)
+            return np.minimum(v, hi, out=v)
 
         return prox
 
@@ -219,9 +225,10 @@ def wrightomega(z):
         return np.fmin(y, s)
 
 
-def _newton_omega(zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _newton_omega(zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """omega(zeta) by at most ``NEWTON_STEPS`` Newton steps on y + ln y = zeta
-    from a positive start y.
+    from a positive start y, written into y, with ``rel`` and ``tmp`` as work
+    arrays of y's shape.
 
     An entry is accepted once its last correction is at most ``NEWTON_TOL``
     of the y before that step; Newton converges quadratically here, so
@@ -230,12 +237,12 @@ def _newton_omega(zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
     more than double) ends the steps early, before the log of a y <= 0.
     """
     for _ in range(NEWTON_STEPS):
-        rel = np.log(y)
+        np.log(y, out=rel)
         rel += y
         rel -= zeta
-        rel /= 1.0 + y  # the Newton correction relative to y
-        y = y * (1.0 - rel)
-        worst = np.abs(rel).max()
+        rel /= np.add(1.0, y, out=tmp)  # the Newton correction relative to y
+        y *= np.subtract(1.0, rel, out=tmp)
+        worst = np.maximum.reduce(np.abs(rel, out=tmp))
         if worst <= NEWTON_TOL:
             return y
         if not worst < 1.0:
@@ -257,7 +264,9 @@ def _fidelity_prox_constants(
     t mu and 1 + t mu^2 depend on the operator and t only. The last t's pair
     is kept in the operator's instance dict, read-only, as ``symbol_rfft``
     is, so a run of solves at one alpha (a worst-case search) forms only
-    (t mu) g^ per call.
+    (t mu) g^ per call. 1 + t mu^2 is kept as a complex array with zero
+    imaginary parts: numpy divides a complex array by a real one through
+    that very cast, so the quotient is the same and no call pays the cast.
     """
     if not 0 < gamma < np.inf:
         raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
@@ -267,26 +276,9 @@ def _fidelity_prox_constants(
     kept = op.__dict__.get("_fidelity_constants")
     if kept is None or kept[0] != t:
         mu = op.symbol_rfft
-        kept = (t, _freeze(t * mu), _freeze(1.0 + t * mu**2))
+        kept = (t, _freeze(t * mu), _freeze((1.0 + t * mu**2).astype(complex)))
         op.__dict__["_fidelity_constants"] = kept
     return kept[1] * g_rfft, kept[2]
-
-
-def fidelity_prox_map(
-    op: FourierMultiplierOperator,
-    g_rfft: np.ndarray,
-    gamma: float,
-    alpha: float,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Array map of :func:`prox_fidelity` for the data of rfft half spectrum ``g_rfft``.
-
-    t mu g^ and 1 + t mu^2 (t = gamma/alpha) are computed once, the latter
-    kept on the operator per t (:func:`_fidelity_prox_constants`); each call
-    then costs one rfft and one irfft of its argument.
-    """
-    shift, scale = _fidelity_prox_constants(op, g_rfft, gamma, alpha)
-    n = op.grid.n
-    return lambda x: np.fft.irfft((np.fft.rfft(x) + shift) / scale, n)
 
 
 def prox_fidelity(

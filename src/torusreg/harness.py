@@ -10,7 +10,6 @@ ties break on the first index.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
@@ -53,12 +52,15 @@ def _map(fn, jobs: Sequence, threads: int) -> list:
     """``[fn(job) for job in jobs]``, on min(threads, len(jobs)) worker processes.
 
     One worker runs in-process; a pool starts every worker at once, so it is
-    never larger than the job count.
+    never larger than the job count. The pool's modules are imported only
+    when a pool runs, so a one-worker start-up does not load them.
     """
     check_value("threads", threads, int, AT_LEAST_ONE)
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

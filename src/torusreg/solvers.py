@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, check_fields, check_value, one_of
-from .functionals import Penalty, fidelity_prox_map, prox_fidelity
+from .functionals import Penalty, _fidelity_prox_constants, prox_fidelity
 # apply stays importable here: perfbench/spans.py patches torusreg.solvers.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
@@ -140,22 +140,33 @@ def solve_generalized_dr(
     non-finite step stops it at once. ``alpha`` must be finite and positive;
     ``cfg.method`` must be ``"dr"`` (``bregman_iterate`` runs ``"spectral"``).
 
-    The data are read by their half spectrum ``g_obs.rfft``. A solve costs
-    2 FFTs per iteration and the minimizer's rfft.
+    The data are read by their half spectrum ``g_obs.rfft``. The solve owns
+    its work arrays: z starts as a copy of the prior, and the fidelity prox
+    (c + t mu g^) / (1 + t mu^2) on the half spectrum c of 2u - z, with
+    t = gamma/alpha (:func:`~torusreg.functionals._fidelity_prox_constants`),
+    runs in place on one real and one half-spectrum buffer. Neither the
+    penalty's prior nor ``g_obs`` is written. A solve costs 2 FFTs per
+    iteration and the minimizer's rfft; the loop's two are looked up on
+    ``np.fft`` per solve, so that a name patched there sees every call.
     """
     check_value("method", cfg.method, str, one_of("dr"))
     check_same_grid(op, g_obs, penalty.prior)
-    gamma, tol = cfg.gamma, cfg.tol
+    gamma, tol, n = cfg.gamma, cfg.tol, g_obs.grid.n
     prox_penalty = penalty.prox_map(gamma)
-    prox_data = fidelity_prox_map(op, g_obs.rfft, gamma, alpha)
-    z = penalty.prior.values
+    shift, scale = _fidelity_prox_constants(op, g_obs.rfft, gamma, alpha)
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    z = penalty.prior.values.copy()
+    step, c = np.empty(n), np.empty(n // 2 + 1, dtype=complex)
     u = prox_penalty(z)
     z_norm = _rms(z)
     residual = float("inf")
     for it in range(1, cfg.max_iter + 1):
-        reflected = u + u
-        reflected -= z
-        step = prox_data(reflected)
+        np.add(u, u, out=step)
+        step -= z
+        rfft(step, out=c)
+        c += shift
+        c /= scale
+        irfft(c, n, out=step)
         step -= u
         residual = _rms(step) / max(1.0, z_norm)
         if not math.isfinite(residual):
@@ -165,7 +176,7 @@ def solve_generalized_dr(
                 final_residual=residual,
                 iterations=it,
             )
-        z = z + step
+        z += step
         z_norm = _rms(z)
         u = prox_penalty(z)
         if residual <= tol:

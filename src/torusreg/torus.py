@@ -253,9 +253,7 @@ def bspline_truth(grid: TorusGrid, degree: int = 5) -> Signal:
     """
     check_value("degree", degree, int, one_of(4, 5))
     if grid.n < 8 * (degree + 1):
-        raise ConfigError(
-            f"grid size {grid.n} too coarse for degree {degree} (need >= {8 * (degree + 1)})"
-        )
+        raise ConfigError(f"n must be >= 8 * (bspline_degree + 1) = {8 * (degree + 1)}, got {grid.n}")
     return Signal(grid, 1.0 + _cardinal_bspline(degree, grid.points * (degree + 1)))
 
 

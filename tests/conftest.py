@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
 from torusreg.errors import field_types
+from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
 from torusreg.harness import Choice, SweepRow
 from torusreg.reportio import SWEEP_HEADER
 from torusreg.torus import norm_l1_array, norm_l2_array
@@ -82,6 +84,69 @@ def sinusoid_noise(grid, delta, k):
 def prox_signal(penalty, x, gamma):
     """The penalty's prox at the signal x, through its array map."""
     return Signal(x.grid, penalty.prox_map(gamma)(x.values))
+
+
+def allocating_prox_map(penalty, gamma):
+    """Oracle for ``penalty.prox_map(gamma)``: the entropy prox with a fresh
+    array for every step and a warm Newton root y replaced on each call; a
+    quadratic penalty's own map already allocates."""
+    if not isinstance(penalty, EntropyPenalty):
+        return penalty.prox_map(gamma)
+    shift = np.log(penalty.prior.values / gamma)
+    lo, hi = max(penalty.box_lo, PROX_FLOOR), penalty.box_hi
+    zeta_floor = np.log(lo) - np.log(gamma) - 1.0
+    y = None
+
+    def newton(zeta, y):
+        for _ in range(NEWTON_STEPS):
+            rel = np.log(y)
+            rel += y
+            rel -= zeta
+            rel /= 1.0 + y
+            y = y * (1.0 - rel)
+            worst = np.abs(rel).max()
+            if worst <= NEWTON_TOL:
+                return y
+            if not worst < 1.0:
+                break
+        redo = ~(np.abs(rel) <= NEWTON_TOL)
+        y[redo] = wrightomega(zeta[redo])
+        return y
+
+    def prox(x):
+        nonlocal y
+        zeta = np.maximum(x / gamma + shift, zeta_floor)
+        y = wrightomega(zeta) if y is None else newton(zeta, y)
+        return np.minimum(np.maximum(gamma * y, lo), hi)
+
+    return prox
+
+
+def allocating_dr(op, g_obs, alpha, penalty, cfg):
+    """Oracle for ``solve_generalized_dr``: the Douglas-Rachford loop with a
+    fresh array for every step, on :func:`allocating_prox_map`. Returns the
+    minimizer's samples, the iterations and the final relative step."""
+    def rms(v):
+        return math.sqrt(float(np.dot(v, v)) / v.size)
+
+    t, mu = cfg.gamma / alpha, op.symbol_rfft
+    shift, scale = (t * mu) * g_obs.rfft, 1.0 + t * mu**2
+    prox_penalty = allocating_prox_map(penalty, cfg.gamma)
+    z = penalty.prior.values
+    u = prox_penalty(z)
+    z_norm = rms(z)
+    for it in range(1, cfg.max_iter + 1):
+        reflected = u + u
+        reflected -= z
+        step = np.fft.irfft((np.fft.rfft(reflected) + shift) / scale, op.grid.n)
+        step -= u
+        residual = rms(step) / max(1.0, z_norm)
+        z = z + step
+        z_norm = rms(z)
+        u = prox_penalty(z)
+        if residual <= cfg.tol:
+            return u, it, residual
+    raise AssertionError("oracle loop did not converge")
 
 
 def read_sweep_csv(path):

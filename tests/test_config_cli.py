@@ -412,7 +412,7 @@ COMMANDS = ("reconstruct", "approx-sweep", "rate-sweep", "vsc-diagnose")
 # configs that every command rejects only after it made its output directory
 N32 = "[problem]\nn = 32\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
 BOX_HI = "[problem]\nn = 64\nbox_hi = 1.5\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
-COARSE = "grid size 32 too coarse for degree 5 (need >= 48)"
+COARSE = "n must be >= 8 * (bspline_degree + 1) = 48, got 32"
 LOW_BOX = "box_hi = 1.5 must lie above max(f_true) = 1.55"
 
 

@@ -23,7 +23,7 @@ from torusreg import (
     prox_fidelity,
     to_spectrum,
 )
-from torusreg.functionals import PROX_FLOOR, fidelity_prox_map
+from torusreg.functionals import PROX_FLOOR, _fidelity_prox_constants
 
 from conftest import make_identity, prox_signal, random_signal
 
@@ -267,6 +267,19 @@ class TestWarmStartedProxMap:
             assert np.all(np.abs(got - pen.prox_map(1.0)(x)) <= 1e-14 * got)
 
 
+class TestProxMapCalls:
+    @pytest.mark.parametrize("penalty", [EntropyPenalty, QuadraticPenalty])
+    def test_second_call_leaves_first_result(self, grid, rng, penalty):
+        prox = penalty(positive_signal(grid, rng, 0.2, 3.0)).prox_map(1.0)
+        x = rng.standard_normal(grid.n)
+        first = prox(x)
+        kept = first.copy()
+        second = prox(x + 1e-3 * rng.standard_normal(grid.n))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+
+
 class TestWrightOmega:
     """The numpy Wright omega of the entropy prox, against scipy's as the oracle."""
 
@@ -335,9 +348,10 @@ class TestProxFidelity:
             out = prox_fidelity(op, g, x, 1.0, alpha)
             assert np.array_equal(out.rfft, prox_fidelity(fresh, g, x, 1.0, alpha).rfft)
             assert np.array_equal(out.rfft, self.fresh_formula(fresh, g, x, 1.0, alpha))
-            kept = fidelity_prox_map(op, g.rfft, 1.0, alpha)(x.values)
-            assert np.array_equal(kept, fidelity_prox_map(fresh, g.rfft, 1.0, alpha)(x.values))
-            assert np.array_equal(kept, np.fft.irfft(out.rfft, grid.n))
+            shift, scale = _fidelity_prox_constants(op, g.rfft, 1.0, alpha)
+            fresh_shift, fresh_scale = _fidelity_prox_constants(fresh, g.rfft, 1.0, alpha)
+            assert np.array_equal(shift, fresh_shift) and np.array_equal(scale, fresh_scale)
+            assert np.array_equal((x.rfft + shift) / scale, out.rfft)
 
     def test_operators_on_equal_grids_keep_their_own_constants(self, rng):
         grid = TorusGrid(64)

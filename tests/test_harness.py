@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -599,7 +600,7 @@ class TestWorkerPool:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(torusreg.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return sizes
 
     def test_capped_at_job_count(self, pool_sizes):

@@ -26,7 +26,7 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import count_ffts, make_identity, prox_signal, random_signal
+from conftest import allocating_dr, count_ffts, make_identity, prox_signal, random_signal
 
 
 def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
@@ -102,6 +102,16 @@ def problem(grid, rng):
     prior = Signal(grid, rng.standard_normal(grid.n))
     g_obs = Signal(grid, rng.standard_normal(grid.n))
     return op, g_obs, prior
+
+
+@pytest.fixture
+def data(grid):
+    """The smoothing operator and noisy data of the truth 1 + 0.4 cos."""
+    op = make_inverse_helmholtz(grid)
+    x = grid.points
+    f_true = Signal(grid, 1.0 + 0.4 * np.cos(2 * np.pi * x))
+    g_obs = apply(op, f_true) + Signal(grid, 1e-3 * np.sin(6 * np.pi * x))
+    return op, g_obs
 
 
 class TestSolverConfig:
@@ -341,14 +351,6 @@ class TestDouglasRachford:
 
 
 class TestArrayCoreMatchesSignalLoop:
-    @pytest.fixture
-    def data(self, grid):
-        op = make_inverse_helmholtz(grid)
-        x = grid.points
-        f_true = Signal(grid, 1.0 + 0.4 * np.cos(2 * np.pi * x))
-        g_obs = apply(op, f_true) + Signal(grid, 1e-3 * np.sin(6 * np.pi * x))
-        return op, g_obs
-
     @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
     @pytest.mark.parametrize("gamma", [1.0, 0.1])
     def test_entropy(self, grid, data, alpha, gamma):
@@ -417,6 +419,47 @@ class TestArrayCoreMatchesSignalLoop:
         counts = count_ffts(monkeypatch)
         report = solve_generalized_dr(op, g_obs, 1e-2, pen)
         assert sum(counts.values()) == 2 * report.iterations + 1
+
+
+class TestInPlaceLoop:
+    """The solve runs on work arrays it owns; it must equal the allocating
+    loop bit for bit and leave its inputs as they were."""
+
+    @staticmethod
+    def assert_matches_oracle(op, g_obs, alpha, report):
+        cfg = SolverConfig()
+        u, iterations, residual = allocating_dr(op, g_obs, alpha, report.penalty, cfg)
+        assert np.array_equal(report.minimizer.values, u)
+        assert report.iterations == iterations
+        assert report.final_residual == residual
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
+    def test_two_step_entropy_chain_matches_allocating_loop(self, grid, data, alpha):
+        op, g_obs = data
+        pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
+        reports = bregman_iterate(op, g_obs, alpha, pen, 2)
+        assert reports[1].penalty.prior is reports[0].minimizer
+        for report in reports:
+            self.assert_matches_oracle(op, g_obs, alpha, report)
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
+    def test_quadratic_solve_matches_allocating_loop(self, problem, alpha):
+        op, g_obs, prior = problem
+        report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior))
+        self.assert_matches_oracle(op, g_obs, alpha, report)
+
+    @pytest.mark.parametrize("penalty", ["entropy", "quadratic"])
+    def test_inputs_are_untouched(self, grid, data, penalty):
+        op, g_obs = data
+        prior = Signal(grid, 1.0 + 0.1 * np.sin(2 * np.pi * grid.points))
+        pen = EntropyPenalty(prior) if penalty == "entropy" else QuadraticPenalty(prior)
+        prior_before, g_before = prior.values.copy(), g_obs.values.copy()
+        g_rfft_before = g_obs.rfft.copy()
+        report = solve_generalized_dr(op, g_obs, 1e-2, pen)
+        assert np.array_equal(prior.values, prior_before)
+        assert np.array_equal(g_obs.values, g_before)
+        assert np.array_equal(g_obs.rfft, g_rfft_before)
+        assert not np.shares_memory(report.minimizer.values, prior.values)
 
 
 class TestReportFields:

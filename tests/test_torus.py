@@ -280,7 +280,7 @@ class TestBsplineTruth:
             bspline_truth(TorusGrid(480), degree=3)
 
     def test_grid_too_coarse(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^n must be >= 8 \* \(bspline_degree \+ 1\) = 48, got 32$"):
             bspline_truth(TorusGrid(32), degree=5)
 
     @pytest.mark.parametrize("degree", [4, 5])
