@@ -59,6 +59,7 @@ from .vsc import (
     vsc_violation_search,
 )
 from .harness import (
+    Calibration,
     ExperimentConfig,
     NoiseModel,
     OutputConfig,

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
+
 from . import solvers
 from .errors import AT_LEAST_ONE, InteriorityWarning, Unsupported, check_value
 from .functionals import TOUCH_TOL, Penalty, QuadraticPenalty
 # apply stays importable here: perfbench/spans.py patches torusreg.bregman.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
-from .torus import Signal
+from .torus import Signal, check_same_grid
 
 __all__ = ["accumulated_subgradient", "bregman_iterate", "spectral_chain", "spectral_reports",
            "step_penalty"]
@@ -49,27 +51,28 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
 
 
 def spectral_chain(
-    op: FourierMultiplierOperator, g_obs: Signal, alpha: float, penalty: Penalty, n_steps: int
-) -> list[Signal]:
-    """The minimizers of the quadratic chain (iterated Tikhonov) on g_obs; step n
-    is one ``solvers.solve_quadratic_spectral`` call with prior f_{n-1}, looked up
-    on the module so that a name patched there sees each solve. A non-quadratic
-    penalty raises :class:`Unsupported` before any solve."""
+    op: FourierMultiplierOperator, g_rfft: np.ndarray, alpha: float, penalty: Penalty, n_steps: int
+) -> list[np.ndarray]:
+    """The half spectra of the quadratic chain's minimizers (iterated Tikhonov) on
+    the data with half spectrum g_rfft; step n is one ``solvers.solve_quadratic_spectral``
+    call with prior f_{n-1}, looked up on the module so that a name patched there
+    sees each solve. A non-quadratic penalty raises :class:`Unsupported` before any solve."""
     if not isinstance(penalty, QuadraticPenalty):
         raise Unsupported("spectral solve requires a quadratic penalty")
-    chain, previous = [], penalty.prior
+    chain, previous = [], penalty.prior.rfft
     for _ in range(n_steps):
-        previous = solvers.solve_quadratic_spectral(op, g_obs, alpha, previous)
+        previous = solvers.solve_quadratic_spectral(op, g_rfft, alpha, previous)
         chain.append(previous)
     return chain
 
 
 def spectral_reports(
-    op: FourierMultiplierOperator, g_obs: Signal, alpha: float, penalty: Penalty, chain: list[Signal]
+    op: FourierMultiplierOperator, g_obs: Signal, alpha: float, penalty: Penalty, chain: list
 ) -> list[SolveReport]:
     """The solve reports of a :func:`spectral_chain` on g_obs: 0 iterations, residual 0."""
     reports, previous = [], None
-    for f in chain:
+    for c in chain:
+        f = Signal.from_rfft(g_obs.grid, c)  # tests that the half spectrum is finite
         step = step_penalty(penalty, previous)
         reports.append(solvers._report(op, g_obs, alpha, step, f, 0, 0.0))
         previous = f
@@ -88,7 +91,8 @@ def bregman_iterate(
     ``cfg.method == "spectral"`` runs the closed-form :func:`spectral_chain`."""
     check_value("n_steps", n_steps, int, AT_LEAST_ONE)
     if cfg.method == "spectral":
-        chain = spectral_chain(op, g_obs, alpha, penalty, n_steps)
+        check_same_grid(op, g_obs, penalty.prior)
+        chain = spectral_chain(op, g_obs.rfft, alpha, penalty, n_steps)
         return spectral_reports(op, g_obs, alpha, penalty, chain)
     reports: list[SolveReport] = []
     previous: Signal | None = None

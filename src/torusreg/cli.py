@@ -128,11 +128,13 @@ def cmd_approx_sweep(args) -> int:
 def cmd_rate_sweep(args) -> int:
     config = _load(args)
     outdir = _ensure_outdir(config, args)
+    rows = None
     if config.sweep.calibrate_cs:
-        c = calibrate_c(config, threads=args.threads)
+        c, _, rows = calibrate_c(config, threads=args.threads)  # rows: the sweep at c, if it ran
         print(f"calibrated c = {c:g}")
         config = replace(config, sweep=replace(config.sweep, alpha_c=c))
-    rows = rate_sweep(config, threads=args.threads)
+    if rows is None:
+        rows = rate_sweep(config, threads=args.threads)
     _emit_sweep_outputs(config, rows, outdir, "delta", "delta")
     return 0
 
@@ -190,7 +192,7 @@ def cmd_selftest(args) -> int:
 
     prior = Signal(grid, rng.standard_normal(grid.n))
     g_obs = Signal(grid, rng.standard_normal(grid.n))
-    exact = solve_quadratic_spectral(op, g_obs, 0.1, prior)
+    exact = Signal.from_rfft(grid, solve_quadratic_spectral(op, g_obs.rfft, 0.1, prior.rfft))
     report = solve_generalized_dr(op, g_obs, 0.1, QuadraticPenalty(prior), SolverConfig())
     rel = norm_l2(report.minimizer - exact) / max(norm_l2(exact), 1e-30)
     checks.append(("douglas-rachford vs spectral", rel < 1e-6))

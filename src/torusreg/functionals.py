@@ -258,15 +258,16 @@ def _fidelity_prox_constants(
     gamma: float,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(t mu g^, 1 + t mu^2) with t = gamma/alpha: the fidelity prox maps the
-    half spectrum c of its argument to (c + t mu g^) / (1 + t mu^2).
+    """(t mu g^, 1 / (1 + t mu^2)) with t = gamma/alpha: the fidelity prox maps
+    the half spectrum c of its argument to (c + t mu g^) / (1 + t mu^2), formed
+    as the product with the reciprocal: numpy divides a complex number by a
+    real-valued one so, and a product costs less than a quotient.
 
-    t mu and 1 + t mu^2 depend on the operator and t only. The last t's pair
-    is kept in the operator's instance dict, read-only, as ``symbol_rfft``
-    is, so a run of solves at one alpha (a worst-case search) forms only
-    (t mu) g^ per call. 1 + t mu^2 is kept as a complex array with zero
-    imaginary parts: numpy divides a complex array by a real one through
-    that very cast, so the quotient is the same and no call pays the cast.
+    Both depend on the operator and t only. The last t's pair is kept in the
+    operator's instance dict, read-only, as ``symbol_rfft`` is, so a run of
+    solves at one alpha (a worst-case search) forms only (t mu) g^ per call.
+    Both are complex arrays with zero imaginary parts: numpy multiplies a
+    complex array by a real one through that very cast, so no call pays it.
     """
     if not 0 < gamma < np.inf:
         raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
@@ -276,7 +277,8 @@ def _fidelity_prox_constants(
     kept = op.__dict__.get("_fidelity_constants")
     if kept is None or kept[0] != t:
         mu = op.symbol_rfft
-        kept = (t, _freeze(t * mu), _freeze((1.0 + t * mu**2).astype(complex)))
+        recip = 1.0 / (1.0 + t * mu**2)
+        kept = (t, _freeze((t * mu).astype(complex)), _freeze(recip.astype(complex)))
         op.__dict__["_fidelity_constants"] = kept
     return kept[1] * g_rfft, kept[2]
 
@@ -295,7 +297,7 @@ def prox_fidelity(
     for finiteness: its modes 0 and n/2 are real, as those of x and g are.
     """
     check_same_grid(op, g, x)
-    shift, scale = _fidelity_prox_constants(op, g.rfft, gamma, alpha)
-    c = (x.rfft + shift) / scale
+    shift, recip = _fidelity_prox_constants(op, g.rfft, gamma, alpha)
+    c = (x.rfft + shift) * recip
     _check_finite_rfft(c)
     return _built(x.grid, rfft=_freeze(c))

@@ -24,7 +24,10 @@ from .errors import (
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
-from .torus import Signal, TorusGrid, _freeze, bspline_truth, norm_l1_array, signal_rows
+from .torus import (
+    Signal, TorusGrid, _freeze, _SignalRows, bspline_truth, check_same_grid, norm_l1_array,
+    norm_l2_rfft, signal_rows,
+)
 
 __all__ = [
     "ProblemConfig",
@@ -40,6 +43,7 @@ __all__ = [
     "noise_frequencies",
     "worst_case_search",
     "apriori_alpha",
+    "Calibration",
     "calibrate_c",
     "approx_error_sweep",
     "rate_sweep",
@@ -231,22 +235,34 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
 
 def _chain_metrics(
     problem: Problem,
-    g_obs: Signal,
+    observations: _SignalRows,
+    row: int,
     alpha: float,
     n_steps: int,
     solver: SolverConfig,
     metric: str,
-) -> tuple[Callable[[], list[SolveReport]], list[float]]:
-    """A function giving the chain's solve reports on g_obs, and the error of
-    each step's minimizer in ``metric``. On the spectral route the function
-    builds the reports when called, so a search builds them for the chains
-    it selects only; on the DR route it returns the list already built."""
+) -> tuple[Callable[[], tuple[Signal, list[SolveReport]]], list[float]]:
+    """The error in ``metric`` of each step's minimizer of the chain on the
+    candidate ``observations[row]``, and a function giving that signal and
+    the chain's solve reports. On the spectral route the chain runs on the
+    row of ``observations.spectra``, scored bit for bit as :func:`_error`
+    scores signals, and the function builds the signal and the reports when
+    called, so a search builds them for the chains it selects only; on the
+    DR route it returns those already built."""
     if solver.method == "spectral":
-        chain = spectral_chain(problem.op, g_obs, alpha, problem.penalty, n_steps)
-        reports = partial(spectral_reports, problem.op, g_obs, alpha, problem.penalty, chain)
-        return reports, [_error(problem, metric, f) for f in chain]
-    built = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
-    return lambda: built, [_error(problem, metric, r.minimizer) for r in built]
+        n = problem.grid.n
+        chain = spectral_chain(problem.op, observations.spectra[row], alpha, problem.penalty, n_steps)
+
+        def built():
+            g_obs = observations[row]
+            return g_obs, spectral_reports(problem.op, g_obs, alpha, problem.penalty, chain)
+
+        if metric == "kl":
+            return built, [0.5 * norm_l2_rfft(c - problem.f_true.rfft, n) ** 2 for c in chain]
+        return built, [norm_l1_array(e) for e in np.fft.irfft(chain, n) - problem.f_true.values]
+    g_obs = observations[row]
+    reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
+    return lambda: (g_obs, reports), [_error(problem, metric, r.minimizer) for r in reports]
 
 
 def noise_frequencies(noise: NoiseModel, n: int) -> Sequence[int]:
@@ -280,33 +296,42 @@ def worst_case_search(
     samples. Every candidate's steps are scored in the selection metric
     only; the other error is computed for each step's selected candidate.
 
-    Each candidate's chain is one :func:`_chain_metrics` call; the reports
-    are fetched once per selected chain.
+    Each candidate's chain is one :func:`_chain_metrics` call; its signal
+    and reports are fetched once per selected chain. The spectral chains
+    are unchecked arrays, so a search checks the grids once and every
+    score's finiteness once; a non-finite one raises :class:`ConfigError`.
     """
     sweep = config.sweep
     check_value("delta", delta, float, NON_NEGATIVE)
     ks = noise_frequencies(sweep.noise, problem.grid.n)
+    check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
     block = _sinusoids(problem.grid, delta, ks)
     block += problem.g_true.values
     block.setflags(write=False)  # so the candidates share it without a copy
     observations = signal_rows(problem.grid, block)
-    # per step: (score, k, g_obs, get_reports) of the first candidate with the largest score
+    # per step: (score, k, get_chain) of the first candidate with the largest score
     best: list[tuple | None] = [None] * sweep.bregman_steps
-    for k, g_obs in zip(ks, observations):
-        get_reports, scores = _chain_metrics(
-            problem, g_obs, alpha, sweep.bregman_steps, config.solver, sweep.metric)
+    table = []  # every candidate's scores
+    for row, k in enumerate(ks):
+        get_chain, scores = _chain_metrics(
+            problem, observations, row, alpha, sweep.bregman_steps, config.solver, sweep.metric)
+        table.append(scores)
         for i, score in enumerate(scores):
             if best[i] is None or score > best[i][0]:
-                best[i] = (score, k, g_obs, get_reports)
-    reports_of: dict[int, list[SolveReport]] = {}  # one list per selected chain
+                best[i] = (score, k, get_chain)
+    if not np.isfinite(table).all():  # a NaN score loses every comparison: test them all
+        row, step = np.argwhere(~np.isfinite(table))[0]
+        raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
+    chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
-    for i, (score, k, g_obs, get_reports) in enumerate(best):
-        if k not in reports_of:
-            reports_of[k] = get_reports()
-        r = reports_of[k][i]
+    for i, (score, k, get_chain) in enumerate(best):
+        if k not in chains:
+            chains[k] = get_chain()
+        g_obs, reports = chains[k]
+        r = reports[i]
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
         l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
-        choices.append(Choice(k, g_obs, reports_of[k], (kl, l1, r.data_residual, r.iterations)))
+        choices.append(Choice(k, g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
     return choices
 
 
@@ -357,7 +382,18 @@ def approx_error_sweep(
             for row in _rows(0.0, alpha, worst_case_search(exact, problem, 0.0, alpha))]
 
 
-def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem) -> float:
+class Calibration(NamedTuple):
+    """The chosen constant, every candidate's objective in order, and the
+    :func:`rate_sweep` rows at alpha_c = c. A single candidate is taken
+    without a sweep: no objectives, and rows None."""
+
+    c: float
+    objectives: tuple[float, ...]
+    rows: list[SweepRow] | None
+
+
+def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem) -> tuple:
+    """max_delta error(delta) / delta^rate of the sweep at alpha_c = c, and its rows."""
     trial = replace(config, sweep=replace(config.sweep, alpha_c=c))
     rows = rate_sweep(trial, problem=problem)
     target_n = config.sweep.bregman_steps
@@ -367,7 +403,7 @@ def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem)
     for row in rows:
         if row.n_bregman == target_n:
             worst = max(worst, getattr(row, col) / row.delta**rate)
-    return worst
+    return worst, rows
 
 
 def calibrate_c(
@@ -375,12 +411,13 @@ def calibrate_c(
     candidate_cs: Sequence[float] | None = None,
     threads: int = 1,
     problem: Problem | None = None,
-) -> float:
+) -> Calibration:
     """Pick the rule constant minimizing max_delta error(delta) / delta^rate.
 
     The error column, target step and predicted rate come from the sweep
     configuration; the delta grid is the configured one, so calibration on
-    a reduced grid just means passing a reduced config.
+    a reduced grid just means passing a reduced config. The winner's rows
+    come with it, so a caller need not sweep it again.
     """
     if candidate_cs is None:
         candidate_cs = config.sweep.calibrate_cs
@@ -390,11 +427,13 @@ def calibrate_c(
         raise ConfigError("predicted_rate must be set in [sweep] to calibrate c")
     cs = replace(config.sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
     if len(cs) == 1:
-        return cs[0]
+        return Calibration(cs[0], (), None)
     if problem is None:
         problem = build_problem(config.problem)
-    objectives = _map(partial(_calibration_objective, config, problem=problem), cs, threads)
-    return cs[int(np.argmin(objectives))]
+    trials = _map(partial(_calibration_objective, config, problem=problem), cs, threads)
+    objectives = tuple(objective for objective, _ in trials)
+    best = int(np.argmin(objectives))
+    return Calibration(cs[best], objectives, trials[best][1])
 
 
 def fit_rate(

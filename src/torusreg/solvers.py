@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, check_fields, check_value, one_of
-from .functionals import Penalty, _fidelity_prox_constants, prox_fidelity
-# apply stays importable here: perfbench/spans.py patches torusreg.solvers.apply
+# prox_fidelity and apply stay importable here: perfbench/spans.py patches both on torusreg.solvers
+from .functionals import Penalty, _fidelity_prox_constants, prox_fidelity  # noqa: F401
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
 
@@ -47,7 +47,7 @@ class SolveReport:
     ``alpha`` and ``penalty`` are the problem solved. ``misfit_rfft`` is
     the rfft half spectrum mu f^ - g^ of the misfit Tf - g at the minimizer
     f (read-only), formed from the two signals' half spectra for a DR solve
-    and a closed-form step (``bregman.spectral_reports``) alike.
+    and a closed-form step (``bregman.spectral_reports``, for a chain kept) alike.
     ``data_residual`` (the misfit's L2 norm, from ``misfit_rfft`` by
     Parseval), ``misfit`` (the misfit's samples, irfft(misfit_rfft)),
     ``objective`` and ``dual`` (the Bregman step dual (g - Tf) / alpha) are
@@ -91,16 +91,20 @@ class SolveReport:
 
 def solve_quadratic_spectral(
     op: FourierMultiplierOperator,
-    g_obs: Signal,
+    g_rfft: np.ndarray,
     alpha: float,
-    prior: Signal,
-) -> Signal:
-    """Exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2.
+    prior_rfft: np.ndarray,
+) -> np.ndarray:
+    """Half spectrum of the exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2,
+    from the half spectra of g and the prior; a fresh array, unchecked (its
+    caller tests the grid and finiteness once per chain or search).
 
-    This is the fidelity prox with unit step at the prior; mode-wise
+    The fidelity prox with unit step at the prior, bit-equal to
+    ``prox_fidelity(op, g, prior, 1.0, alpha).rfft``; mode-wise
     f_j = (prior_j + mu_j g_j / alpha) / (1 + mu_j^2 / alpha).
     """
-    return prox_fidelity(op, g_obs, prior, 1.0, alpha)
+    shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
+    return (prior_rfft + shift) * recip
 
 
 def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) -> SolveReport:
@@ -153,7 +157,7 @@ def solve_generalized_dr(
     check_same_grid(op, g_obs, penalty.prior)
     gamma, tol, n = cfg.gamma, cfg.tol, g_obs.grid.n
     prox_penalty = penalty.prox_map(gamma)
-    shift, scale = _fidelity_prox_constants(op, g_obs.rfft, gamma, alpha)
+    shift, recip = _fidelity_prox_constants(op, g_obs.rfft, gamma, alpha)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     z = penalty.prior.values.copy()
     step, c = np.empty(n), np.empty(n // 2 + 1, dtype=complex)
@@ -165,7 +169,7 @@ def solve_generalized_dr(
         step -= z
         rfft(step, out=c)
         c += shift
-        c /= scale
+        c *= recip
         irfft(c, n, out=step)
         step -= u
         residual = _rms(step) / max(1.0, z_norm)

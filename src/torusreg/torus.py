@@ -18,6 +18,7 @@ keeps it; the full shifted spectrum above is only the analysis view
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -168,9 +169,25 @@ def _built(grid: TorusGrid, **fields: np.ndarray) -> Signal:
     return out
 
 
-def signal_rows(grid: TorusGrid, block: np.ndarray) -> list[Signal]:
+class _SignalRows(Sequence):
+    """The rows of a checked, read-only (K, n) sample block as signals, each
+    built when read; ``spectra`` holds the rows' half spectra, so a caller
+    that needs only those builds no signal."""
+
+    def __init__(self, grid: TorusGrid, block: np.ndarray, spectra: np.ndarray):
+        self.grid, self.block, self.spectra = grid, block, spectra
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, i: int) -> Signal:
+        return _built(self.grid, values=self.block[i], rfft=self.spectra[i])
+
+
+def signal_rows(grid: TorusGrid, block: np.ndarray) -> _SignalRows:
     """One signal per row of the (K, n) sample block, each with its half
-    spectrum from one batched rfft of the block.
+    spectrum from one batched rfft of the block; a signal is built when its
+    row is read.
 
     The signals hold rows of the block and of its spectra as views; a row's
     half spectrum is bit-equal to the rfft of that row alone. As for
@@ -183,8 +200,7 @@ def signal_rows(grid: TorusGrid, block: np.ndarray) -> list[Signal]:
         raise ConfigError(f"sample block shape {block.shape} does not match grid size {grid.n}")
     if not np.isfinite(block).all():
         raise ConfigError("signal values must be finite")
-    spectra = _freeze(np.fft.rfft(block))
-    return [_built(grid, values=v, rfft=c) for v, c in zip(block, spectra)]
+    return _SignalRows(grid, block, _freeze(np.fft.rfft(block)))
 
 
 def _check_finite_rfft(c: np.ndarray) -> None:

@@ -4,7 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
+from torusreg import (
+    FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate,
+    solve_quadratic_spectral,
+)
 from torusreg.errors import field_types
 from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
 from torusreg.harness import Choice, SweepRow
@@ -67,6 +70,12 @@ def count_ffts(monkeypatch) -> Counter:
 def make_identity(grid):
     """Identity multiplier, handy for single-mode normal-equation checks."""
     return FourierMultiplierOperator(grid, np.ones(grid.n))
+
+
+def spectral_solve(op, g_obs, alpha, prior):
+    """The signal whose half spectrum ``solve_quadratic_spectral`` returns
+    for the half spectra of the signals g_obs and prior."""
+    return Signal.from_rfft(op.grid, solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft))
 
 
 def spectral_projection(op, lam, f):

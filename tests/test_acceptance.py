@@ -114,7 +114,7 @@ def test_criterion_2_hilbert_rate_envelope():
                 noise=NoiseModel(kind="worst_case", k_max=k_max),
             ),
         )
-        c = calibrate_c(cal, cs, problem=problem)
+        c = calibrate_c(cal, cs, problem=problem).c
         # pass 2: map the window so alpha spans [2e-5, 0.2]; the worst
         # sinusoid then stays within the searched frequencies
         d_hi, d_lo = (0.2 / c) ** (1 / sigma), (2e-5 / c) ** (1 / sigma)
@@ -188,7 +188,7 @@ def test_criterion_4_entropy_noise_rates():
                 noise=NoiseModel(kind="worst_case", k_max=k_max),
             ),
         )
-        c = calibrate_c(cal, cs)
+        c = calibrate_c(cal, cs).c
         cfg = replace(
             cal, sweep=replace(cal.sweep, deltas=geometric_grid(d_hi, d_lo, 12), alpha_c=c)
         )

@@ -22,7 +22,7 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import make_identity, random_signal
+from conftest import make_identity, random_signal, spectral_solve
 
 
 def iterated_tikhonov_filter(op, g_obs, prior, alpha, n):
@@ -50,9 +50,7 @@ class TestChainBasics:
     def test_single_step_equals_plain_solve(self, quad_problem):
         op, g_obs, prior = quad_problem
         reports = bregman_iterate(op, g_obs, 0.5, QuadraticPenalty(prior), 1)
-        from torusreg import solve_quadratic_spectral
-
-        direct = solve_quadratic_spectral(op, g_obs, 0.5, prior)
+        direct = spectral_solve(op, g_obs, 0.5, prior)
         assert norm_l2(reports[0].minimizer - direct) <= 1e-9 * norm_l2(direct)
 
     def test_rejects_zero_steps(self, quad_problem):

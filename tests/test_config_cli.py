@@ -1,9 +1,11 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 import torusreg.cli
+import torusreg.harness
 
 from torusreg import (
     ConfigError,
@@ -23,6 +25,7 @@ from torusreg import (
     TorusGrid,
     bspline_truth,
     build_problem,
+    calibrate_c,
     construct_source,
     default_config,
     fit_rate,
@@ -30,6 +33,7 @@ from torusreg import (
     make_inverse_helmholtz,
     predict_rate_entropy,
     predict_rate_hoelder,
+    rate_sweep,
     vsc_violation_search,
 )
 from torusreg.cli import main
@@ -37,7 +41,7 @@ from torusreg.errors import AT_LEAST_ONE, POSITIVE, check_value
 from torusreg.reportio import SWEEP_HEADER, write_sweep_csv
 from torusreg.harness import SweepRow
 
-from conftest import read_sweep_csv
+from conftest import count_calls, read_sweep_csv
 
 
 GOOD_CONFIG = """
@@ -460,6 +464,26 @@ class TestCli:
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         assert main(["rate-sweep", "--config", cfg]) == 0
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+    def test_calibrated_rate_sweep_searches_each_constant_once(self, tmp_path, monkeypatch):
+        # the winner's rows come from the calibration: C * D searches, not (C + 1) * D,
+        # and sweep.csv holds the rows of a plain sweep at the chosen constant
+        cfg = small_cli_config(tmp_path)
+        with open(cfg) as handle:
+            text = handle.read().replace("alpha_c = 0.005",
+                                         "predicted_rate = 1.0\ncalibrate_cs = 0.001, 0.01, 0.1")
+        with open(cfg, "w") as handle:
+            handle.write(text)
+        config = load_config(cfg)
+        calibration = calibrate_c(config)
+        assert len(calibration.objectives) == 3
+        chosen = config.sweep.calibrate_cs.index(calibration.c)
+        assert calibration.objectives[chosen] == min(calibration.objectives)
+        searches = count_calls(monkeypatch, torusreg.harness, "worst_case_search")
+        assert main(["rate-sweep", "--config", cfg]) == 0
+        assert searches == {"worst_case_search": 3 * 3}
+        swept = rate_sweep(replace(config, sweep=replace(config.sweep, alpha_c=calibration.c)))
+        assert read_sweep_csv(str(tmp_path / "out" / "sweep.csv")) == calibration.rows == swept
 
     def test_reconstruct_writes_signals(self, tmp_path):
         cfg = small_cli_config(tmp_path)

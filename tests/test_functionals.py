@@ -348,10 +348,10 @@ class TestProxFidelity:
             out = prox_fidelity(op, g, x, 1.0, alpha)
             assert np.array_equal(out.rfft, prox_fidelity(fresh, g, x, 1.0, alpha).rfft)
             assert np.array_equal(out.rfft, self.fresh_formula(fresh, g, x, 1.0, alpha))
-            shift, scale = _fidelity_prox_constants(op, g.rfft, 1.0, alpha)
-            fresh_shift, fresh_scale = _fidelity_prox_constants(fresh, g.rfft, 1.0, alpha)
-            assert np.array_equal(shift, fresh_shift) and np.array_equal(scale, fresh_scale)
-            assert np.array_equal((x.rfft + shift) / scale, out.rfft)
+            shift, recip = _fidelity_prox_constants(op, g.rfft, 1.0, alpha)
+            fresh_shift, fresh_recip = _fidelity_prox_constants(fresh, g.rfft, 1.0, alpha)
+            assert np.array_equal(shift, fresh_shift) and np.array_equal(recip, fresh_recip)
+            assert np.array_equal((x.rfft + shift) * recip, out.rfft)
 
     def test_operators_on_equal_grids_keep_their_own_constants(self, rng):
         grid = TorusGrid(64)

@@ -36,7 +36,6 @@ from torusreg import (
     make_inverse_helmholtz,
     norm_l2,
     rate_sweep,
-    solve_quadratic_spectral,
     to_spectrum,
     worst_case_search,
 )
@@ -45,6 +44,7 @@ from torusreg.harness import _sinusoids, _unit_sinusoids
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
+    spectral_solve,
 )
 
 
@@ -205,7 +205,7 @@ class TestWorstCaseNoise:
         alpha, delta, k_max = 1e-2, 5e-2, 12
 
         def evaluator(g_obs):
-            return solve_quadratic_spectral(problem.op, g_obs, alpha, problem.penalty.prior)
+            return spectral_solve(problem.op, g_obs, alpha, problem.penalty.prior)
 
         [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha)
         best = problem.penalty.bregman(evaluator(choice.g_obs), problem.f_true)
@@ -256,13 +256,14 @@ class TestWorstCaseNoise:
         assert sum(counts.values()) <= 1 + steps
 
     def test_spectral_search_fft_budget_l1(self, monkeypatch):
-        # selecting by l1 reads the samples of every candidate's minimizers
+        # selecting by l1 reads the samples of every candidate's minimizers:
+        # one irfft per chain, of all its steps at once
         problem = quad_problem()
         problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
         steps, k_max = 2, 8
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max, metric="l1"), problem, 1e-2, 1e-2)
-        assert sum(counts.values()) <= k_max * (steps + 1)
+        assert sum(counts.values()) <= 1 + k_max
 
 
 class TestSearchMatchesPerCandidateLoop:
@@ -304,8 +305,9 @@ NOISE_KINDS = [
 class TestSolveCount:
     """A worst-case search makes exactly one solve per (candidate, Bregman
     step), each a call of a name the benchmark's tracer counts: the spectral
-    solve and its fidelity prox, looked up on ``torusreg.solvers``, or the
-    DR solve, looked up on ``torusreg.bregman``."""
+    solve, looked up on ``torusreg.solvers``, or the DR solve, looked up on
+    ``torusreg.bregman``. The spectral solve runs on half spectra and no
+    longer calls the Signal-level fidelity prox."""
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
     @pytest.mark.parametrize("noise, K", NOISE_KINDS)
@@ -314,7 +316,8 @@ class TestSolveCount:
         solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "prox_fidelity")
         dr = count_calls(monkeypatch, torusreg.bregman, "solve_generalized_dr")
         worst_case_search(search_config(steps=steps, metric=metric, **noise), quad_problem(), 1e-2, 1e-2)
-        assert solves == {"solve_quadratic_spectral": K * steps, "prox_fidelity": K * steps}
+        assert solves["solve_quadratic_spectral"] == K * steps
+        assert solves["prox_fidelity"] == 0
         assert not dr
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
@@ -368,6 +371,35 @@ class TestSpectralRoute:
             assert (a.reports is b.reports) == (a.k == b.k)
         if delta == 0.0:  # every candidate ties: the first is selected at every step
             assert all(c.k == 1 and c.reports is choices[0].reports for c in choices)
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
+    def test_non_finite_search_raises(self, metric, data, alpha):
+        # the cases of test_non_finite_spectral_solve_is_reported_as_not_finite:
+        # (gamma/alpha) mu g^ overflows, or gamma/alpha itself is inf. Every
+        # candidate's score is non-finite; none may be skipped or returned as a row
+        grid = TorusGrid(64)
+        zero = Signal(grid, np.zeros(grid.n))
+        problem = Problem(grid, make_inverse_helmholtz(grid), QuadraticPenalty(zero), zero,
+                          Signal(grid, np.full(grid.n, data)))
+        for noise in ({"k_max": 4}, {"kind": "exact"}):
+            with pytest.raises(ConfigError, match="half spectrum must be finite"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                worst_case_search(search_config(steps=2, metric=metric, **noise), problem, 1e-2, alpha)
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    def test_one_non_finite_candidate_is_not_skipped(self, monkeypatch, metric):
+        # a NaN score loses every comparison, so a search that tested only the
+        # selected chains would drop candidate k = 3 here and return rows
+        solve, calls = torusreg.solvers.solve_quadratic_spectral, []
+
+        def nan_on_third_call(*args):
+            calls.append(args)
+            return solve(*args) * (np.nan if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(torusreg.solvers, "solve_quadratic_spectral", nan_on_third_call)
+        with pytest.raises(ConfigError, match="half spectrum must be finite: k = 3, step 1"):
+            worst_case_search(search_config(steps=1, metric=metric, k_max=8), quad_problem(), 1e-2, 1e-2)
 
     def test_entropy_penalty_is_unsupported_before_any_solve(self, monkeypatch):
         solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "prox_fidelity")
@@ -643,7 +675,7 @@ class TestWorkerPool:
 class TestCalibrateC:
     def test_single_candidate_returned(self):
         cfg = ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0))
-        assert calibrate_c(cfg, [0.7]) == 0.7
+        assert calibrate_c(cfg, [0.7]).c == 0.7
 
     def test_needs_predicted_rate(self):
         cfg = ExperimentConfig()
@@ -658,7 +690,7 @@ class TestCalibrateC:
         )
         cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=sweep)
         cs = tuple(np.logspace(-3, 1, 9))
-        chosen = calibrate_c(cfg, cs, problem=problem)
+        chosen = calibrate_c(cfg, cs, problem=problem).c
 
         def objective(c):
             worst = 0.0
@@ -678,12 +710,12 @@ class TestCalibrateC:
         )
         cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=sweep)
         cs = (0.01, 0.1, 1.0)
-        chosen = calibrate_c(cfg, cs, problem=problem)
+        chosen = calibrate_c(cfg, cs, problem=problem).c
         from torusreg.harness import _calibration_objective
 
-        best = _calibration_objective(cfg, chosen, problem)
+        best, _ = _calibration_objective(cfg, chosen, problem)
         for c in cs:
-            assert best <= _calibration_objective(cfg, c, problem) + 1e-15
+            assert best <= _calibration_objective(cfg, c, problem)[0] + 1e-15
 
 
 class TestFitRate:

@@ -26,7 +26,9 @@ from torusreg import (
     to_spectrum,
 )
 
-from conftest import allocating_dr, count_ffts, make_identity, prox_signal, random_signal
+from conftest import (
+    allocating_dr, count_ffts, make_identity, prox_signal, random_signal, spectral_solve,
+)
 
 
 def signal_level_dr(op, g_obs, alpha, penalty, cfg=SolverConfig()):
@@ -143,26 +145,34 @@ class TestSpectralSolver:
         op = make_identity(grid)
         g = Signal(grid, np.ones(grid.n))
         zero = Signal(grid, np.zeros(grid.n))
-        out = solve_quadratic_spectral(op, g, 1.0, zero)
+        out = spectral_solve(op, g, 1.0, zero)
         assert np.max(np.abs(out.values - 0.5)) < 1e-14
 
     def test_large_alpha_returns_prior(self, problem):
         op, g_obs, prior = problem
-        out = solve_quadratic_spectral(op, g_obs, 1e14, prior)
+        out = spectral_solve(op, g_obs, 1e14, prior)
         assert np.max(np.abs(out.values - prior.values)) < 1e-10
 
     def test_small_alpha_recovers_truth_from_exact_data(self, grid, rng):
         op = make_inverse_helmholtz(grid)
         f_true = random_signal(grid, rng)
         g = apply(op, f_true)
-        out = solve_quadratic_spectral(op, g, 1e-18, f_true * 0.0)
+        out = spectral_solve(op, g, 1e-18, f_true * 0.0)
         # mode-wise consistency: f_j -> g_j / mu_j as alpha -> 0
         assert norm_l2(out - f_true) < 1e-6 * norm_l2(f_true)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-2, 0.37, 1e3])
+    def test_array_solve_is_the_unit_step_fidelity_prox(self, problem, alpha):
+        # the half spectrum in, the half spectrum out, bit-equal to the Signal-level prox
+        op, g_obs, prior = problem
+        out = solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft)
+        assert type(out) is np.ndarray and out.shape == (op.grid.n // 2 + 1,)
+        assert np.array_equal(out, prox_fidelity(op, g_obs, prior, 1.0, alpha).rfft)
 
     def test_mode_wise_optimality(self, problem, rng):
         op, g_obs, prior = problem
         alpha = 0.37
-        f = solve_quadratic_spectral(op, g_obs, alpha, prior)
+        f = spectral_solve(op, g_obs, alpha, prior)
         fc = to_spectrum(f)
         gc = to_spectrum(g_obs)
         pc = to_spectrum(prior)
@@ -232,7 +242,7 @@ class TestDouglasRachford:
     @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
     def test_matches_spectral_on_quadratic(self, problem, alpha):
         op, g_obs, prior = problem
-        exact = solve_quadratic_spectral(op, g_obs, alpha, prior)
+        exact = spectral_solve(op, g_obs, alpha, prior)
         report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior))
         assert norm_l2(report.minimizer - exact) <= 1e-6 * norm_l2(exact)
         assert report.final_residual <= 1e-10
@@ -322,7 +332,7 @@ class TestDouglasRachford:
 
     def test_spectral_method_matches_direct(self, problem):
         op, g_obs, prior = problem
-        direct = solve_quadratic_spectral(op, g_obs, 0.3, prior)
+        direct = spectral_solve(op, g_obs, 0.3, prior)
         (report,) = bregman_iterate(
             op, g_obs, 0.3, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
         )
@@ -531,7 +541,7 @@ class TestInputChecks:
             lambda: bregman_iterate(
                 op, g_obs, alpha, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
             ),
-            lambda: solve_quadratic_spectral(op, g_obs, alpha, prior),
+            lambda: solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft),
             lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
         )
         for call in calls:
