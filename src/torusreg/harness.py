@@ -187,6 +187,17 @@ class RateFit:
     n_points: int
 
 
+# Rows of a worst-case search's candidate block. Each array a block makes
+# (at n = 512: 64 KiB of samples, 64 KiB of half spectra, one 64 KiB stack
+# per step) stays below glibc's 128 KiB mmap threshold, so the allocator
+# reuses heap memory instead of mapping and zero-faulting fresh pages on
+# every search, as it did for the (k_max, n) arrays of a whole search.
+# Measured on hilbert_envelope (k_max = 250, 2-core Xeon): 32 rows make
+# 128 KiB arrays and took 31k-39k minor page faults per pass, against 8-9
+# at 16 rows; 8 rows ran 21 % slower and 12 rows 4 % slower than 16.
+_BLOCK_ROWS = 16
+
+
 @lru_cache(maxsize=4)
 def _unit_sinusoids(grid: TorusGrid, ks: tuple[int, ...]) -> np.ndarray:
     """sin(2 pi k x), one row per k, read-only; kept per (grid, ks), as a
@@ -196,12 +207,15 @@ def _unit_sinusoids(grid: TorusGrid, ks: tuple[int, ...]) -> np.ndarray:
     return _freeze(out)
 
 
-def _sinusoids(grid: TorusGrid, delta: float, ks: Sequence[int]) -> np.ndarray:
-    """delta * sin(2 pi k x), one row per k, as a new writeable (K, n) array;
-    each row's L2 norm is delta/sqrt(2) <= delta, and k = 0 gives a row of
-    zeros. The unit table is kept (:func:`_unit_sinusoids`), so a call
-    costs one (K, n) product."""
-    return _unit_sinusoids(grid, tuple(ks)) * delta
+def _sinusoids(
+    grid: TorusGrid, delta: float, ks: Sequence[int], rows: slice = slice(None)
+) -> np.ndarray:
+    """delta * sin(2 pi k x), one row per k of ks[rows] (all of ks by
+    default), as a new writeable array; each row's L2 norm is
+    delta/sqrt(2) <= delta, and k = 0 gives a row of zeros. The unit table
+    of all of ks is kept (:func:`_unit_sinusoids`), so a call costs one
+    product of the slice."""
+    return _unit_sinusoids(grid, tuple(ks))[rows] * delta
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
@@ -233,6 +247,29 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
+def _spectral_errors(problem: Problem, metric: str, chains: list[list[np.ndarray]]) -> np.ndarray:
+    """The (rows, steps) errors in ``metric`` of the minimizers of a block's
+    spectral chains, bit for bit as :func:`_error` scores their signals: kl
+    by Parseval, squared by libm's pow as a float's ``** 2`` is (numpy's
+    ``**`` on arrays rounds otherwise), and l1 from the samples of an irfft.
+
+    Each step's half spectra are stacked and scored at once, one
+    (rows, n/2 + 1) stack per step: a stack of every step would reach
+    glibc's mmap threshold (see ``_BLOCK_ROWS``)."""
+    n = problem.grid.n
+    scores = np.empty((len(chains), len(chains[0])))
+    for i in range(scores.shape[1]):
+        step = np.array([chain[i] for chain in chains])
+        if metric == "kl":
+            step -= problem.f_true.rfft
+            scores[:, i] = 0.5 * np.float_power(norm_l2_rfft(step, n), 2)
+        else:
+            errors = np.fft.irfft(step, n)
+            errors -= problem.f_true.values
+            scores[:, i] = norm_l1_array(errors)
+    return scores
+
+
 def _chain_metrics(
     problem: Problem,
     observations: _SignalRows,
@@ -241,25 +278,26 @@ def _chain_metrics(
     n_steps: int,
     solver: SolverConfig,
     metric: str,
-) -> tuple[Callable[[], tuple[Signal, list[SolveReport]]], list[float]]:
-    """The error in ``metric`` of each step's minimizer of the chain on the
-    candidate ``observations[row]``, and a function giving that signal and
-    the chain's solve reports. On the spectral route the chain runs on the
-    row of ``observations.spectra``, scored bit for bit as :func:`_error`
-    scores signals, and the function builds the signal and the reports when
-    called, so a search builds them for the chains it selects only; on the
-    DR route it returns those already built."""
+) -> tuple[Callable[[], tuple[Signal, list[SolveReport]]], list]:
+    """Run the chain on the candidate ``observations[row]``; return a
+    function giving that signal and the chain's solve reports, and one
+    entry per step.
+
+    On the spectral route the chain runs on the row of
+    ``observations.spectra`` and the entries are its minimizers' half
+    spectra, unscored: the search scores a block's chains together
+    (:func:`_spectral_errors`). The function builds the signal and the
+    reports when called, so a search builds them for the chains it selects
+    only. On the DR route the entries are the minimizers' errors in
+    ``metric``, and the function returns what is already built."""
     if solver.method == "spectral":
-        n = problem.grid.n
         chain = spectral_chain(problem.op, observations.spectra[row], alpha, problem.penalty, n_steps)
 
         def built():
             g_obs = observations[row]
             return g_obs, spectral_reports(problem.op, g_obs, alpha, problem.penalty, chain)
 
-        if metric == "kl":
-            return built, [0.5 * norm_l2_rfft(c - problem.f_true.rfft, n) ** 2 for c in chain]
-        return built, [norm_l1_array(e) for e in np.fft.irfft(chain, n) - problem.f_true.values]
+        return built, chain
     g_obs = observations[row]
     reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
     return lambda: (g_obs, reports), [_error(problem, metric, r.minimizer) for r in reports]
@@ -291,37 +329,45 @@ def worst_case_search(
     ties); the first n steps of a chain are the n-step chain, so one chain
     per candidate covers every step.
 
-    Every candidate, the exact data included, is a row of one (K, n) sample
-    block; its half spectrum, from one batched rfft, is the rfft of its
-    samples. Every candidate's steps are scored in the selection metric
-    only; the other error is computed for each step's selected candidate.
+    The candidates are walked in blocks of ``_BLOCK_ROWS`` rows. Every
+    candidate, the exact data included, is a row of its block's sample
+    array; its half spectrum, from one batched rfft of the block, is the
+    rfft of its samples. Each candidate's chain is one
+    :func:`_chain_metrics` call. Every candidate's steps are scored in the
+    selection metric only, on the spectral route each step of a block at
+    once (:func:`_spectral_errors`); the other error is computed for each
+    step's selected candidate. A running best per step carries across
+    blocks, so a chain that is not selected does not outlive its block; a
+    selected chain's signal and reports are fetched once.
 
-    Each candidate's chain is one :func:`_chain_metrics` call; its signal
-    and reports are fetched once per selected chain. The spectral chains
-    are unchecked arrays, so a search checks the grids once and every
-    score's finiteness once; a non-finite one raises :class:`ConfigError`.
+    The spectral chains are unchecked arrays, so a search checks the grids
+    once and every score's finiteness once per block; a non-finite one
+    raises :class:`ConfigError` naming the first such candidate and step.
     """
     sweep = config.sweep
     check_value("delta", delta, float, NON_NEGATIVE)
-    ks = noise_frequencies(sweep.noise, problem.grid.n)
+    ks = tuple(noise_frequencies(sweep.noise, problem.grid.n))
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
-    block = _sinusoids(problem.grid, delta, ks)
-    block += problem.g_true.values
-    block.setflags(write=False)  # so the candidates share it without a copy
-    observations = signal_rows(problem.grid, block)
     # per step: (score, k, get_chain) of the first candidate with the largest score
     best: list[tuple | None] = [None] * sweep.bregman_steps
-    table = []  # every candidate's scores
-    for row, k in enumerate(ks):
-        get_chain, scores = _chain_metrics(
-            problem, observations, row, alpha, sweep.bregman_steps, config.solver, sweep.metric)
-        table.append(scores)
-        for i, score in enumerate(scores):
-            if best[i] is None or score > best[i][0]:
-                best[i] = (score, k, get_chain)
-    if not np.isfinite(table).all():  # a NaN score loses every comparison: test them all
-        row, step = np.argwhere(~np.isfinite(table))[0]
-        raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
+    for start in range(0, len(ks), _BLOCK_ROWS):
+        block = _sinusoids(problem.grid, delta, ks, slice(start, start + _BLOCK_ROWS))
+        block += problem.g_true.values
+        block.setflags(write=False)  # so the candidates share it without a copy
+        observations = signal_rows(problem.grid, block)
+        runs = [_chain_metrics(problem, observations, row, alpha, sweep.bregman_steps,
+                               config.solver, sweep.metric) for row in range(len(block))]
+        if config.solver.method == "spectral":
+            scores = _spectral_errors(problem, sweep.metric, [chain for _, chain in runs])
+        else:
+            scores = np.array([errors for _, errors in runs])
+        if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
+            row, step = np.argwhere(~np.isfinite(scores))[0]
+            raise ConfigError(f"half spectrum must be finite: k = {ks[start + row]}, step {step + 1}")
+        for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
+            if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
+                best[i] = (float(scores[row, i]), ks[start + row], runs[row][0])
+        del block, observations, runs, scores  # free them before the next block is made
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
     for i, (score, k, get_chain) in enumerate(best):

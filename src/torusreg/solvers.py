@@ -13,7 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, check_fields, check_value, one_of
+from .errors import (
+    AT_LEAST_ONE, POSITIVE, GridMismatch, NonConvergence, check_fields, check_value, one_of,
+)
 # prox_fidelity and apply stay importable here: perfbench/spans.py patches both on torusreg.solvers
 from .functionals import Penalty, _fidelity_prox_constants, prox_fidelity  # noqa: F401
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
@@ -96,13 +98,21 @@ def solve_quadratic_spectral(
     prior_rfft: np.ndarray,
 ) -> np.ndarray:
     """Half spectrum of the exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2,
-    from the half spectra of g and the prior; a fresh array, unchecked (its
-    caller tests the grid and finiteness once per chain or search).
+    from the half spectra of g and the prior; a fresh array. An array whose
+    shape is not the operator's half spectrum (n/2 + 1 modes) raises
+    :class:`GridMismatch` naming it, and alpha is tested; finiteness is left
+    to the caller, which tests it once per chain or search.
 
     The fidelity prox with unit step at the prior, bit-equal to
     ``prox_fidelity(op, g, prior, 1.0, alpha).rfft``; mode-wise
     f_j = (prior_j + mu_j g_j / alpha) / (1 + mu_j^2 / alpha).
     """
+    modes = op.symbol_rfft.shape
+    if g_rfft.shape != modes or prior_rfft.shape != modes:  # inline: one test per solve
+        name, c = ("g_rfft", g_rfft) if g_rfft.shape != modes else ("prior_rfft", prior_rfft)
+        raise GridMismatch(
+            f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
+            f"got shape {c.shape}")
     shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
     return (prior_rfft + shift) * recip
 

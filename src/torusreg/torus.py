@@ -283,9 +283,12 @@ def norm_l2(f: Signal) -> float:
     return norm_l2_array(f.values)
 
 
-def norm_l1_array(v: np.ndarray) -> float:
-    """:func:`norm_l1` of the samples v."""
-    return float(np.abs(v).sum() / v.size)
+def norm_l1_array(v: np.ndarray) -> float | np.ndarray:
+    """:func:`norm_l1` of the samples v, a float; for a stack of sample rows
+    along the last axis, the array of the rows' norms, each bit-equal to
+    the norm of its row alone."""
+    norms = np.abs(v).sum(axis=-1) / v.shape[-1]
+    return float(norms) if v.ndim == 1 else norms
 
 
 def norm_l2_array(v: np.ndarray) -> float:
@@ -293,11 +296,22 @@ def norm_l2_array(v: np.ndarray) -> float:
     return math.sqrt((v * v).sum() / v.size)
 
 
-def norm_l2_rfft(c: np.ndarray, n: int) -> float:
+def norm_l2_rfft(c: np.ndarray, n: int) -> float | np.ndarray:
     """:func:`norm_l2` of the signal irfft(c, n), from its half spectrum c by
-    Parseval: sqrt(|c_0|^2 + 2 sum_{0<j<n/2} |c_j|^2 + |c_{n/2}|^2) / n."""
-    edges = abs(c[0]) ** 2 + abs(c[-1]) ** 2
-    return math.sqrt(2.0 * np.vdot(c, c).real - edges) / n
+    Parseval: sqrt(|c_0|^2 + 2 sum_{0<j<n/2} |c_j|^2 + |c_{n/2}|^2) / n, a
+    float; for a stack of half spectra along the last axis, the array of
+    their norms, each bit-equal to the norm of its row alone.
+
+    The edge modes' |c|^2 is libm's hypot and pow, as ``abs(c) ** 2`` rounds
+    on a complex scalar; numpy's ``abs`` and ``**`` on arrays round otherwise.
+    """
+    edges = _abs_squared(c[..., 0]) + _abs_squared(c[..., -1])
+    squares = 2.0 * np.vecdot(c, c).real - edges
+    return math.sqrt(squares) / n if c.ndim == 1 else np.sqrt(squares) / n
+
+
+def _abs_squared(c: np.ndarray) -> np.ndarray:
+    return np.float_power(np.hypot(c.real, c.imag), 2)
 
 
 def inner(f: Signal, g: Signal) -> float:

@@ -40,7 +40,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from torusreg.harness import _sinusoids, _unit_sinusoids
+from torusreg.harness import _BLOCK_ROWS, _sinusoids, _unit_sinusoids
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
@@ -175,10 +175,17 @@ def search_config(steps=1, metric="kl", **noise):
     )
 
 
+def blocks(k_max):
+    """The number of candidate blocks a search over k = 1..k_max walks."""
+    return -(-k_max // _BLOCK_ROWS)
+
+
 class TestWorstCaseNoise:
     def test_zero_delta_ties_to_first_candidate(self):
-        problem = quad_problem()
-        for choice in worst_case_search(search_config(steps=2, k_max=8), problem, 0.0, 0.1):
+        # every candidate ties; across blocks the tie goes to the earlier block
+        problem, k_max = quad_problem(), 40
+        assert blocks(k_max) > 1
+        for choice in worst_case_search(search_config(steps=2, k_max=k_max), problem, 0.0, 0.1):
             assert choice.k == 1
             assert np.array_equal(choice.g_obs.values, problem.g_true.values)
 
@@ -224,6 +231,9 @@ class TestWorstCaseNoise:
                 table = _unit_sinusoids(grid, tuple(ks))
                 assert not table.flags.writeable
                 assert block.flags.writeable and not np.shares_memory(block, table)
+                # a search's block of rows is the same product on a slice of the table
+                rows = slice(16, 32)
+                assert np.array_equal(_sinusoids(grid, delta, ks, rows), np.sin(fresh[rows]) * delta)
 
     def test_noise_within_ball(self):
         grid = TorusGrid(64)
@@ -245,25 +255,27 @@ class TestWorstCaseNoise:
 
 
     def test_spectral_search_fft_budget(self, monkeypatch):
-        # one batched rfft for the candidate block, and one irfft per step for
-        # the samples of the selected minimizer, which its l1 error reads: kl
-        # and the data residual come from half spectra by Parseval
+        # one batched rfft per candidate block, and one irfft per step for the
+        # samples of the selected minimizer, which its l1 error reads: kl and
+        # the data residual come from half spectra by Parseval
         problem = quad_problem()
         problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
-        steps, k_max = 2, 8
+        steps, k_max = 2, 40
+        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS  # a partial last block
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
-        assert sum(counts.values()) <= 1 + steps
+        assert counts == {"rfft": blocks(k_max), "irfft": steps}
 
     def test_spectral_search_fft_budget_l1(self, monkeypatch):
         # selecting by l1 reads the samples of every candidate's minimizers:
-        # one irfft per chain, of all its steps at once
+        # one irfft per block and step, of all the block's chains at once
         problem = quad_problem()
         problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
-        steps, k_max = 2, 8
+        steps, k_max = 2, 40
+        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max, metric="l1"), problem, 1e-2, 1e-2)
-        assert sum(counts.values()) <= 1 + k_max
+        assert counts == {"rfft": blocks(k_max), "irfft": blocks(k_max) * steps}
 
 
 class TestSearchMatchesPerCandidateLoop:
@@ -277,6 +289,17 @@ class TestSearchMatchesPerCandidateLoop:
         {"k_max": 12}, {"kind": "fixed_sinusoid", "k_fixed": 5}, {"kind": "exact"},
     ])
     def test_choices_match(self, route, metric, noise):
+        self.check(route, metric, noise)
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("route, k_max", [("spectral_quadratic", 40), ("dr_entropy", 20)])
+    def test_choices_match_across_blocks(self, route, metric, k_max):
+        # several blocks and a partial last one
+        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
+        self.check(route, metric, {"k_max": k_max})
+
+    @staticmethod
+    def check(route, metric, noise):
         if route == "spectral_quadratic":
             problem, solver, kl_rtol = quad_problem(), SolverConfig(method="spectral"), 1e-14
         else:
@@ -291,6 +314,7 @@ class TestSearchMatchesPerCandidateLoop:
             for g, w in zip(got, want):
                 assert g.k == w.k
                 assert np.array_equal(g.g_obs.values, w.g_obs.values)
+                assert [type(m) for m in g.metrics] == [float, float, float, int]
                 assert g.metrics[1:] == w.metrics[1:]
                 assert abs(g.metrics[0] - w.metrics[0]) <= kl_rtol * w.metrics[0]
                 for a, b in zip(g.reports, w.reports):

@@ -8,6 +8,7 @@ import pytest
 from torusreg import (
     ConfigError,
     EntropyPenalty,
+    GridMismatch,
     NonConvergence,
     QuadraticPenalty,
     Signal,
@@ -547,6 +548,15 @@ class TestInputChecks:
         for call in calls:
             with pytest.raises(ConfigError, match="alpha"):
                 call()
+
+    @pytest.mark.parametrize("name", ["g_rfft", "prior_rfft"])
+    def test_spectral_solve_rejects_a_half_spectrum_of_another_grid(self, name):
+        # n = 64 has 33 half-spectrum modes; a 32-mode array is named, not broadcast
+        grid = TorusGrid(64)
+        args = {"g_rfft": np.fft.rfft(np.ones(grid.n)), "prior_rfft": np.zeros(grid.n // 2 + 1, complex)}
+        args[name] = np.zeros(32, complex)
+        with pytest.raises(GridMismatch, match=f"^{name} must have the operator's 33 half-spectrum modes"):
+            solve_quadratic_spectral(make_inverse_helmholtz(grid), args["g_rfft"], 1e-2, args["prior_rfft"])
 
     @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
     def test_non_finite_spectral_solve_is_reported_as_not_finite(self, grid, data, alpha):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -20,7 +21,7 @@ from torusreg import (
     norm_l2,
     to_spectrum,
 )
-from torusreg.torus import signal_rows
+from torusreg.torus import norm_l1_array, norm_l2_rfft, signal_rows
 
 from conftest import count_ffts, random_signal
 
@@ -342,3 +343,26 @@ class TestNorms:
         other = TorusGrid(32)
         with pytest.raises(GridMismatch):
             inner(Signal(grid, np.zeros(grid.n)), Signal(other, np.zeros(other.n)))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_stacked_norms_equal_the_norm_of_each_row(self, rng, n):
+        # a (K, m, .) stack gives, bit for bit, what the 1-D call gives per row;
+        # the 1-D call gives a float
+        shape = (16, 8)
+        scales = 10.0 ** rng.uniform(-150, 150, shape)[..., None]
+        spectra = (rng.standard_normal(shape + (n // 2 + 1,))
+                   + 1j * rng.standard_normal(shape + (n // 2 + 1,))) * scales
+        # edges that weigh: numpy's abs of a complex array rounds otherwise than
+        # abs of a complex scalar, and such a norm would fail here
+        spectra[..., 1:-1] *= 10.0 ** rng.uniform(-8, 0, shape)[..., None]
+        samples = rng.standard_normal(shape + (n,)) * scales
+        l2, l1 = norm_l2_rfft(spectra, n), norm_l1_array(samples)
+        assert l2.shape == l1.shape == shape
+        for i, j in np.ndindex(shape):
+            c = spectra[i, j]
+            assert type(norm_l2_rfft(c, n)) is float and type(norm_l1_array(samples[i, j])) is float
+            assert l2[i, j] == norm_l2_rfft(c, n)
+            assert l1[i, j] == norm_l1_array(samples[i, j])
+            # the scalar Parseval formula, whose float ** 2 rounds as libm's pow
+            edges = abs(c[0]) ** 2 + abs(c[-1]) ** 2
+            assert l2[i, j] == math.sqrt(2.0 * np.vdot(c, c).real - edges) / n
