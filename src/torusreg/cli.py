@@ -213,11 +213,22 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "out" in flags:
             p.add_argument("--out", default=None, help="output directory override")
         if "seed" in flags:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_non_negative_int, default=0)
         if "threads" in flags:
             p.add_argument("--threads", type=_positive_int, default=1,
                            help="worker processes, capped at the number of jobs")

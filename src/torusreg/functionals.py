@@ -36,6 +36,11 @@ TOUCH_TOL = 1e-9  # samples this close to a box bound touch it
 PROX_FLOOR = 1e-12
 NEWTON_STEPS = 3
 NEWTON_TOL = 1e-8
+# _newton_omega's dot test: bounds on s = rel . rel, each moved inward by this relative margin
+_DOT_MARGIN = 1e-6
+_DOT_ACCEPT = NEWTON_TOL**2 * (1.0 - _DOT_MARGIN)  # s at most this: every |rel| <= NEWTON_TOL
+_DOT_GO_ON = NEWTON_TOL**2 * (1.0 + _DOT_MARGIN)  # s above n times this: some |rel| > NEWTON_TOL
+_DOT_BELOW_ONE = 1.0 - _DOT_MARGIN  # s below this: every |rel| < 1
 
 
 def _phi_entropy(ratio_minus_one: np.ndarray) -> np.ndarray:
@@ -90,11 +95,20 @@ class QuadraticPenalty:
         """Always False: the quadratic penalty has no box."""
         return False
 
-    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Array map x -> argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma)."""
+    def prox_map(self, gamma: float) -> Callable[..., np.ndarray]:
+        """Array map x -> argmin_v gamma R(v) + 1/2 ||v - x||^2 = (x + gamma f0) / (1 + gamma).
+
+        Given ``out``, an array of x's shape, the map writes the result there
+        and returns ``out``; else it returns a fresh array. It reads x only.
+        """
         check_value("gamma", gamma, float, POSITIVE)
         shift, scale = gamma * self.prior.values, 1.0 + gamma
-        return lambda x: (x + shift) / scale
+
+        def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.add(x, shift, out=out)
+            return np.divide(out, scale, out=out)
+
+        return prox
 
     def with_prior(self, prior: Signal) -> "QuadraticPenalty":
         return QuadraticPenalty(prior)
@@ -148,7 +162,7 @@ class EntropyPenalty:
             raise SubgradientUndefined("subgradient needs a point strictly inside the box")
         return Signal(f.grid, np.log(f.values / self.prior.values))
 
-    def prox_map(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    def prox_map(self, gamma: float) -> Callable[..., np.ndarray]:
         """Array map of the pointwise prox: the root of gamma ln(v/w) + v - x = 0,
         clamped to the box.
 
@@ -167,24 +181,34 @@ class EntropyPenalty:
         steps stay finite: for finite gamma it is at least
         ln(1e-12) - ln(1.8e308) - 1 = -738.4, and omega(-738.4) = 2.0e-321.
         zeta and the Newton work arrays belong to the map and are reused by
-        every call; each call reads x only and returns a fresh array.
+        every call; each call reads x only. Given ``out``, an array of x's
+        shape, the call writes its result there and returns ``out``; else it
+        returns a fresh array. At gamma = 1 the map skips x/gamma and
+        gamma*y, which are exact there: the same bits, two calls fewer.
         """
         check_value("gamma", gamma, float, POSITIVE)
         shift = np.log(self.prior.values / gamma)
         lo, hi = max(self.box_lo, PROX_FLOOR), self.box_hi
         zeta_floor = np.log(lo) - np.log(gamma) - 1.0
         zeta, rel, tmp = (np.empty_like(shift) for _ in range(3))
+        unit = gamma == 1.0
         y = None
 
-        def prox(x: np.ndarray) -> np.ndarray:
+        def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             nonlocal y
-            np.divide(x, gamma, out=zeta)
-            np.add(zeta, shift, out=zeta)
+            if unit:
+                np.add(x, shift, out=zeta)
+            else:
+                np.divide(x, gamma, out=zeta)
+                np.add(zeta, shift, out=zeta)
             np.maximum(zeta, zeta_floor, out=zeta)
             y = wrightomega(zeta) if y is None else _newton_omega(zeta, y, rel, tmp)
-            v = np.multiply(gamma, y)
-            np.maximum(v, lo, out=v)
-            return np.minimum(v, hi, out=v)
+            if unit:
+                out = np.maximum(y, lo, out=out)
+            else:
+                out = np.multiply(gamma, y, out=out)
+                np.maximum(out, lo, out=out)
+            return np.minimum(out, hi, out=out)
 
         return prox
 
@@ -235,18 +259,31 @@ def _newton_omega(zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndar
     about NEWTON_TOL**2 remains. Entries not accepted, NaN ones included,
     get omega. A correction of size 1 or more (y would drop to <= 0, or
     more than double) ends the steps early, before the log of a y <= 0.
+
+    Each step decides by s = rel . rel, one dot, where it can: the largest
+    |rel| lies between sqrt(s/n) and sqrt(s), so s <= NEWTON_TOL**2 accepts
+    and n NEWTON_TOL**2 < s < 1 goes on, as the largest |rel| would. Both
+    bounds are moved inward by the relative margin ``_DOT_MARGIN``, far
+    above the dot's rounding (at most about (n + 1) 2**-53 relative), so
+    that no decision can differ; s between them, s near 1 or above, and a
+    NaN or inf s take the exact test on the largest |rel|.
     """
+    go_on = y.size * _DOT_GO_ON
     for _ in range(NEWTON_STEPS):
         np.log(y, out=rel)
         rel += y
         rel -= zeta
         rel /= np.add(1.0, y, out=tmp)  # the Newton correction relative to y
         y *= np.subtract(1.0, rel, out=tmp)
-        worst = np.maximum.reduce(np.abs(rel, out=tmp))
-        if worst <= NEWTON_TOL:
+        s = float(np.vdot(rel, rel))
+        if s <= _DOT_ACCEPT:
             return y
-        if not worst < 1.0:
-            break
+        if not go_on < s < _DOT_BELOW_ONE:
+            worst = np.maximum.reduce(np.abs(rel, out=tmp))
+            if worst <= NEWTON_TOL:
+                return y
+            if not worst < 1.0:
+                break
     redo = ~(np.abs(rel) <= NEWTON_TOL)
     y[redo] = wrightomega(zeta[redo])
     return y
@@ -265,9 +302,10 @@ def _fidelity_prox_constants(
 
     Both depend on the operator and t only. The last t's pair is kept in the
     operator's instance dict, read-only, as ``symbol_rfft`` is, so a run of
-    solves at one alpha (a worst-case search) forms only (t mu) g^ per call.
-    Both are complex arrays with zero imaginary parts: numpy multiplies a
-    complex array by a real one through that very cast, so no call pays it.
+    solves at one alpha (a worst-case search) forms only (t mu) g^ per call:
+    that first array is fresh and the caller's to write. Both are complex
+    arrays with zero imaginary parts: numpy multiplies a complex array by a
+    real one through that very cast, so no call pays it.
     """
     if not 0 < gamma < np.inf:
         raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")

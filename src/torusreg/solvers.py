@@ -114,7 +114,9 @@ def solve_quadratic_spectral(
             f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
             f"got shape {c.shape}")
     shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
-    return (prior_rfft + shift) * recip
+    shift += prior_rfft  # shift is fresh; recip is the operator's kept, read-only array
+    shift *= recip
+    return shift
 
 
 def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) -> SolveReport:
@@ -158,10 +160,11 @@ def solve_generalized_dr(
     its work arrays: z starts as a copy of the prior, and the fidelity prox
     (c + t mu g^) / (1 + t mu^2) on the half spectrum c of 2u - z, with
     t = gamma/alpha (:func:`~torusreg.functionals._fidelity_prox_constants`),
-    runs in place on one real and one half-spectrum buffer. Neither the
-    penalty's prior nor ``g_obs`` is written. A solve costs 2 FFTs per
-    iteration and the minimizer's rfft; the loop's two are looked up on
-    ``np.fft`` per solve, so that a name patched there sees every call.
+    runs in place on one real and one half-spectrum buffer, and the penalty
+    prox writes into u (its ``out``), so an iteration allocates no array.
+    Neither the penalty's prior nor ``g_obs`` is written. A solve costs 2
+    FFTs per iteration and the minimizer's rfft; the loop's two are looked
+    up on ``np.fft`` per solve, so that a name patched there sees every call.
     """
     check_value("method", cfg.method, str, one_of("dr"))
     check_same_grid(op, g_obs, penalty.prior)
@@ -192,7 +195,7 @@ def solve_generalized_dr(
             )
         z += step
         z_norm = _rms(z)
-        u = prox_penalty(z)
+        u = prox_penalty(z, u)
         if residual <= tol:
             return _report(op, g_obs, alpha, penalty, Signal(g_obs.grid, u), it, residual)
     raise NonConvergence(

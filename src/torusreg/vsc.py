@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AT_LEAST_ONE, POSITIVE, DomainError, Unsupported, check_fields, check_value
+from .errors import (
+    AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, DomainError, Unsupported, check_fields, check_value,
+)
 from .operators import (
     FourierMultiplierOperator,
     multiplier_power_apply,
@@ -261,6 +263,7 @@ def vsc_violation_search(
     nothing.
     """
     check_value("trials", trials, int, AT_LEAST_ONE)
+    check_value("seed", seed, int, NON_NEGATIVE)
     if amplitudes is None:
         amplitudes = np.logspace(-8, 4, 61)
     n = omega.grid.n

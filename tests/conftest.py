@@ -95,37 +95,41 @@ def prox_signal(penalty, x, gamma):
     return Signal(x.grid, penalty.prox_map(gamma)(x.values))
 
 
+def max_newton_omega(zeta, y):
+    """Oracle for ``functionals._newton_omega``: the Newton steps on
+    y + ln y = zeta with a fresh array for every step, each step decided by
+    the largest correction alone. Returns a fresh array."""
+    for _ in range(NEWTON_STEPS):
+        rel = np.log(y)
+        rel += y
+        rel -= zeta
+        rel /= 1.0 + y
+        y = y * (1.0 - rel)
+        worst = np.abs(rel).max()
+        if worst <= NEWTON_TOL:
+            return y
+        if not worst < 1.0:
+            break
+    redo = ~(np.abs(rel) <= NEWTON_TOL)
+    y[redo] = wrightomega(zeta[redo])
+    return y
+
+
 def allocating_prox_map(penalty, gamma):
-    """Oracle for ``penalty.prox_map(gamma)``: the entropy prox with a fresh
-    array for every step and a warm Newton root y replaced on each call; a
-    quadratic penalty's own map already allocates."""
+    """Oracle for ``penalty.prox_map(gamma)``: the prox formula with a fresh
+    array for every step, dividing by gamma and multiplying by it at every
+    gamma; the entropy prox replaces its warm Newton root y on each call."""
     if not isinstance(penalty, EntropyPenalty):
-        return penalty.prox_map(gamma)
+        return lambda x: (x + gamma * penalty.prior.values) / (1.0 + gamma)
     shift = np.log(penalty.prior.values / gamma)
     lo, hi = max(penalty.box_lo, PROX_FLOOR), penalty.box_hi
     zeta_floor = np.log(lo) - np.log(gamma) - 1.0
     y = None
 
-    def newton(zeta, y):
-        for _ in range(NEWTON_STEPS):
-            rel = np.log(y)
-            rel += y
-            rel -= zeta
-            rel /= 1.0 + y
-            y = y * (1.0 - rel)
-            worst = np.abs(rel).max()
-            if worst <= NEWTON_TOL:
-                return y
-            if not worst < 1.0:
-                break
-        redo = ~(np.abs(rel) <= NEWTON_TOL)
-        y[redo] = wrightomega(zeta[redo])
-        return y
-
     def prox(x):
         nonlocal y
         zeta = np.maximum(x / gamma + shift, zeta_floor)
-        y = wrightomega(zeta) if y is None else newton(zeta, y)
+        y = wrightomega(zeta) if y is None else max_newton_omega(zeta, y)
         return np.minimum(np.maximum(gamma * y, lo), hi)
 
     return prox

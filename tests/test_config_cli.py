@@ -442,6 +442,24 @@ class TestCli:
             main(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["vsc-diagnose", "selftest"])
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "must be >= 0, got -1"),
+        ("x", "must be an integer, got 'x'"),
+    ])
+    def test_bad_seed_exits_2_naming_the_flag(self, tmp_path, capsys, command, seed, message):
+        out = tmp_path / "out"
+        argv = [command, "--seed", seed]
+        if command == "vsc-diagnose":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_approx_sweep_writes_outputs(self, tmp_path, capsys):
         cfg = small_cli_config(tmp_path)
         assert main(["approx-sweep", "--config", cfg]) == 0

@@ -23,9 +23,11 @@ from torusreg import (
     prox_fidelity,
     to_spectrum,
 )
-from torusreg.functionals import PROX_FLOOR, _fidelity_prox_constants
+from torusreg.functionals import NEWTON_TOL, PROX_FLOOR, _fidelity_prox_constants, _newton_omega
 
-from conftest import make_identity, prox_signal, random_signal
+from conftest import (
+    allocating_prox_map, make_identity, max_newton_omega, prox_signal, random_signal,
+)
 
 
 def positive_signal(grid, rng, lo=0.1, hi=4.0):
@@ -278,6 +280,98 @@ class TestProxMapCalls:
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, x)
+
+    @pytest.mark.parametrize("penalty", ["entropy", "quadratic"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_out_is_written_and_returned(self, grid, rng, penalty, gamma):
+        # at gamma = 1 the entropy map skips x/gamma and gamma*y: the oracle
+        # divides and multiplies at every gamma; the jumps reach both box bounds
+        prior = positive_signal(grid, rng, 0.2, 3.0)
+        pen = EntropyPenalty(prior, 0.2, 3.0) if penalty == "entropy" else QuadraticPenalty(prior)
+        prox, oracle = pen.prox_map(gamma), allocating_prox_map(pen, gamma)
+        out = np.empty(grid.n)
+        for i, x in enumerate(jump_inputs(rng, grid.n)):
+            kept = x.copy()
+            got = prox(x, out) if i % 2 else prox(x)
+            assert (got is out) == bool(i % 2)
+            assert np.array_equal(x, kept)
+            assert got.tobytes() == oracle(x).tobytes()
+
+
+def first_correction(zeta, y):
+    """The first Newton correction, relative to y, of y + ln y = zeta from y."""
+    return (np.log(y) + y - zeta) / (1.0 + y)
+
+
+def unit_start(rel):
+    """(zeta, y) with y = 1, whose first Newton correction is rel rounded to
+    a multiple of 2**-53: ln 1 and 1 + 1 are exact, and so is 1 - zeta."""
+    return 1.0 - 2.0 * rel, np.ones_like(rel)
+
+
+def one_entry(n, rel):
+    """A unit start whose first correction is rel on one entry and 0 elsewhere."""
+    corrections = np.zeros(n)
+    corrections[n // 3] = rel
+    return unit_start(corrections)
+
+
+def floored_start(n):
+    """zeta at the floor ln(PROX_FLOOR) - ln(1.7e308) - 1 of a map with a huge
+    gamma on every other entry, from a root 25 % off; the rest are ordinary."""
+    floor = math.log(PROX_FLOOR) - math.log(1.7e308) - 1.0
+    y = np.linspace(0.3, 3.0, n)
+    zeta = y + np.log(y)
+    zeta[::2] = floor
+    y[::2] = wrightomega(floor) * 1.25
+    return zeta, y
+
+
+def special_start(n, value):
+    """A unit start with first corrections 1e-10, and zeta = value on two entries."""
+    zeta, y = unit_start(np.full(n, 1e-10))
+    zeta[[1, n // 2]] = value
+    return zeta, y
+
+
+N = 64
+FACTORS = (1 - 1e-3, 1 - 1e-5, 1 + 1e-5, 1 + 1e-3)
+ONE_ENTRY_BOUNDS = {"NEWTON_TOL": NEWTON_TOL, "sqrt(n) NEWTON_TOL": math.sqrt(N) * NEWTON_TOL,
+                    "1": 1.0}
+ALL_ENTRIES_BOUNDS = {"NEWTON_TOL / sqrt(n)": NEWTON_TOL / math.sqrt(N), "NEWTON_TOL": NEWTON_TOL}
+# name -> (zeta, y): the first corrections on both sides of the bounds of the
+# max test (NEWTON_TOL, 1) and of the dot test's (NEWTON_TOL / sqrt(n) for equal
+# entries, sqrt(n) NEWTON_TOL for one entry), then non-finite and floored zeta
+NEWTON_STARTS = {
+    **{f"one entry at {sign}{name} x {f:.5f}": one_entry(N, float(f"{sign}1") * r * f)
+       for name, r in ONE_ENTRY_BOUNDS.items() for f in FACTORS for sign in "+-"},
+    **{f"all entries at {name} x {f:.5f}": unit_start(np.full(N, r * f))
+       for name, r in ALL_ENTRIES_BOUNDS.items() for f in FACTORS},
+    "spread below sqrt(n) NEWTON_TOL": unit_start(
+        np.random.default_rng(7).uniform(-0.9, 0.9, N) * NEWTON_TOL),
+    "NaN": special_start(N, np.nan),
+    "+inf": special_start(N, np.inf),
+    "-inf": special_start(N, -np.inf),
+    "floored zeta": floored_start(N),
+}
+
+
+class TestNewtonDecisions:
+    """_newton_omega decides a step by one dot where that decides it; every
+    root must equal the max-based Newton's bit for bit."""
+
+    @pytest.mark.parametrize("zeta, y", NEWTON_STARTS.values(), ids=NEWTON_STARTS.keys())
+    def test_matches_max_based_newton(self, zeta, y):
+        want = max_newton_omega(zeta, y.copy())
+        got = y.copy()
+        assert _newton_omega(zeta, got, np.empty(N), np.empty(N)) is got
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ONE_ENTRY_BOUNDS)
+    def test_one_entry_starts_straddle_their_bound(self, name):
+        worst = [np.abs(first_correction(*NEWTON_STARTS[f"one entry at +{name} x {f:.5f}"])).max()
+                 for f in FACTORS]
+        assert worst[0] < worst[1] < ONE_ENTRY_BOUNDS[name] < worst[2] < worst[3]
 
 
 class TestWrightOmega:

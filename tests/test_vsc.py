@@ -428,3 +428,15 @@ class TestViolationSearch:
         r1 = vsc_violation_search(op, omega, phi, trials=16, seed=123)
         r2 = vsc_violation_search(op, omega, phi, trials=16, seed=123)
         assert r1 == r2
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be finite and non-negative, got -1"),
+        (1.5, "seed must be int, got 1.5"),
+        (True, "seed must be int, got True"),
+    ])
+    def test_bad_seed_is_a_config_error_naming_it(self, grid, rng, seed, message):
+        op = make_inverse_helmholtz(grid)
+        omega = band_limited_signal(grid, rng, band=6)
+        phi = HoelderIndexFunction(1.0, 0.4)
+        with pytest.raises(ConfigError, match=message):
+            vsc_violation_search(op, omega, phi, trials=16, seed=seed)
