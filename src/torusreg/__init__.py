@@ -44,7 +44,7 @@ from .functionals import (
     kl_divergence,
     prox_fidelity,
 )
-from .solvers import SolveReport, SolverConfig, solve_generalized_dr, solve_quadratic_spectral
+from .solvers import SolveReport, SolverConfig, solve_generalized_dr
 from .bregman import accumulated_subgradient, bregman_iterate, step_penalty
 from .vsc import (
     HoelderIndexFunction,

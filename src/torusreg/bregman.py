@@ -18,8 +18,8 @@ import warnings
 import numpy as np
 
 from . import solvers
-from .errors import AT_LEAST_ONE, InteriorityWarning, Unsupported, check_value
-from .functionals import TOUCH_TOL, Penalty, QuadraticPenalty
+from .errors import AT_LEAST_ONE, GridMismatch, InteriorityWarning, Unsupported, check_value
+from .functionals import TOUCH_TOL, Penalty, QuadraticPenalty, _fidelity_prox_constants
 # apply stays importable here: perfbench/spans.py patches torusreg.bregman.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
@@ -53,16 +53,42 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
 def spectral_chain(
     op: FourierMultiplierOperator, g_rfft: np.ndarray, alpha: float, penalty: Penalty, n_steps: int
 ) -> list[np.ndarray]:
-    """The half spectra of the quadratic chain's minimizers (iterated Tikhonov) on
-    the data with half spectrum g_rfft; step n is one ``solvers.solve_quadratic_spectral``
-    call with prior f_{n-1}, looked up on the module so that a name patched there
-    sees each solve. A non-quadratic penalty raises :class:`Unsupported` before any solve."""
+    """The half spectra of the quadratic chains' minimizers (iterated Tikhonov),
+    one array per step, shaped as g_rfft: a chain on the data with half
+    spectrum g_rfft of shape (n/2 + 1,), or one chain per row of a
+    (rows, n/2 + 1) block of them.
+
+    The fidelity shift t mu g^ and the reciprocal 1/(1 + t mu^2), t = 1/alpha,
+    come from one :func:`~torusreg.functionals._fidelity_prox_constants` call
+    on all of g_rfft, which also tests alpha. Step n writes a fresh stack,
+    one row per ``solvers.solve_quadratic_spectral`` call with the row's
+    shift and prior f_{n-1} (the penalty's prior at step 1); the row is
+    what the call returns. The solve is looked up on the module, so that a
+    name patched there sees each solve. A non-quadratic penalty raises
+    :class:`Unsupported`, and a g_rfft whose last axis, or a prior whose
+    shape, is not the operator's n/2 + 1 modes raises :class:`GridMismatch`
+    naming it, both before any solve; finiteness is left to the caller,
+    which tests it once per chain or block.
+    """
     if not isinstance(penalty, QuadraticPenalty):
         raise Unsupported("spectral solve requires a quadratic penalty")
-    chain, previous = [], penalty.prior.rfft
+    modes, prior = op.symbol_rfft.shape, penalty.prior.rfft
+    if g_rfft.shape[-1:] != modes or prior.shape != modes:  # inline: one test per chain or block
+        name, c = ("g_rfft", g_rfft) if g_rfft.shape[-1:] != modes else ("prior_rfft", prior)
+        raise GridMismatch(
+            f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
+            f"got shape {c.shape}")
+    shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
+    shift = shift.reshape(-1, modes[0])  # one row per chain
+    solve, chain, previous = solvers.solve_quadratic_spectral, [], [prior] * len(shift)
     for _ in range(n_steps):
-        previous = solvers.solve_quadratic_spectral(op, g_rfft, alpha, previous)
-        chain.append(previous)
+        step = np.empty_like(shift)
+        for s, p, out in zip(shift, previous, step):
+            row = solve(s, p, recip, out)
+            if row is not out:  # the row is what the solve returns
+                out[...] = row
+        chain.append(step.reshape(g_rfft.shape))
+        previous = step
     return chain
 
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bregman import bregman_iterate
+from .bregman import bregman_iterate, spectral_chain
 from .config import default_config, load_config
 from .errors import ConfigError, SourceDivisionError, TorusRegError
 from .functionals import QuadraticPenalty
@@ -27,7 +27,7 @@ from .harness import (
 )
 # apply is unused here but stays importable: perfbench/spans.py patches cli.apply
 from .operators import apply, kernel_signal, make_inverse_helmholtz  # noqa: F401
-from .solvers import SolverConfig, solve_generalized_dr, solve_quadratic_spectral
+from .solvers import SolverConfig, solve_generalized_dr
 from .svgplot import Line, Series, svg_loglog
 from .reportio import write_signals_csv, write_sweep_csv
 from .torus import Signal, TorusGrid, norm_l2, to_spectrum
@@ -192,7 +192,8 @@ def cmd_selftest(args) -> int:
 
     prior = Signal(grid, rng.standard_normal(grid.n))
     g_obs = Signal(grid, rng.standard_normal(grid.n))
-    exact = Signal.from_rfft(grid, solve_quadratic_spectral(op, g_obs.rfft, 0.1, prior.rfft))
+    [exact_rfft] = spectral_chain(op, g_obs.rfft, 0.1, QuadraticPenalty(prior), 1)
+    exact = Signal.from_rfft(grid, exact_rfft)
     report = solve_generalized_dr(op, g_obs, 0.1, QuadraticPenalty(prior), SolverConfig())
     rel = norm_l2(report.minimizer - exact) / max(norm_l2(exact), 1e-30)
     checks.append(("douglas-rachford vs spectral", rel < 1e-6))

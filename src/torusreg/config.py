@@ -57,6 +57,7 @@ _PARSERS = {
     tuple[float, ...] | None: _parse_float_list,
 }
 
+# the geometric_grid arguments (top, bottom, count), in that order
 _GRID_KEYS = {"delta_max": float, "delta_min": float, "delta_count": int}
 
 
@@ -90,7 +91,7 @@ def _build_sweep(parser: configparser.ConfigParser) -> SweepConfig:
     if grid and "deltas" not in values:
         if len(grid) < len(_GRID_KEYS):
             raise ConfigError("delta_max, delta_min and delta_count must be given together")
-        values["deltas"] = geometric_grid(grid["delta_max"], grid["delta_min"], grid["delta_count"])
+        values["deltas"] = geometric_grid(*(grid[k] for k in _GRID_KEYS), names=tuple(_GRID_KEYS))
     noise = {"kind" if k == "noise" else k: values.pop(k) for k in noise_keys if k in values}
     if noise:
         values["noise"] = NoiseModel(**noise)

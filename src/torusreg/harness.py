@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
 from .torus import (
-    Signal, TorusGrid, _freeze, _SignalRows, bspline_truth, check_same_grid, norm_l1_array,
-    norm_l2_rfft, signal_rows,
+    Signal, TorusGrid, _freeze, bspline_truth, check_same_grid, norm_l1_array, norm_l2_rfft,
+    signal_rows,
 )
 
 __all__ = [
@@ -69,11 +69,17 @@ def _map(fn, jobs: Sequence, threads: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def geometric_grid(top: float, bottom: float, count: int) -> tuple[float, ...]:
-    """Strictly decreasing geometric grid from top to bottom inclusive."""
-    check_value("top", top, float, POSITIVE)
-    check_value("bottom", bottom, float, {f"lie in (0, top = {top})": lambda v: 0 < v < top})
-    check_value("count", count, int, {"be >= 2": lambda v: v >= 2})
+def geometric_grid(
+    top: float, bottom: float, count: int, names: tuple[str, str, str] = ("top", "bottom", "count")
+) -> tuple[float, ...]:
+    """Strictly decreasing geometric grid from top to bottom inclusive. A bad
+    argument is a :class:`ConfigError` that calls the three by ``names``
+    (a config file's keys, say)."""
+    top_name, bottom_name, count_name = names
+    check_value(top_name, top, float, POSITIVE)
+    check_value(bottom_name, bottom, float,
+                {f"lie in (0, {top_name} = {top})": lambda v: 0 < v < top})
+    check_value(count_name, count, int, {"be >= 2": lambda v: v >= 2})
     return tuple(np.geomspace(top, bottom, count).tolist())
 
 
@@ -188,10 +194,17 @@ class RateFit:
 
 
 # Rows of a worst-case search's candidate block. Each array a block makes
-# (at n = 512: 64 KiB of samples, 64 KiB of half spectra, one 64 KiB stack
-# per step) stays below glibc's 128 KiB mmap threshold, so the allocator
+# stays at or below 64.25 KiB at n = 512 (the samples, their half spectra;
+# on the spectral route the fidelity shift, one stack per step and each
+# step's errors), below glibc's 128 KiB mmap threshold, so the allocator
 # reuses heap memory instead of mapping and zero-faulting fresh pages on
 # every search, as it did for the (k_max, n) arrays of a whole search.
+# A block's arrays are freed when the next block's have been made, not
+# before: freed first, they lie at the top of the heap, which glibc trims
+# once 128 KiB or more of it is free (its default trim threshold), and the
+# next block faults the pages in again. Measured inside perfbench/run.py
+# on hilbert_envelope (2-core Xeon): 410k-600k minor faults in a 6 s run
+# that way, against 29k-36k.
 # Measured on hilbert_envelope (k_max = 250, 2-core Xeon): 32 rows make
 # 128 KiB arrays and took 31k-39k minor page faults per pass, against 8-9
 # at 16 rows; 8 rows ran 21 % slower and 12 rows 4 % slower than 16.
@@ -247,22 +260,23 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
-def _spectral_errors(problem: Problem, metric: str, chains: list[list[np.ndarray]]) -> np.ndarray:
+def _spectral_errors(problem: Problem, metric: str, chain: list[np.ndarray]) -> np.ndarray:
     """The (rows, steps) errors in ``metric`` of the minimizers of a block's
-    spectral chains, bit for bit as :func:`_error` scores their signals: kl
-    by Parseval, squared by libm's pow as a float's ``** 2`` is (numpy's
-    ``**`` on arrays rounds otherwise), and l1 from the samples of an irfft.
+    spectral chains, given as one (rows, n/2 + 1) stack of half spectra per
+    step (:func:`~torusreg.bregman.spectral_chain` of the block), bit for bit
+    as :func:`_error` scores their signals: kl by Parseval, squared by libm's
+    pow as a float's ``** 2`` is (numpy's ``**`` on arrays rounds
+    otherwise), and l1 from the samples of an irfft.
 
-    Each step's half spectra are stacked and scored at once, one
-    (rows, n/2 + 1) stack per step: a stack of every step would reach
-    glibc's mmap threshold (see ``_BLOCK_ROWS``)."""
+    Each stack is scored where it lies, one step at a time, and is not
+    written: a stack of every step would reach glibc's mmap threshold (see
+    ``_BLOCK_ROWS``)."""
     n = problem.grid.n
-    scores = np.empty((len(chains), len(chains[0])))
-    for i in range(scores.shape[1]):
-        step = np.array([chain[i] for chain in chains])
+    scores = np.empty((len(chain[0]), len(chain)))
+    for i, step in enumerate(chain):
         if metric == "kl":
-            step -= problem.f_true.rfft
-            scores[:, i] = 0.5 * np.float_power(norm_l2_rfft(step, n), 2)
+            errors = np.subtract(step, problem.f_true.rfft)
+            scores[:, i] = 0.5 * np.float_power(norm_l2_rfft(errors, n), 2)
         else:
             errors = np.fft.irfft(step, n)
             errors -= problem.f_true.values
@@ -272,35 +286,17 @@ def _spectral_errors(problem: Problem, metric: str, chains: list[list[np.ndarray
 
 def _chain_metrics(
     problem: Problem,
-    observations: _SignalRows,
-    row: int,
+    g_obs: Signal,
     alpha: float,
     n_steps: int,
     solver: SolverConfig,
     metric: str,
-) -> tuple[Callable[[], tuple[Signal, list[SolveReport]]], list]:
-    """Run the chain on the candidate ``observations[row]``; return a
-    function giving that signal and the chain's solve reports, and one
-    entry per step.
-
-    On the spectral route the chain runs on the row of
-    ``observations.spectra`` and the entries are its minimizers' half
-    spectra, unscored: the search scores a block's chains together
-    (:func:`_spectral_errors`). The function builds the signal and the
-    reports when called, so a search builds them for the chains it selects
-    only. On the DR route the entries are the minimizers' errors in
-    ``metric``, and the function returns what is already built."""
-    if solver.method == "spectral":
-        chain = spectral_chain(problem.op, observations.spectra[row], alpha, problem.penalty, n_steps)
-
-        def built():
-            g_obs = observations[row]
-            return g_obs, spectral_reports(problem.op, g_obs, alpha, problem.penalty, chain)
-
-        return built, chain
-    g_obs = observations[row]
+) -> tuple[list[SolveReport], list[float]]:
+    """The Douglas-Rachford chain on the candidate g_obs: its solve reports,
+    and its minimizers' errors in ``metric``, one per step. The spectral
+    route scores a block's chains together instead (:func:`_spectral_errors`)."""
     reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
-    return lambda: (g_obs, reports), [_error(problem, metric, r.minimizer) for r in reports]
+    return reports, [_error(problem, metric, r.minimizer) for r in reports]
 
 
 def noise_frequencies(noise: NoiseModel, n: int) -> Sequence[int]:
@@ -332,47 +328,56 @@ def worst_case_search(
     The candidates are walked in blocks of ``_BLOCK_ROWS`` rows. Every
     candidate, the exact data included, is a row of its block's sample
     array; its half spectrum, from one batched rfft of the block, is the
-    rfft of its samples. Each candidate's chain is one
-    :func:`_chain_metrics` call. Every candidate's steps are scored in the
-    selection metric only, on the spectral route each step of a block at
-    once (:func:`_spectral_errors`); the other error is computed for each
-    step's selected candidate. A running best per step carries across
-    blocks, so a chain that is not selected does not outlive its block; a
-    selected chain's signal and reports are fetched once.
+    rfft of its samples. On the DR route each candidate's chain is one
+    :func:`_chain_metrics` call. On the spectral route a block's chains are
+    one :func:`~torusreg.bregman.spectral_chain` call on the block's
+    (rows, n/2 + 1) half spectra, and each step's stack is scored at once
+    (:func:`_spectral_errors`); only a selected chain's rows are copied out
+    of the block, and its signal's reports are built once, at the end.
+    Every candidate's steps are scored in the selection metric only; the
+    other error is computed for each step's selected candidate. A running
+    best per step carries across blocks, so a chain that is not selected
+    does not outlive the next block.
 
     The spectral chains are unchecked arrays, so a search checks the grids
     once and every score's finiteness once per block; a non-finite one
     raises :class:`ConfigError` naming the first such candidate and step.
     """
-    sweep = config.sweep
+    sweep, steps = config.sweep, config.sweep.bregman_steps
     check_value("delta", delta, float, NON_NEGATIVE)
     ks = tuple(noise_frequencies(sweep.noise, problem.grid.n))
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
-    # per step: (score, k, get_chain) of the first candidate with the largest score
-    best: list[tuple | None] = [None] * sweep.bregman_steps
+    spectral = config.solver.method == "spectral"
+    # per step: (score, k, g_obs, chain) of the first candidate with the largest
+    # score; the chain is its reports (DR) or its minimizers' half spectra
+    best: list[tuple | None] = [None] * steps
     for start in range(0, len(ks), _BLOCK_ROWS):
+        # the last block's arrays are freed as their names are rebound, after
+        # this block's are made (see _BLOCK_ROWS)
         block = _sinusoids(problem.grid, delta, ks, slice(start, start + _BLOCK_ROWS))
         block += problem.g_true.values
         block.setflags(write=False)  # so the candidates share it without a copy
         observations = signal_rows(problem.grid, block)
-        runs = [_chain_metrics(problem, observations, row, alpha, sweep.bregman_steps,
-                               config.solver, sweep.metric) for row in range(len(block))]
-        if config.solver.method == "spectral":
-            scores = _spectral_errors(problem, sweep.metric, [chain for _, chain in runs])
-        else:
+        if spectral:  # the block's chains: one (rows, n/2 + 1) stack per step
+            runs = spectral_chain(problem.op, observations.spectra, alpha, problem.penalty, steps)
+            scores = _spectral_errors(problem, sweep.metric, runs)
+        else:  # one (reports, errors) per candidate
+            runs = [_chain_metrics(problem, observations[row], alpha, steps, config.solver,
+                                   sweep.metric) for row in range(len(block))]
             scores = np.array([errors for _, errors in runs])
         if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
             row, step = np.argwhere(~np.isfinite(scores))[0]
             raise ConfigError(f"half spectrum must be finite: k = {ks[start + row]}, step {step + 1}")
         for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
             if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
-                best[i] = (float(scores[row, i]), ks[start + row], runs[row][0])
-        del block, observations, runs, scores  # free them before the next block is made
+                kept = [step[row].copy() for step in runs] if spectral else runs[row][0]
+                best[i] = (float(scores[row, i]), ks[start + row], observations[row], kept)
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
-    for i, (score, k, get_chain) in enumerate(best):
-        if k not in chains:
-            chains[k] = get_chain()
+    for i, (score, k, g_obs, kept) in enumerate(best):
+        if k not in chains:  # spectral reports are built for the selected chains only
+            chains[k] = g_obs, (spectral_reports(problem.op, g_obs, alpha, problem.penalty, kept)
+                                if spectral else kept)
         g_obs, reports = chains[k]
         r = reports[i]
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)

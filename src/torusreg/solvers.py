@@ -13,15 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AT_LEAST_ONE, POSITIVE, GridMismatch, NonConvergence, check_fields, check_value, one_of,
-)
+from .errors import AT_LEAST_ONE, POSITIVE, NonConvergence, check_fields, check_value, one_of
 # prox_fidelity and apply stay importable here: perfbench/spans.py patches both on torusreg.solvers
 from .functionals import Penalty, _fidelity_prox_constants, prox_fidelity  # noqa: F401
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .torus import Signal, check_same_grid, norm_l2, norm_l2_rfft
 
-__all__ = ["SolverConfig", "SolveReport", "solve_quadratic_spectral", "solve_generalized_dr"]
+__all__ = ["SolverConfig", "SolveReport", "solve_generalized_dr"]
 
 
 @dataclass(frozen=True)
@@ -92,31 +90,21 @@ class SolveReport:
 
 
 def solve_quadratic_spectral(
-    op: FourierMultiplierOperator,
-    g_rfft: np.ndarray,
-    alpha: float,
-    prior_rfft: np.ndarray,
+    shift: np.ndarray, prior_rfft: np.ndarray, recip: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Half spectrum of the exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2,
-    from the half spectra of g and the prior; a fresh array. An array whose
-    shape is not the operator's half spectrum (n/2 + 1 modes) raises
-    :class:`GridMismatch` naming it, and alpha is tested; finiteness is left
-    to the caller, which tests it once per chain or search.
-
-    The fidelity prox with unit step at the prior, bit-equal to
-    ``prox_fidelity(op, g, prior, 1.0, alpha).rfft``; mode-wise
+    """Half spectrum of the exact minimizer of (1/alpha) 1/2 ||Tf - g||^2 + 1/2 ||f - prior||^2:
+    (shift + prior_rfft) * recip, written into ``out`` and returned; the
+    fidelity prox with unit step at the prior, mode-wise
     f_j = (prior_j + mu_j g_j / alpha) / (1 + mu_j^2 / alpha).
+
+    ``shift`` = t mu g^ and ``recip`` = 1 / (1 + t mu^2), t = 1/alpha, are
+    :func:`~torusreg.functionals._fidelity_prox_constants` of the operator
+    and g's half spectrum at unit step, which tests alpha. Nothing is tested
+    here: ``bregman.spectral_chain``, the only caller, tests the shapes once
+    per chain or block, and its caller the finiteness.
     """
-    modes = op.symbol_rfft.shape
-    if g_rfft.shape != modes or prior_rfft.shape != modes:  # inline: one test per solve
-        name, c = ("g_rfft", g_rfft) if g_rfft.shape != modes else ("prior_rfft", prior_rfft)
-        raise GridMismatch(
-            f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
-            f"got shape {c.shape}")
-    shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
-    shift += prior_rfft  # shift is fresh; recip is the operator's kept, read-only array
-    shift *= recip
-    return shift
+    out = np.add(shift, prior_rfft, out=out)
+    return np.multiply(out, recip, out=out)
 
 
 def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) -> SolveReport:

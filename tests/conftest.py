@@ -4,10 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torusreg import (
-    FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate,
-    solve_quadratic_spectral,
-)
+from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
+from torusreg.bregman import spectral_chain
 from torusreg.errors import field_types
 from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
 from torusreg.harness import Choice, SweepRow
@@ -73,9 +71,11 @@ def make_identity(grid):
 
 
 def spectral_solve(op, g_obs, alpha, prior):
-    """The signal whose half spectrum ``solve_quadratic_spectral`` returns
-    for the half spectra of the signals g_obs and prior."""
-    return Signal.from_rfft(op.grid, solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft))
+    """The minimizer of the one-step quadratic chain (one closed-form solve)
+    on g_obs with the given prior, built from the half spectrum that
+    ``bregman.spectral_chain`` returns."""
+    [c] = spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
+    return Signal.from_rfft(op.grid, c)
 
 
 def spectral_projection(op, lam, f):

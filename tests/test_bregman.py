@@ -22,6 +22,8 @@ from torusreg import (
     to_spectrum,
 )
 
+from torusreg.bregman import spectral_chain
+
 from conftest import make_identity, random_signal, spectral_solve
 
 
@@ -67,6 +69,31 @@ class TestChainBasics:
         reports = bregman_iterate(op, g, 1.0, QuadraticPenalty(zero), 2)
         assert np.max(np.abs(reports[0].minimizer.values - 0.5)) < 1e-8
         assert np.max(np.abs(reports[1].minimizer.values - 0.75)) < 1e-8
+
+
+class TestBlockChain:
+    """``spectral_chain`` on a (rows, n/2 + 1) block runs one chain per row."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.37])
+    def test_block_rows_are_the_one_row_chains(self, quad_problem, rng, steps, alpha):
+        op, g_obs, prior = quad_problem
+        penalty = QuadraticPenalty(prior)
+        rows = np.stack([g_obs.rfft] + [random_signal(op.grid, rng).rfft for _ in range(4)])
+        rows.setflags(write=False)
+        block = spectral_chain(op, rows, alpha, penalty, steps)
+        assert len(block) == steps
+        for step in block:
+            assert step.shape == rows.shape and step.dtype == complex
+        for i, g_rfft in enumerate(rows):
+            one = spectral_chain(op, g_rfft, alpha, penalty, steps)
+            assert [c.shape for c in one] == [g_rfft.shape] * steps
+            for a, b in zip(block, one, strict=True):
+                assert a[i].tobytes() == b.tobytes()
+        # a block of one row is the one-row chain too
+        one = spectral_chain(op, g_obs.rfft, alpha, penalty, steps)
+        single = spectral_chain(op, g_obs.rfft[None], alpha, penalty, steps)
+        assert [a[0].tobytes() for a in single] == [b.tobytes() for b in one]
 
 
 class TestFilterFormula:

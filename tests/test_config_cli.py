@@ -641,6 +641,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "approx-sweep"])
+    @pytest.mark.parametrize("grid, message", [
+        ("delta_max = 1e-1\ndelta_min = 1e-4\ndelta_count = 1\n", "delta_count must be >= 2, got 1"),
+        ("delta_max = 1e-4\ndelta_min = 1e-3\ndelta_count = 3\n",
+         "delta_min must lie in (0, delta_max = 0.0001), got 0.001"),
+        ("delta_max = -1\ndelta_min = 1e-3\ndelta_count = 3\n",
+         "delta_max must be finite and positive, got -1.0"),
+    ], ids=["delta_count", "delta_min", "delta_max"])
+    def test_bad_delta_grid_exits_2_naming_the_key(self, tmp_path, capsys, command, grid, message):
+        # the shorthand's keys, not geometric_grid's argument names, start the message
+        path = tmp_path / "grid.cfg"
+        path.write_text("[problem]\nn = 64\n\n[sweep]\n" + grid)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rate-sweep", "reconstruct"])
     def test_spectral_method_needs_quadratic_penalty_at_load(self, tmp_path, capsys, command):
         # rejected by load_config, before any output directory is made or

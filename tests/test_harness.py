@@ -1,4 +1,5 @@
 import concurrent.futures
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,14 @@ class TestConfigs:
                            ("count", (1e-1, 1e-2, None))):
             with pytest.raises(ConfigError, match=f"^{name} "):
                 geometric_grid(*args)
+        # a caller may name the arguments, as load_config names them by its keys
+        names = ("hi", "lo", "steps")
+        for message, args in (("hi must be finite and positive, got -1.0", (-1.0, 1e-3, 3)),
+                              ("lo must lie in (0, hi = 0.1), got 0.5", (1e-1, 0.5, 3)),
+                              ("steps must be >= 2, got 1", (1e-1, 1e-3, 1))):
+            with pytest.raises(ConfigError) as caught:
+                geometric_grid(*args, names=names)
+            assert str(caught.value) == message
 
     def test_row_validation(self):
         with pytest.raises(ConfigError):
@@ -298,19 +307,32 @@ class TestSearchMatchesPerCandidateLoop:
         assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
         self.check(route, metric, {"k_max": k_max})
 
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("k_max", [12, 40])
+    def test_spectral_choices_match_at_one_and_three_steps(self, metric, steps, k_max):
+        # a block's chains run as one stack per step, whatever the step count
+        self.check("spectral_quadratic", metric, {"k_max": k_max}, steps)
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    def test_spectral_choices_match_in_one_full_block(self, metric):
+        assert blocks(_BLOCK_ROWS) == 1
+        self.check("spectral_quadratic", metric, {"k_max": _BLOCK_ROWS})
+
     @staticmethod
-    def check(route, metric, noise):
+    def check(route, metric, noise, steps=2):
         if route == "spectral_quadratic":
             problem, solver, kl_rtol = quad_problem(), SolverConfig(method="spectral"), 1e-14
         else:
             problem, solver, kl_rtol = build_problem(ProblemConfig(n=64)), SolverConfig(), 0.0
         config = ExperimentConfig(
-            solver=solver, sweep=SweepConfig(bregman_steps=2, metric=metric, noise=NoiseModel(**noise)))
+            solver=solver,
+            sweep=SweepConfig(bregman_steps=steps, metric=metric, noise=NoiseModel(**noise)))
         for delta in (1e-1, 1e-3):
             alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
             got = worst_case_search(config, problem, delta, alpha)
             want = per_candidate_search(config, problem, delta, alpha)
-            assert len(got) == len(want) == 2
+            assert len(got) == len(want) == steps
             for g, w in zip(got, want):
                 assert g.k == w.k
                 assert np.array_equal(g.g_obs.values, w.g_obs.values)
@@ -355,6 +377,21 @@ class TestSolveCount:
         worst_case_search(config, build_problem(ProblemConfig(n=64)), 1e-2, 1e-2)
         assert dr == {"solve_generalized_dr": K * steps}
         assert not spectral
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    def test_spectral_search_forms_the_shift_once_per_block(self, monkeypatch, metric):
+        # t mu g^ is formed for a block's chains at once: 3 blocks at k_max = 40,
+        # not one product per (candidate, step)
+        steps, k_max = 2, 40
+        shifts = [count_calls(monkeypatch, module, "_fidelity_prox_constants")
+                  for module in (torusreg.bregman, torusreg.solvers)
+                  if hasattr(module, "_fidelity_prox_constants")]
+        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
+        worst_case_search(search_config(steps=steps, metric=metric, k_max=k_max), quad_problem(),
+                          1e-2, 1e-2)
+        assert blocks(k_max) == 3
+        assert solves["solve_quadratic_spectral"] == k_max * steps
+        assert sum(shifts, Counter()) == {"_fidelity_prox_constants": blocks(k_max)}
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_spectral_bregman_iterate(self, monkeypatch, steps):

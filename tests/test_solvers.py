@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import torusreg.solvers
 from torusreg import (
     ConfigError,
     EntropyPenalty,
@@ -23,12 +24,15 @@ from torusreg import (
     norm_l2,
     prox_fidelity,
     solve_generalized_dr,
-    solve_quadratic_spectral,
     to_spectrum,
 )
+from torusreg.bregman import spectral_chain
+from torusreg.functionals import _fidelity_prox_constants
+from torusreg.solvers import solve_quadratic_spectral
 
 from conftest import (
-    allocating_dr, count_ffts, make_identity, prox_signal, random_signal, spectral_solve,
+    allocating_dr, count_calls, count_ffts, make_identity, prox_signal, random_signal,
+    spectral_solve,
 )
 
 
@@ -166,9 +170,20 @@ class TestSpectralSolver:
     def test_array_solve_is_the_unit_step_fidelity_prox(self, problem, alpha):
         # the half spectrum in, the half spectrum out, bit-equal to the Signal-level prox
         op, g_obs, prior = problem
-        out = solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft)
+        [out] = spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
         assert type(out) is np.ndarray and out.shape == (op.grid.n // 2 + 1,)
         assert np.array_equal(out, prox_fidelity(op, g_obs, prior, 1.0, alpha).rfft)
+
+    def test_solve_writes_out_and_returns_it(self, problem):
+        # (shift + prior) * recip, two ufuncs on the chain's constants; the
+        # inputs are not written
+        op, g_obs, prior = problem
+        shift, recip = _fidelity_prox_constants(op, g_obs.rfft, 1.0, 0.37)
+        shift_before, prior_before = shift.copy(), prior.rfft.copy()
+        out = np.empty_like(shift)
+        assert solve_quadratic_spectral(shift, prior.rfft, recip, out) is out
+        assert np.array_equal(out, (shift + prior.rfft) * recip)
+        assert np.array_equal(shift, shift_before) and np.array_equal(prior.rfft, prior_before)
 
     def test_mode_wise_optimality(self, problem, rng):
         op, g_obs, prior = problem
@@ -542,21 +557,31 @@ class TestInputChecks:
             lambda: bregman_iterate(
                 op, g_obs, alpha, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
             ),
-            lambda: solve_quadratic_spectral(op, g_obs.rfft, alpha, prior.rfft),
+            lambda: spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1),
+            lambda: spectral_chain(op, np.stack([g_obs.rfft] * 3), alpha, QuadraticPenalty(prior),
+                                   2),
             lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
         )
         for call in calls:
             with pytest.raises(ConfigError, match="alpha"):
                 call()
 
+    @pytest.mark.parametrize("rows", [None, 3])
     @pytest.mark.parametrize("name", ["g_rfft", "prior_rfft"])
-    def test_spectral_solve_rejects_a_half_spectrum_of_another_grid(self, name):
-        # n = 64 has 33 half-spectrum modes; a 32-mode array is named, not broadcast
-        grid = TorusGrid(64)
-        args = {"g_rfft": np.fft.rfft(np.ones(grid.n)), "prior_rfft": np.zeros(grid.n // 2 + 1, complex)}
-        args[name] = np.zeros(32, complex)
+    def test_spectral_chain_rejects_a_half_spectrum_of_another_grid(self, monkeypatch, name, rows):
+        # n = 64 has 33 half-spectrum modes; a 32-mode array (the data's, of
+        # one chain or of a block of 3, or the prior's, on n = 62) is named,
+        # not broadcast, before any solve
+        grid, other = TorusGrid(64), TorusGrid(62)
+        g_grid, prior_grid = (other, grid) if name == "g_rfft" else (grid, other)
+        g_rfft = np.fft.rfft(np.ones(g_grid.n))
+        prior = Signal(prior_grid, np.zeros(prior_grid.n))
+        if rows:
+            g_rfft = np.stack([g_rfft] * rows)
+        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
         with pytest.raises(GridMismatch, match=f"^{name} must have the operator's 33 half-spectrum modes"):
-            solve_quadratic_spectral(make_inverse_helmholtz(grid), args["g_rfft"], 1e-2, args["prior_rfft"])
+            spectral_chain(make_inverse_helmholtz(grid), g_rfft, 1e-2, QuadraticPenalty(prior), 2)
+        assert not solves
 
     @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
     def test_non_finite_spectral_solve_is_reported_as_not_finite(self, grid, data, alpha):
