@@ -11,7 +11,7 @@ ties break on the first index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,8 +25,7 @@ from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
 from .torus import (
-    Signal, TorusGrid, _freeze, bspline_truth, check_same_grid, norm_l1_array, norm_l2_rfft,
-    signal_rows,
+    Signal, TorusGrid, bspline_truth, check_same_grid, norm_l1_array, norm_l2_rfft,
 )
 
 __all__ = [
@@ -194,41 +193,27 @@ class RateFit:
 
 
 # Rows of a worst-case search's candidate block. Each array a block makes
-# stays at or below 64.25 KiB at n = 512 (the samples, their half spectra;
-# on the spectral route the fidelity shift, one stack per step and each
-# step's errors), below glibc's 128 KiB mmap threshold, so the allocator
-# reuses heap memory instead of mapping and zero-faulting fresh pages on
-# every search, as it did for the (k_max, n) arrays of a whole search.
-# A block's arrays are freed when the next block's have been made, not
-# before: freed first, they lie at the top of the heap, which glibc trims
-# once 128 KiB or more of it is free (its default trim threshold), and the
-# next block faults the pages in again. Measured inside perfbench/run.py
-# on hilbert_envelope (2-core Xeon): 410k-600k minor faults in a 6 s run
-# that way, against 29k-36k.
+# (its half spectra; on the spectral route the fidelity shift, one stack per
+# step and each step's errors) stays at or below 64.25 KiB at n = 512, below
+# glibc's 128 KiB mmap threshold, so the allocator reuses heap memory
+# instead of mapping and zero-faulting fresh pages on every search.
 # Measured on hilbert_envelope (k_max = 250, 2-core Xeon): 32 rows make
 # 128 KiB arrays and took 31k-39k minor page faults per pass, against 8-9
 # at 16 rows; 8 rows ran 21 % slower and 12 rows 4 % slower than 16.
 _BLOCK_ROWS = 16
 
 
-@lru_cache(maxsize=4)
-def _unit_sinusoids(grid: TorusGrid, ks: tuple[int, ...]) -> np.ndarray:
-    """sin(2 pi k x), one row per k, read-only; kept per (grid, ks), as a
-    search runs once per (delta, alpha) on the same grid and frequencies."""
-    out = np.multiply.outer(2.0 * np.pi * np.asarray(ks), grid.points)
-    np.sin(out, out=out)
-    return _freeze(out)
-
-
-def _sinusoids(
-    grid: TorusGrid, delta: float, ks: Sequence[int], rows: slice = slice(None)
-) -> np.ndarray:
-    """delta * sin(2 pi k x), one row per k of ks[rows] (all of ks by
-    default), as a new writeable array; each row's L2 norm is
-    delta/sqrt(2) <= delta, and k = 0 gives a row of zeros. The unit table
-    of all of ks is kept (:func:`_unit_sinusoids`), so a call costs one
-    product of the slice."""
-    return _unit_sinusoids(grid, tuple(ks))[rows] * delta
+def _candidate_spectra(g_rfft: np.ndarray, delta: float, ks: Sequence[int]) -> np.ndarray:
+    """The half spectra of g + delta sin(2 pi k .), one row per k of ks, given
+    g's half spectrum g_rfft, as a new writeable array. On n points the rfft
+    of delta sin(2 pi k .) is -i n/2 delta in mode k and 0 elsewhere, so each
+    row is g_rfft with only mode k's imaginary part changed; k = 0 (exact
+    data) leaves its row g_rfft."""
+    n, ks = 2 * (len(g_rfft) - 1), np.asarray(ks)
+    spectra = np.tile(g_rfft, (len(ks), 1))
+    rows = np.flatnonzero(ks)
+    spectra.imag[rows, ks[rows]] -= n // 2 * delta
+    return spectra
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
@@ -261,16 +246,11 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
 
 
 def _spectral_errors(problem: Problem, metric: str, chain: list[np.ndarray]) -> np.ndarray:
-    """The (rows, steps) errors in ``metric`` of the minimizers of a block's
-    spectral chains, given as one (rows, n/2 + 1) stack of half spectra per
-    step (:func:`~torusreg.bregman.spectral_chain` of the block), bit for bit
-    as :func:`_error` scores their signals: kl by Parseval, squared by libm's
-    pow as a float's ``** 2`` is (numpy's ``**`` on arrays rounds
-    otherwise), and l1 from the samples of an irfft.
-
-    Each stack is scored where it lies, one step at a time, and is not
-    written: a stack of every step would reach glibc's mmap threshold (see
-    ``_BLOCK_ROWS``)."""
+    """The (rows, steps) errors in ``metric`` of a block's spectral chains,
+    one (rows, n/2 + 1) stack of half spectra per step, bit for bit as
+    :func:`_error` scores their signals: kl by Parseval, squared by libm's
+    pow as a float's ``** 2`` is, and l1 from the samples of an irfft. A
+    stack is scored where it lies and is not written."""
     n = problem.grid.n
     scores = np.empty((len(chain[0]), len(chain)))
     for i, step in enumerate(chain):
@@ -325,53 +305,49 @@ def worst_case_search(
     ties); the first n steps of a chain are the n-step chain, so one chain
     per candidate covers every step.
 
-    The candidates are walked in blocks of ``_BLOCK_ROWS`` rows. Every
-    candidate, the exact data included, is a row of its block's sample
-    array; its half spectrum, from one batched rfft of the block, is the
-    rfft of its samples. On the DR route each candidate's chain is one
-    :func:`_chain_metrics` call. On the spectral route a block's chains are
-    one :func:`~torusreg.bregman.spectral_chain` call on the block's
-    (rows, n/2 + 1) half spectra, and each step's stack is scored at once
-    (:func:`_spectral_errors`); only a selected chain's rows are copied out
-    of the block, and its signal's reports are built once, at the end.
-    Every candidate's steps are scored in the selection metric only; the
-    other error is computed for each step's selected candidate. A running
-    best per step carries across blocks, so a chain that is not selected
-    does not outlive the next block.
+    The candidates are walked in blocks of ``_BLOCK_ROWS`` rows, each a
+    half spectrum built from the rfft of g_true's samples
+    (:func:`_candidate_spectra`). On the DR route each candidate is a signal
+    with that spectrum and one :func:`_chain_metrics` call. On the spectral
+    route a block's chains are one :func:`~torusreg.bregman.spectral_chain`
+    call, each step's stack is scored at once (:func:`_spectral_errors`),
+    and a signal and its reports are built only for a selected chain. The
+    other error is computed for each step's selected candidate only.
 
     The spectral chains are unchecked arrays, so a search checks the grids
     once and every score's finiteness once per block; a non-finite one
     raises :class:`ConfigError` naming the first such candidate and step.
     """
-    sweep, steps = config.sweep, config.sweep.bregman_steps
+    sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
     check_value("delta", delta, float, NON_NEGATIVE)
-    ks = tuple(noise_frequencies(sweep.noise, problem.grid.n))
+    ks = tuple(noise_frequencies(sweep.noise, grid.n))
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
     spectral = config.solver.method == "spectral"
+    g_rfft = np.fft.rfft(problem.g_true.values)  # not g_true.rfft, which keeps mu f^
     # per step: (score, k, g_obs, chain) of the first candidate with the largest
     # score; the chain is its reports (DR) or its minimizers' half spectra
     best: list[tuple | None] = [None] * steps
     for start in range(0, len(ks), _BLOCK_ROWS):
-        # the last block's arrays are freed as their names are rebound, after
-        # this block's are made (see _BLOCK_ROWS)
-        block = _sinusoids(problem.grid, delta, ks, slice(start, start + _BLOCK_ROWS))
-        block += problem.g_true.values
-        block.setflags(write=False)  # so the candidates share it without a copy
-        observations = signal_rows(problem.grid, block)
+        spectra = _candidate_spectra(g_rfft, delta, ks[start:start + _BLOCK_ROWS])
         if spectral:  # the block's chains: one (rows, n/2 + 1) stack per step
-            runs = spectral_chain(problem.op, observations.spectra, alpha, problem.penalty, steps)
+            runs = spectral_chain(problem.op, spectra, alpha, problem.penalty, steps)
             scores = _spectral_errors(problem, sweep.metric, runs)
         else:  # one (reports, errors) per candidate
-            runs = [_chain_metrics(problem, observations[row], alpha, steps, config.solver,
-                                   sweep.metric) for row in range(len(block))]
+            observations = [Signal.from_rfft(grid, c) for c in spectra]
+            runs = [_chain_metrics(problem, g_obs, alpha, steps, config.solver, sweep.metric)
+                    for g_obs in observations]
             scores = np.array([errors for _, errors in runs])
         if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
             row, step = np.argwhere(~np.isfinite(scores))[0]
             raise ConfigError(f"half spectrum must be finite: k = {ks[start + row]}, step {step + 1}")
         for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
             if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
-                kept = [step[row].copy() for step in runs] if spectral else runs[row][0]
-                best[i] = (float(scores[row, i]), ks[start + row], observations[row], kept)
+                if spectral:
+                    g_obs = Signal.from_rfft(grid, spectra[row])
+                    kept = [step[row].copy() for step in runs]
+                else:
+                    g_obs, kept = observations[row], runs[row][0]
+                best[i] = (float(scores[row, i]), ks[start + row], g_obs, kept)
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
     for i, (score, k, g_obs, kept) in enumerate(best):

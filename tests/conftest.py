@@ -173,17 +173,21 @@ def read_sweep_csv(path):
 
 
 def per_candidate_search(config, problem, delta, alpha):
-    """Reference for ``harness.worst_case_search``: one Signal built from its
-    samples and one chain per candidate, both errors of every step from the
-    minimizer's samples, and per step the first candidate with the largest
-    error in the sweep's metric."""
+    """Reference for ``harness.worst_case_search``: one Signal and one chain
+    per candidate, both errors of every step from the minimizer's samples,
+    and per step the first candidate with the largest error in the sweep's
+    metric. Candidate k is built from its half spectrum: the rfft of g_true's
+    samples minus i n/2 delta in mode k, the rfft of delta sin(2 pi k .)."""
     sweep, noise = config.sweep, config.sweep.noise
     ks = {"exact": [0], "fixed_sinusoid": [noise.k_fixed]}.get(noise.kind, range(1, noise.k_max + 1))
     col = 0 if sweep.metric == "kl" else 1
     best = [None] * sweep.bregman_steps
+    n = problem.grid.n
     for k in ks:
-        noise_k = delta * np.sin(2.0 * np.pi * k * problem.grid.points)
-        g_obs = Signal(problem.grid, problem.g_true.values + noise_k)
+        spectrum = np.fft.rfft(problem.g_true.values)
+        if k:
+            spectrum[k] -= 1j * (n // 2) * delta
+        g_obs = Signal.from_rfft(problem.grid, spectrum)
         reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, sweep.bregman_steps,
                                   config.solver)
         for i, r in enumerate(reports):

@@ -41,7 +41,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from torusreg.harness import _BLOCK_ROWS, _sinusoids, _unit_sinusoids
+from torusreg.harness import _BLOCK_ROWS, _candidate_spectra
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
@@ -230,20 +230,6 @@ class TestWorstCaseNoise:
             err = problem.penalty.bregman(evaluator(candidate), problem.f_true)
             assert err <= best + 1e-15
 
-    def test_sinusoids_are_the_formula_in_a_block_of_their_own(self):
-        grid = TorusGrid(64)
-        for delta in (1e-2, 3e-5, 1e-2):
-            for ks in ([0], [5], range(1, 32)):
-                block = _sinusoids(grid, delta, ks)
-                fresh = np.multiply.outer(2.0 * np.pi * np.asarray(ks), grid.points)
-                assert np.array_equal(block, np.sin(fresh) * delta)
-                table = _unit_sinusoids(grid, tuple(ks))
-                assert not table.flags.writeable
-                assert block.flags.writeable and not np.shares_memory(block, table)
-                # a search's block of rows is the same product on a slice of the table
-                rows = slice(16, 32)
-                assert np.array_equal(_sinusoids(grid, delta, ks, rows), np.sin(fresh[rows]) * delta)
-
     def test_noise_within_ball(self):
         grid = TorusGrid(64)
         noise = sinusoid_noise(grid, 0.3, 5)
@@ -264,16 +250,17 @@ class TestWorstCaseNoise:
 
 
     def test_spectral_search_fft_budget(self, monkeypatch):
-        # one batched rfft per candidate block, and one irfft per step for the
-        # samples of the selected minimizer, which its l1 error reads: kl and
-        # the data residual come from half spectra by Parseval
+        # one rfft of g_true's samples per search, from which every candidate's
+        # half spectrum is built, and one irfft per step for the samples of the
+        # selected minimizer, which its l1 error reads: kl and the data
+        # residual come from half spectra by Parseval
         problem = quad_problem()
         problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
         steps, k_max = 2, 40
         assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS  # a partial last block
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
-        assert counts == {"rfft": blocks(k_max), "irfft": steps}
+        assert counts == {"rfft": 1, "irfft": steps}
 
     def test_spectral_search_fft_budget_l1(self, monkeypatch):
         # selecting by l1 reads the samples of every candidate's minimizers:
@@ -284,7 +271,46 @@ class TestWorstCaseNoise:
         assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
         counts = count_ffts(monkeypatch)
         worst_case_search(search_config(steps=steps, k_max=k_max, metric="l1"), problem, 1e-2, 1e-2)
-        assert counts == {"rfft": blocks(k_max), "irfft": blocks(k_max) * steps}
+        assert counts == {"rfft": 1, "irfft": blocks(k_max) * steps}
+
+
+class TestCandidateSpectra:
+    """A search's candidates are half spectra: the rfft of g plus the rfft of
+    delta sin(2 pi k .), which is -i n/2 delta in mode k alone."""
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3, 3e-5])
+    @pytest.mark.parametrize("n", [64, 480])
+    def test_rows_are_the_rfft_of_the_noisy_samples(self, n, delta):
+        grid = TorusGrid(n)
+        g = build_problem(ProblemConfig(n=n)).g_true.values
+        g_rfft = np.fft.rfft(g)
+        g_rfft.setflags(write=False)  # not written
+        ks = [1, 2, n // 4, n // 2 - 1]
+        spectra = _candidate_spectra(g_rfft, delta, ks)
+        assert spectra.shape == (len(ks), n // 2 + 1) and spectra.flags.writeable
+        # round-off of the sampled sine and of the FFT, against the largest mode
+        bound = 64 * np.finfo(float).eps * np.abs(g_rfft).max()
+        for k, row in zip(ks, spectra):
+            want = np.fft.rfft(g + delta * np.sin(2.0 * np.pi * k * grid.points))
+            assert np.abs(row - want).max() <= bound
+            # only mode k's imaginary part differs from g's spectrum
+            others = np.arange(n // 2 + 1) != k
+            assert np.array_equal(row[others], g_rfft[others])
+            assert row[k] == g_rfft[k] - 1j * (n // 2) * delta
+            assert row[k].real == g_rfft[k].real
+            assert row[0].imag == row[-1].imag == 0.0
+        # exact data (k = 0) are g's spectrum bit for bit, whatever delta
+        [exact] = _candidate_spectra(g_rfft, delta, [0])
+        assert np.array_equal(exact, np.fft.rfft(g))
+        assert exact[0].imag == exact[-1].imag == 0.0
+
+    @pytest.mark.parametrize("n", [128, 480])
+    def test_a_block_is_the_rows_of_one_call(self, n):
+        # the second block of a k_max = 40 search (n >= 82) starts mid-ks
+        g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
+        ks, rows = tuple(range(1, 41)), slice(_BLOCK_ROWS, 2 * _BLOCK_ROWS)
+        whole = _candidate_spectra(g_rfft, 1e-2, ks)
+        assert np.array_equal(_candidate_spectra(g_rfft, 1e-2, ks[rows]), whole[rows])
 
 
 class TestSearchMatchesPerCandidateLoop:
@@ -539,8 +565,8 @@ class TestRateSweep:
             assert got.alpha == pytest.approx(ref.alpha, rel=1e-15)
 
     def test_repeat_in_one_process_gives_identical_rows(self):
-        # later runs start with the kept sinusoid table, and on one problem
-        # at one alpha with the operator's kept fidelity constants
+        # a second run in one process gives the same rows, and so do runs on
+        # one problem at one alpha, with the operator's kept fidelity constants
         cfg = ExperimentConfig(
             problem=ProblemConfig(n=64, penalty="quadratic"),
             solver=SolverConfig(method="spectral"),

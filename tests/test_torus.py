@@ -21,7 +21,7 @@ from torusreg import (
     norm_l2,
     to_spectrum,
 )
-from torusreg.torus import norm_l1_array, norm_l2_rfft, signal_rows
+from torusreg.torus import norm_l1_array, norm_l2_rfft
 
 from conftest import count_ffts, random_signal
 
@@ -179,35 +179,6 @@ class TestSignal:
         c = np.full(grid.n // 2 + 1, 1.7e308, dtype=complex)
         with pytest.raises(ConfigError, match="finite"):
             Signal.from_rfft(grid, c).values
-
-
-class TestSignalRows:
-    def test_rows_match_one_signal_per_row(self, grid, rng):
-        block = rng.standard_normal((5, grid.n))
-        rows = signal_rows(grid, block)
-        assert len(rows) == 5
-        for v, f in zip(block, rows):
-            assert np.array_equal(f.values, v)
-            assert np.array_equal(f.rfft, np.fft.rfft(v))
-            assert not f.values.flags.writeable and not f.rfft.flags.writeable
-
-    def test_writeable_block_copied_read_only_block_shared(self, grid, rng):
-        block = rng.standard_normal((3, grid.n))
-        rows = signal_rows(grid, block)
-        block[0, 0] += 1.0  # the rows do not alias the caller's writeable array
-        assert rows[0].values[0] == block[0, 0] - 1.0
-        block.setflags(write=False)
-        assert np.shares_memory(signal_rows(grid, block)[2].values, block)
-
-    @pytest.mark.parametrize("bad, match", [
-        (lambda n: np.ones((2, n + 2)), "shape"),
-        (lambda n: np.ones(n), "shape"),
-        (lambda n: np.ones((2, n), dtype=complex), "real"),
-        (lambda n: np.where(np.arange(2 * n).reshape(2, n) == n + 3, np.nan, 1.0), "finite"),
-    ])
-    def test_bad_block_rejected(self, grid, bad, match):
-        with pytest.raises(ConfigError, match=match):
-            signal_rows(grid, bad(grid.n))
 
 
 class TestTransforms:
