@@ -362,14 +362,17 @@ def worst_case_search(
     return choices
 
 
-def _rows(delta: float, alpha: float, choices: list[Choice]) -> list[SweepRow]:
-    return [SweepRow(delta, alpha, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
+def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float]) -> list[SweepRow]:
+    choices = worst_case_search(config, problem, *pair)
+    return [SweepRow(*pair, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
 
 
-def _rows_for_delta(config: ExperimentConfig, problem: Problem, delta: float) -> list[SweepRow]:
-    sweep = config.sweep
-    alpha = apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
-    return _rows(delta, alpha, worst_case_search(config, problem, delta, alpha))
+def _sweep(
+    config: ExperimentConfig, problem: Problem, pairs: Sequence, threads: int = 1
+) -> list[SweepRow]:
+    """The rows of one worst-case search per (delta, alpha) pair, in pair order."""
+    chunks = _map(partial(_rows, config, problem), pairs, threads)
+    return [row for chunk in chunks for row in chunk]
 
 
 def rate_sweep(
@@ -377,14 +380,17 @@ def rate_sweep(
     threads: int = 1,
     problem: Problem | None = None,
 ) -> list[SweepRow]:
-    """One row per (delta, bregman step), deltas in config order, steps ascending.
+    """One row per (delta, bregman step), deltas in config order, steps ascending,
+    at alpha = alpha_c delta^alpha_sigma; one search per delta, on at most
+    ``threads`` worker processes.
 
     Pass ``problem`` to sweep a synthetic problem instead of the configured one.
     """
     if problem is None:
         problem = build_problem(config.problem)
-    chunks = _map(partial(_rows_for_delta, config, problem), config.sweep.deltas, threads)
-    return [row for chunk in chunks for row in chunk]
+    sweep = config.sweep
+    pairs = [(d, apriori_alpha(d, sweep.alpha_c, sweep.alpha_sigma)) for d in sweep.deltas]
+    return _sweep(config, problem, pairs, threads)
 
 
 def approx_error_sweep(
@@ -404,9 +410,7 @@ def approx_error_sweep(
     sweep = replace(config.sweep, alphas=tuple(alphas), noise=NoiseModel(kind="exact"))  # checks them
     if problem is None:
         problem = build_problem(config.problem)
-    exact = replace(config, sweep=sweep)
-    return [row for alpha in alphas
-            for row in _rows(0.0, alpha, worst_case_search(exact, problem, 0.0, alpha))]
+    return _sweep(replace(config, sweep=sweep), problem, [(0.0, alpha) for alpha in alphas])
 
 
 class Calibration(NamedTuple):
@@ -419,20 +423,6 @@ class Calibration(NamedTuple):
     rows: list[SweepRow] | None
 
 
-def _calibration_objective(config: ExperimentConfig, c: float, problem: Problem) -> tuple:
-    """max_delta error(delta) / delta^rate of the sweep at alpha_c = c, and its rows."""
-    trial = replace(config, sweep=replace(config.sweep, alpha_c=c))
-    rows = rate_sweep(trial, problem=problem)
-    target_n = config.sweep.bregman_steps
-    rate = config.sweep.predicted_rate
-    col = "kl_error" if config.sweep.metric == "kl" else "l1_error"
-    worst = -float("inf")
-    for row in rows:
-        if row.n_bregman == target_n:
-            worst = max(worst, getattr(row, col) / row.delta**rate)
-    return worst, rows
-
-
 def calibrate_c(
     config: ExperimentConfig,
     candidate_cs: Sequence[float] | None = None,
@@ -443,24 +433,32 @@ def calibrate_c(
 
     The error column, target step and predicted rate come from the sweep
     configuration; the delta grid is the configured one, so calibration on
-    a reduced grid just means passing a reduced config. The winner's rows
-    come with it, so a caller need not sweep it again.
+    a reduced grid just means passing a reduced config. Each (constant,
+    delta) pair is one search, on at most ``threads`` worker processes. The
+    winner's rows come with it, so a caller need not sweep it again.
     """
+    sweep = config.sweep
     if candidate_cs is None:
-        candidate_cs = config.sweep.calibrate_cs
+        candidate_cs = sweep.calibrate_cs
     if not candidate_cs:
         raise ConfigError("calibrate_cs must be non-empty: set [sweep] calibrate_cs or pass them")
-    if config.sweep.predicted_rate is None:
+    if sweep.predicted_rate is None:
         raise ConfigError("predicted_rate must be set in [sweep] to calibrate c")
-    cs = replace(config.sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
+    cs = replace(sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
     if len(cs) == 1:
         return Calibration(cs[0], (), None)
     if problem is None:
         problem = build_problem(config.problem)
-    trials = _map(partial(_calibration_objective, config, problem=problem), cs, threads)
-    objectives = tuple(objective for objective, _ in trials)
+    pairs = [(d, apriori_alpha(d, c, sweep.alpha_sigma)) for c in cs for d in sweep.deltas]
+    rows = _sweep(config, problem, pairs, threads)
+    size = len(sweep.deltas) * sweep.bregman_steps  # one constant's rows
+    trials = [rows[i:i + size] for i in range(0, len(rows), size)]
+    col = "kl_error" if sweep.metric == "kl" else "l1_error"
+    objectives = tuple(max(getattr(r, col) / r.delta**sweep.predicted_rate
+                           for r in trial if r.n_bregman == sweep.bregman_steps)
+                       for trial in trials)
     best = int(np.argmin(objectives))
-    return Calibration(cs[best], objectives, trials[best][1])
+    return Calibration(cs[best], objectives, trials[best])
 
 
 def fit_rate(

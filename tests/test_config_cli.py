@@ -421,20 +421,13 @@ LOW_BOX = "box_hi = 1.5 must lie above max(f_true) = 1.55"
 
 
 class TestCli:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
     @pytest.mark.parametrize("argv", [
         ["approx-sweep", "--threads", "2"],
         ["reconstruct", "--threads", "2"],
         ["vsc-diagnose", "--threads", "2"],
-        ["selftest", "--threads", "2"],
         ["reconstruct", "--seed", "1"],
         ["approx-sweep", "--seed", "1"],
         ["rate-sweep", "--seed", "1"],
-        ["selftest", "--config", "run.cfg"],
         ["rate-sweep", "--threads", "0"],
     ])
     def test_flag_not_read_or_invalid_is_rejected(self, argv, capsys):
@@ -442,16 +435,13 @@ class TestCli:
             main(argv)
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("command", ["vsc-diagnose", "selftest"])
     @pytest.mark.parametrize("seed, message", [
         ("-1", "must be >= 0, got -1"),
         ("x", "must be an integer, got 'x'"),
     ])
-    def test_bad_seed_exits_2_naming_the_flag(self, tmp_path, capsys, command, seed, message):
+    def test_bad_seed_exits_2_naming_the_flag(self, tmp_path, capsys, seed, message):
         out = tmp_path / "out"
-        argv = [command, "--seed", seed]
-        if command == "vsc-diagnose":
-            argv += ["--out", str(out)]
+        argv = ["vsc-diagnose", "--seed", seed, "--out", str(out)]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

@@ -189,24 +189,34 @@ def blocks(k_max):
     return -(-k_max // _BLOCK_ROWS)
 
 
+def assert_round_trip_of(g_obs, g_true):
+    """g_obs's samples are g_true's through an rfft and back: bit for bit that
+    round trip, which on some grids (n = 480) moves a sample by a few ulp."""
+    n = g_true.grid.n
+    assert np.array_equal(g_obs.values, np.fft.irfft(np.fft.rfft(g_true.values), n))
+    np.testing.assert_array_max_ulp(g_obs.values, g_true.values, maxulp=4)
+
+
 class TestWorstCaseNoise:
-    def test_zero_delta_ties_to_first_candidate(self):
+    @pytest.mark.parametrize("n", [128, 480])
+    def test_zero_delta_ties_to_first_candidate(self, n):
         # every candidate ties; across blocks the tie goes to the earlier block
-        problem, k_max = quad_problem(), 40
+        problem, k_max = quad_problem(n=n), 40
         assert blocks(k_max) > 1
         for choice in worst_case_search(search_config(steps=2, k_max=k_max), problem, 0.0, 0.1):
             assert choice.k == 1
-            assert np.array_equal(choice.g_obs.values, problem.g_true.values)
+            assert_round_trip_of(choice.g_obs, problem.g_true)
 
+    @pytest.mark.parametrize("n", [128, 480])
     @pytest.mark.parametrize("delta", [0.0, 1e-2])
-    def test_exact_data_are_a_row_of_samples(self, delta):
-        # like every candidate, the exact data carry the rfft of their
+    def test_exact_data_are_the_rfft_of_g_true(self, delta, n):
+        # like every candidate, the exact data carry the rfft of g_true's
         # samples, not the mu f^ that g_true keeps
-        problem = quad_problem()
+        problem = quad_problem(n=n)
         for choice in worst_case_search(search_config(steps=2, kind="exact"), problem, delta, 0.1):
             assert choice.k == 0
-            assert np.array_equal(choice.g_obs.values, problem.g_true.values)
             assert np.array_equal(choice.g_obs.rfft, np.fft.rfft(problem.g_true.values))
+            assert_round_trip_of(choice.g_obs, problem.g_true)
 
     def test_matches_brute_force_oracle(self):
         problem = quad_problem()
@@ -672,17 +682,12 @@ class TestRateSweep:
 
     def test_threads_match_serial(self):
         cfg = ExperimentConfig(
-            problem=ProblemConfig(n=96),
+            problem=ProblemConfig(n=96, penalty="quadratic"),
             solver=SolverConfig(method="spectral"),
             sweep=SweepConfig(
                 deltas=geometric_grid(1e-1, 1e-2, 4), bregman_steps=1,
                 noise=NoiseModel(kind="exact"),
             ),
-        )
-        cfg = ExperimentConfig(
-            problem=ProblemConfig(n=96, penalty="quadratic"),
-            solver=cfg.solver,
-            sweep=cfg.sweep,
         )
         serial = rate_sweep(cfg, threads=1)
         parallel = rate_sweep(cfg, threads=2)
@@ -725,8 +730,8 @@ class TestWorkerPool:
     def test_capped_at_job_count(self, pool_sizes):
         cfg = exact_quadratic_config((1e-1, 1e-2, 1e-3))
         assert rate_sweep(cfg, threads=64) == rate_sweep(cfg)
-        calibrate_c(cfg, (0.1, 1.0), threads=64)
-        assert pool_sizes == [3, 2]
+        calibrate_c(cfg, (0.1, 1.0), threads=64)  # one job per (constant, delta) pair
+        assert pool_sizes == [3, 6]
 
     def test_one_job_runs_in_process(self, pool_sizes):
         rate_sweep(exact_quadratic_config((1e-1,)), threads=4)
@@ -789,20 +794,41 @@ class TestCalibrateC:
         oracle = [objective(c) for c in cs]
         assert chosen == cs[int(np.argmin(oracle))]
 
-    def test_chosen_beats_all_candidates(self):
+    @staticmethod
+    def calibration_case(metric="kl", steps=1):
         problem = quad_problem(n=64, band=6)
         sweep = SweepConfig(
-            deltas=geometric_grid(1e-2, 1e-3, 3), alpha_sigma=1.0, bregman_steps=1,
-            noise=NoiseModel(kind="fixed_sinusoid", k_fixed=2), predicted_rate=1.0,
+            deltas=geometric_grid(1e-2, 1e-3, 3), alpha_sigma=1.0, bregman_steps=steps,
+            noise=NoiseModel(kind="fixed_sinusoid", k_fixed=2), predicted_rate=1.0, metric=metric,
         )
-        cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=sweep)
-        cs = (0.01, 0.1, 1.0)
-        chosen = calibrate_c(cfg, cs, problem=problem).c
-        from torusreg.harness import _calibration_objective
+        return ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=sweep), problem
 
-        best, _ = _calibration_objective(cfg, chosen, problem)
-        for c in cs:
-            assert best <= _calibration_objective(cfg, c, problem)[0] + 1e-15
+    @pytest.mark.parametrize("metric, steps", [("kl", 1), ("l1", 2)])
+    def test_chosen_beats_all_candidates(self, metric, steps):
+        # each objective is max_delta err / delta^rate of an independent
+        # rate_sweep at alpha_c = c, bit for bit; the winner's rows are its sweep
+        cfg, problem = self.calibration_case(metric, steps)
+        cs = (1.0, 0.01, 0.1)  # the winner, 0.01, is neither the first nor the last
+        calibration = calibrate_c(cfg, cs, problem=problem)
+        col = f"{metric}_error"
+        sweeps = [rate_sweep(replace(cfg, sweep=replace(cfg.sweep, alpha_c=c)), problem=problem)
+                  for c in cs]
+        rate = cfg.sweep.predicted_rate
+        want = tuple(max(getattr(r, col) / r.delta**rate for r in rows if r.n_bregman == steps)
+                     for rows in sweeps)
+        assert [o.hex() for o in calibration.objectives] == [o.hex() for o in want]
+        best = int(np.argmin(want))
+        assert calibration.c == cs[best]
+        assert calibration.rows == sweeps[best]
+
+    def test_threads_match_serial(self):
+        # a real process pool, one job per (constant, delta) pair
+        cfg, problem = self.calibration_case()
+        serial = calibrate_c(cfg, (0.01, 0.1, 1.0), problem=problem)
+        parallel = calibrate_c(cfg, (0.01, 0.1, 1.0), threads=2, problem=problem)
+        assert parallel.c == serial.c
+        assert [o.hex() for o in parallel.objectives] == [o.hex() for o in serial.objectives]
+        assert parallel.rows == serial.rows
 
 
 class TestFitRate:
