@@ -28,7 +28,6 @@ from .torus import (
     inner,
     norm_l1,
     norm_l2,
-    to_spectrum,
 )
 from .operators import (
     FourierMultiplierOperator,

@@ -3,6 +3,7 @@ argument check."""
 
 import math
 import numbers
+import os
 from dataclasses import fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
@@ -84,6 +85,8 @@ FINITE = {"be finite": lambda v: -math.inf < v < math.inf}
 POSITIVE = {"be finite and positive": lambda v: 0 < v < math.inf}
 NON_NEGATIVE = {"be finite and non-negative": lambda v: 0 <= v < math.inf}
 AT_LEAST_ONE = {"be >= 1": lambda v: v >= 1}
+FILE_NAME = {"be a plain file name: non-empty, without '/', and not '.' or '..'":
+             lambda v: v not in ("", ".", "..") and "/" not in v and os.sep not in v}
 
 
 def one_of(*choices) -> dict:

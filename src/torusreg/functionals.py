@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import POSITIVE, ConfigError, SubgradientUndefined, check_fields, check_value
 from .operators import FourierMultiplierOperator
-from .torus import (
-    Signal, _built, _check_finite_rfft, _freeze, check_same_grid, norm_l2_array, norm_l2_rfft,
-)
+from .torus import Signal, _freeze, check_same_grid, norm_l2_array, norm_l2_rfft
 
 __all__ = [
     "QuadraticPenalty",
@@ -331,11 +329,7 @@ def prox_fidelity(
     """Exact prox of f -> (gamma/alpha) * 1/2 ||Tf - g||^2 at x, mode-wise.
 
     Per mode: v_j = (x_j + (gamma/alpha) mu_j g_j) / (1 + (gamma/alpha) mu_j^2).
-    The result is built from its fresh half spectrum, which is only tested
-    for finiteness: its modes 0 and n/2 are real, as those of x and g are.
     """
     check_same_grid(op, g, x)
     shift, recip = _fidelity_prox_constants(op, g.rfft, gamma, alpha)
-    c = (x.rfft + shift) * recip
-    _check_finite_rfft(c)
-    return _built(x.grid, rfft=_freeze(c))
+    return Signal.from_rfft(x.grid, (x.rfft + shift) * recip)

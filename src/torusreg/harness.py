@@ -18,8 +18,8 @@ import numpy as np
 
 from .bregman import bregman_iterate, spectral_chain, spectral_reports
 from .errors import (
-    AT_LEAST_ONE, FINITE, NON_NEGATIVE, POSITIVE, ConfigError, InsufficientData, NonPositiveError,
-    check_fields, check_value, one_of,
+    AT_LEAST_ONE, FILE_NAME, FINITE, NON_NEGATIVE, POSITIVE, ConfigError, InsufficientData,
+    NonPositiveError, check_fields, check_value, one_of,
 )
 from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
@@ -124,8 +124,8 @@ class SweepConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    csv_name: str = "sweep.csv"
-    svg_name: str = "sweep.svg"
+    csv_name: str = field(default="sweep.csv", metadata=FILE_NAME)
+    svg_name: str = field(default="sweep.svg", metadata=FILE_NAME)
     write_svg: bool = True
 
     __post_init__ = check_fields
@@ -308,11 +308,14 @@ def worst_case_search(
     The candidates are walked in blocks of ``_BLOCK_ROWS`` rows, each a
     half spectrum built from the rfft of g_true's samples
     (:func:`_candidate_spectra`). On the DR route each candidate is a signal
-    with that spectrum and one :func:`_chain_metrics` call. On the spectral
-    route a block's chains are one :func:`~torusreg.bregman.spectral_chain`
-    call, each step's stack is scored at once (:func:`_spectral_errors`),
-    and a signal and its reports are built only for a selected chain. The
-    other error is computed for each step's selected candidate only.
+    built from that spectrum, its samples computed at once, and one
+    :func:`_chain_metrics` call. On the spectral route a block's chains are
+    one :func:`~torusreg.bregman.spectral_chain` call, each step's stack is
+    scored at once (:func:`_spectral_errors`), and the running best keeps
+    arrays only: the selected row's half spectrum and its minimizers'. A
+    signal and its reports are built after the walk, once per distinct
+    selected chain. The other error is computed for each step's selected
+    candidate only.
 
     The spectral chains are unchecked arrays, so a search checks the grids
     once and every score's finiteness once per block; a non-finite one
@@ -324,8 +327,8 @@ def worst_case_search(
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
     spectral = config.solver.method == "spectral"
     g_rfft = np.fft.rfft(problem.g_true.values)  # not g_true.rfft, which keeps mu f^
-    # per step: (score, k, g_obs, chain) of the first candidate with the largest
-    # score; the chain is its reports (DR) or its minimizers' half spectra
+    # per step: (score, k, observation, chain) of the first candidate with the largest
+    # score: its signal and reports (DR), or its half spectrum and its minimizers' (spectral)
     best: list[tuple | None] = [None] * steps
     for start in range(0, len(ks), _BLOCK_ROWS):
         spectra = _candidate_spectra(g_rfft, delta, ks[start:start + _BLOCK_ROWS])
@@ -343,17 +346,18 @@ def worst_case_search(
         for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
             if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
                 if spectral:
-                    g_obs = Signal.from_rfft(grid, spectra[row])
-                    kept = [step[row].copy() for step in runs]
+                    observed = spectra[row].copy(), [step[row].copy() for step in runs]
                 else:
-                    g_obs, kept = observations[row], runs[row][0]
-                best[i] = (float(scores[row, i]), ks[start + row], g_obs, kept)
+                    observed = observations[row], runs[row][0]
+                best[i] = (float(scores[row, i]), ks[start + row], *observed)
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
-    for i, (score, k, g_obs, kept) in enumerate(best):
-        if k not in chains:  # spectral reports are built for the selected chains only
-            chains[k] = g_obs, (spectral_reports(problem.op, g_obs, alpha, problem.penalty, kept)
-                                if spectral else kept)
+    for i, (score, k, observed, kept) in enumerate(best):
+        if k not in chains:
+            if spectral:  # a signal and reports for the selected chains only
+                observed = Signal.from_rfft(grid, observed)
+                kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
+            chains[k] = observed, kept
         g_obs, reports = chains[k]
         r = reports[i]
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)

@@ -9,10 +9,8 @@ Spectra use the continuous-Fourier-coefficient normalization
 
 which makes operator symbols grid independent. Inside the program a real
 signal's transform is its rfft half spectrum j = 0, ..., n/2 (numpy's
-unnormalized ``rfft``). A :class:`Signal` is built from either form, its
-samples or its half spectrum, and computes the other on first read and
-keeps it; the full shifted spectrum above is only the analysis view
-:func:`to_spectrum`.
+unnormalized ``rfft``). A :class:`Signal` stores its samples, and its half
+spectrum is computed on first read and kept.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .errors import ConfigError, GridMismatch, check_fields, check_value, one_of
 __all__ = [
     "TorusGrid",
     "Signal",
-    "to_spectrum",
     "bspline_truth",
     "norm_l1",
     "norm_l2",
@@ -71,10 +68,10 @@ class TorusGrid:
 class Signal:
     """Real samples of a function on a :class:`TorusGrid`.
 
-    A signal is built from its samples, or by :meth:`from_rfft` from its
-    rfft half spectrum :attr:`rfft`; it computes the other form on first
-    read and keeps it. Both are read-only. A writeable input array is
-    copied: building a signal never freezes, or aliases, the caller's array.
+    A signal stores its samples; its rfft half spectrum :attr:`rfft` is
+    computed on first read and kept, or given up front by :meth:`from_rfft`.
+    Both are read-only. A writeable input array is copied: building a signal
+    never freezes, or aliases, the caller's array.
     """
 
     grid: TorusGrid
@@ -88,7 +85,9 @@ class Signal:
             raise ConfigError(
                 f"signal length {values.shape} does not match grid size {self.grid.n}"
             )
-        if not _finite_samples(values, self.grid):
+        # a finite sum proves every sample finite (inf and nan propagate); the
+        # dot with ones is that sum through BLAS, faster than .sum()
+        if not (math.isfinite(values.dot(self.grid.ones)) or np.isfinite(values).all()):
             raise ConfigError("signal values must be finite")
         object.__setattr__(self, "values", _read_only(values))
 
@@ -98,16 +97,22 @@ class Signal:
 
         c must be finite, and c[0] and c[n/2] real, as they are for every
         real signal; finiteness is tested first, so a NaN or inf mode is
-        reported as such. The samples are computed on the first read of
-        :attr:`values`, which raises :class:`ConfigError` if they overflow.
+        reported as such. The samples are computed at once; samples that
+        overflow raise :class:`ConfigError`.
         """
         c = np.asarray(c, dtype=complex)
         if c.shape != (grid.n // 2 + 1,):
             raise ConfigError(f"half spectrum length {c.shape} does not match grid size {grid.n}")
-        _check_finite_rfft(c)
+        if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(c).all():
+            raise ConfigError("half spectrum must be finite")  # a finite sum of squares proves it
         if c[0].imag or c[-1].imag:
             raise ConfigError("half spectrum needs real modes 0 and n/2")
-        return _built(grid, rfft=_read_only(c))
+        c = _read_only(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _freeze(np.fft.irfft(c, grid.n))
+        out = cls(grid, values)
+        out.__dict__["rfft"] = c
+        return out
 
     @cached_property
     def rfft(self) -> np.ndarray:
@@ -135,53 +140,6 @@ class Signal:
     __rmul__ = __mul__
 
 
-class _SamplesOnFirstRead:
-    """:attr:`Signal.values` of a signal built from its half spectrum:
-    irfft(rfft, n), computed on the first read and kept in the instance.
-
-    A non-data descriptor: kept samples, and those of a signal built from
-    samples, shadow it, so reading them costs what a plain attribute does.
-    """
-
-    def __get__(self, signal, owner=None):
-        if signal is None:
-            return self
-        if "rfft" not in signal.__dict__:  # neither form: not a built signal
-            raise AttributeError("values")
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.fft.irfft(signal.rfft, signal.grid.n)
-        if not _finite_samples(values, signal.grid):
-            raise ConfigError("signal values must be finite: the half spectrum's samples overflow")
-        signal.__dict__["values"] = _freeze(values)
-        return values
-
-
-# set after the dataclass decorator, which removes a field's class attribute
-Signal.values = _SamplesOnFirstRead()
-
-
-def _built(grid: TorusGrid, **fields: np.ndarray) -> Signal:
-    """A signal with the given checked, read-only fields, built without
-    :meth:`Signal.__post_init__`."""
-    out = object.__new__(Signal)
-    out.__dict__.update(grid=grid, **fields)
-    return out
-
-
-def _check_finite_rfft(c: np.ndarray) -> None:
-    """Raise :class:`ConfigError` unless every mode of the half spectrum c is
-    finite. A finite sum of squares proves it, as for the samples."""
-    if not math.isfinite(np.vdot(c, c).real) and not np.isfinite(c).all():
-        raise ConfigError("half spectrum must be finite")
-
-
-def _finite_samples(values: np.ndarray, grid: TorusGrid) -> bool:
-    """Whether every sample is finite. A finite sum proves it (inf and nan
-    propagate); only an overflowing sum or a non-finite value takes the full
-    check. The dot with ones is that sum through BLAS, faster than .sum()."""
-    return math.isfinite(values.dot(grid.ones)) or bool(np.isfinite(values).all())
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Mark a freshly computed array, which nothing else references, read-only."""
     a.setflags(write=False)
@@ -201,14 +159,6 @@ def check_same_grid(*objs):
     for o in objs:
         if o.grid.n != n:
             raise GridMismatch(f"mixed grid sizes {sorted({o.grid.n for o in objs})}")
-
-
-def to_spectrum(f: Signal) -> np.ndarray:
-    """Forward DFT c_j = (1/n) sum_i f(x_i) e^{-2pi i j x_i} in ``grid.modes`` order.
-
-    The complex coefficients are indexed like an operator's ``symbol``.
-    """
-    return np.fft.fftshift(np.fft.fft(f.values)) / f.grid.n
 
 
 def _cardinal_bspline(degree: int, x: np.ndarray) -> np.ndarray:

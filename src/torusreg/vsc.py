@@ -25,7 +25,7 @@ from .operators import (
     multiplier_power_apply,
     power_apply,
 )
-from .torus import Signal, norm_l2, to_spectrum
+from .torus import Signal, norm_l2
 
 __all__ = [
     "HoelderIndexFunction",
@@ -214,9 +214,12 @@ def decay_space_norm(
     eigenvalues mu_j^2, and 1/kappa decreases, so the supremum is attained
     in the limit onto a jump point: it equals the max over distinct
     eigenvalues v of ||E_{v+} f|| / kappa(v), which is evaluated exactly.
+    The energies are the half spectrum's |c_j|^2, c = rfft / n: an interior
+    mode's counts twice, for j and -j, and modes 0 and n/2 count once.
     """
-    energies = np.abs(to_spectrum(f)) ** 2
-    eigen = op.symbol**2
+    energies = np.abs(f.rfft / f.grid.n) ** 2
+    energies[1:-1] *= 2.0
+    eigen = op.symbol_rfft**2
     order = np.argsort(eigen, kind="stable")
     sorted_eigen = eigen[order]
     cumulative = np.cumsum(energies[order])

@@ -78,6 +78,12 @@ def spectral_solve(op, g_obs, alpha, prior):
     return Signal.from_rfft(op.grid, c)
 
 
+def to_spectrum(f):
+    """Forward DFT c_j = (1/n) sum_i f(x_i) e^{-2pi i j x_i} in ``grid.modes``
+    order, the full shifted spectrum, indexed like an operator's ``symbol``."""
+    return np.fft.fftshift(np.fft.fft(f.values)) / f.grid.n
+
+
 def spectral_projection(op, lam, f):
     """Brute-force spectral projection E_lam = 1_{[0, lam)}(T*T): keeps the modes
     with mu_j^2 < lam."""

@@ -42,11 +42,10 @@ from torusreg import (
     prox_fidelity,
     rate_sweep,
     step_penalty,
-    to_spectrum,
     vsc_violation_search,
 )
 
-from conftest import band_limited_signal, prox_signal, random_signal, single_mode_signal
+from conftest import band_limited_signal, prox_signal, random_signal, single_mode_signal, to_spectrum
 from test_bregman import iterated_tikhonov_filter
 from test_vsc import golden_section_sup
 

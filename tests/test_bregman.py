@@ -19,12 +19,11 @@ from torusreg import (
     norm_l2,
     solve_generalized_dr,
     step_penalty,
-    to_spectrum,
 )
 
 from torusreg.bregman import spectral_chain
 
-from conftest import make_identity, random_signal, spectral_solve
+from conftest import make_identity, random_signal, spectral_solve, to_spectrum
 
 
 def iterated_tikhonov_filter(op, g_obs, prior, alpha, n):

@@ -273,6 +273,12 @@ class TestFieldChecks:
         (ProblemConfig, "bspline_degree", -1),
         (ProblemConfig, "penalty", "tv"),
         (OutputConfig, "write_svg", "no"),
+        (OutputConfig, "csv_name", ""),
+        (OutputConfig, "csv_name", "."),
+        (OutputConfig, "csv_name", ".."),
+        (OutputConfig, "csv_name", "a/b.csv"),
+        (OutputConfig, "csv_name", "../escape.csv"),
+        (OutputConfig, "svg_name", "x/y.svg"),
         (ExperimentConfig, "problem", None),
         (HoelderIndexFunction, "amplitude", float("nan")),
         (HoelderIndexFunction, "amplitude", float("inf")),
@@ -623,6 +629,10 @@ class TestCli:
     @pytest.mark.parametrize("command, text, key", [
         ("approx-sweep", "[problem]\nn = 96\n", "alphas"),
         ("rate-sweep", "[problem]\nbspline_degree = 3\n", "bspline_degree"),
+        # an output file name that is not a plain name fails at load, not after the sweep
+        ("approx-sweep", "[sweep]\nalphas = 1e-2\n\n[output]\ncsv_name =\n", "csv_name"),
+        ("approx-sweep", "[sweep]\nalphas = 1e-2\n\n[output]\ncsv_name = ../escape.csv\n", "csv_name"),
+        ("rate-sweep", "[output]\nsvg_name = x/y.svg\n", "svg_name"),
     ])
     def test_bad_setting_exits_2_naming_the_key(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "bad.cfg"
@@ -630,6 +640,7 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "escape.csv").exists()
 
     @pytest.mark.parametrize("command", ["rate-sweep", "approx-sweep"])
     @pytest.mark.parametrize("grid, message", [

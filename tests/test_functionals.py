@@ -21,12 +21,11 @@ from torusreg import (
     norm_l1,
     norm_l2,
     prox_fidelity,
-    to_spectrum,
 )
 from torusreg.functionals import NEWTON_TOL, PROX_FLOOR, _fidelity_prox_constants, _newton_omega
 
 from conftest import (
-    allocating_prox_map, make_identity, max_newton_omega, prox_signal, random_signal,
+    allocating_prox_map, make_identity, max_newton_omega, prox_signal, random_signal, to_spectrum,
 )
 
 

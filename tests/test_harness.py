@@ -37,7 +37,6 @@ from torusreg import (
     make_inverse_helmholtz,
     norm_l2,
     rate_sweep,
-    to_spectrum,
     worst_case_search,
 )
 
@@ -45,7 +44,7 @@ from torusreg.harness import _BLOCK_ROWS, _candidate_spectra
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
-    spectral_solve,
+    spectral_solve, to_spectrum,
 )
 
 
@@ -261,27 +260,31 @@ class TestWorstCaseNoise:
 
     def test_spectral_search_fft_budget(self, monkeypatch):
         # one rfft of g_true's samples per search, from which every candidate's
-        # half spectrum is built, and one irfft per step for the samples of the
-        # selected minimizer, which its l1 error reads: kl and the data
-        # residual come from half spectra by Parseval
+        # half spectrum is built; each distinct selected chain becomes signals
+        # after the walk, whose samples are computed at build: one irfft for its
+        # observation and one per step for its minimizers. Scores, kl and the
+        # data residual come from half spectra by Parseval
         problem = quad_problem()
-        problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
+        problem.penalty.prior.rfft, problem.f_true.rfft  # once per problem
         steps, k_max = 2, 40
         assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS  # a partial last block
         counts = count_ffts(monkeypatch)
-        worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
-        assert counts == {"rfft": 1, "irfft": steps}
+        choices = worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
+        assert counts == {"rfft": 1, "irfft": len({c.k for c in choices}) * (steps + 1)}
 
     def test_spectral_search_fft_budget_l1(self, monkeypatch):
         # selecting by l1 reads the samples of every candidate's minimizers:
-        # one irfft per block and step, of all the block's chains at once
+        # one irfft per block and step, of all the block's chains at once, on
+        # top of the selected chains' signals as above
         problem = quad_problem()
-        problem.penalty.prior.rfft, problem.f_true.rfft, problem.g_true.values  # once per problem
+        problem.penalty.prior.rfft, problem.f_true.rfft  # once per problem
         steps, k_max = 2, 40
         assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
         counts = count_ffts(monkeypatch)
-        worst_case_search(search_config(steps=steps, k_max=k_max, metric="l1"), problem, 1e-2, 1e-2)
-        assert counts == {"rfft": 1, "irfft": blocks(k_max) * steps}
+        config = search_config(steps=steps, k_max=k_max, metric="l1")
+        choices = worst_case_search(config, problem, 1e-2, 1e-2)
+        irffts = len({c.k for c in choices}) * (steps + 1) + blocks(k_max) * steps
+        assert counts == {"rfft": 1, "irfft": irffts}
 
 
 class TestCandidateSpectra:

@@ -16,10 +16,11 @@ from torusreg import (
     make_inverse_helmholtz,
     norm_l2,
     power_apply,
-    to_spectrum,
 )
 
-from conftest import band_limited_signal, random_signal, single_mode_signal, spectral_projection
+from conftest import (
+    band_limited_signal, random_signal, single_mode_signal, spectral_projection, to_spectrum,
+)
 
 
 class TestConstruction:

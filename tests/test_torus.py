@@ -19,11 +19,10 @@ from torusreg import (
     inner,
     norm_l1,
     norm_l2,
-    to_spectrum,
 )
 from torusreg.torus import norm_l1_array, norm_l2_rfft
 
-from conftest import count_ffts, random_signal
+from conftest import count_ffts, random_signal, to_spectrum
 
 
 def cox_de_boor(x, p, i, t):
@@ -134,33 +133,21 @@ class TestSignal:
             Signal.from_rfft(grid, c)
 
     def test_pickle_keeps_spectrum_and_read_only(self, grid, rng):
-        f = Signal.from_rfft(grid, np.fft.rfft(rng.standard_normal(grid.n)) * 0.5)
-        back = pickle.loads(pickle.dumps(f))
-        assert np.array_equal(back.values, f.values) and np.array_equal(back.rfft, f.rfft)
+        c = np.fft.rfft(rng.standard_normal(grid.n)) * 0.5
+        back = pickle.loads(pickle.dumps(Signal.from_rfft(grid, c)))
+        assert {"values", "rfft"} <= back.__dict__.keys()  # the kept spectrum travels with the samples
+        assert np.array_equal(back.values, np.fft.irfft(c, grid.n)) and np.array_equal(back.rfft, c)
         assert not back.values.flags.writeable and not back.rfft.flags.writeable
 
-    def test_from_rfft_samples_on_first_read(self, grid, rng, monkeypatch):
+    def test_from_rfft_samples_at_build(self, grid, rng, monkeypatch):
         c = np.fft.rfft(rng.standard_normal(grid.n)) * 0.5
         counts = count_ffts(monkeypatch)
         f = Signal.from_rfft(grid, c)
-        assert sum(counts.values()) == 0  # building from the spectrum computes no samples
-        values = f.values
-        assert np.array_equal(values, np.fft.irfft(c, grid.n))
-        assert not values.flags.writeable
-        assert f.values is values and f.values is values
-        assert counts == {"irfft": 2}  # the read above and the oracle's, nothing since
-
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_from_rfft_pickles_before_and_after_the_first_read(self, grid, rng, read_first):
-        c = np.fft.rfft(rng.standard_normal(grid.n))
-        f = Signal.from_rfft(grid, c)
-        if read_first:
-            f.values
-        back = pickle.loads(pickle.dumps(f))
-        assert ("values" in back.__dict__) == read_first
-        assert np.array_equal(back.rfft, c) and not back.rfft.flags.writeable
-        assert np.array_equal(back.values, np.fft.irfft(c, grid.n))
-        assert not back.values.flags.writeable
+        assert counts == {"irfft": 1}  # the samples are computed at build, nothing else
+        assert "values" in f.__dict__ and not f.values.flags.writeable
+        assert np.array_equal(f.values, np.fft.irfft(c, grid.n))
+        assert np.array_equal(f.rfft, c)
+        assert counts == {"irfft": 2}  # and the oracle's: reading either form computes nothing
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0),
                                      complex(np.nan, np.nan)])
@@ -174,11 +161,11 @@ class TestSignal:
                         np.errstate(invalid="ignore"):
                     Signal.from_rfft(grid, c)
 
-    def test_from_rfft_overflowing_samples_rejected_by_the_first_read(self, grid):
+    def test_from_rfft_rejects_overflowing_samples(self, grid):
         # a finite spectrum whose samples (sums over modes) overflow
         c = np.full(grid.n // 2 + 1, 1.7e308, dtype=complex)
-        with pytest.raises(ConfigError, match="finite"):
-            Signal.from_rfft(grid, c).values
+        with pytest.raises(ConfigError, match="signal values must be finite"):
+            Signal.from_rfft(grid, c)
 
 
 class TestTransforms:

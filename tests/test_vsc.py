@@ -255,14 +255,17 @@ class TestDecaySpaceNorm:
 
     def test_single_mode_value(self, grid, rng):
         op = make_inverse_helmholtz(grid)
+        # j = n/2 (cos only; its sin vanishes on the grid) is the one nonzero
+        # mode with no partner -j, so its energy counts once: sqrt(2) cos has
+        # norm sqrt(2) there, and 1 at every other j
         for _ in range(200):
-            j = int(rng.integers(0, grid.n // 2))
-            kind = "cos" if rng.uniform() < 0.5 or j == 0 else "sin"
+            j = int(rng.integers(0, grid.n // 2 + 1))
+            kind = "cos" if rng.uniform() < 0.5 or j in (0, grid.n // 2) else "sin"
             theta = float(rng.uniform(0.1, 1.0))
             kappa = HoelderIndexFunction(1.0, theta)
             f = single_mode_signal(grid, j, kind)
-            mu = op.symbol[grid.modes == j][0]
-            expected = 1.0 / kappa(mu**2)
+            mu = op.symbol_rfft[j]
+            expected = norm_l2(f) / kappa(mu**2)
             got = decay_space_norm(op, f, kappa)
             assert abs(got - expected) <= 1e-9 * expected
 
