@@ -65,6 +65,7 @@ from .harness import (
     Problem,
     ProblemConfig,
     RateFit,
+    Search,
     SweepConfig,
     SweepRow,
     apriori_alpha,

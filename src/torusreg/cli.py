@@ -63,7 +63,7 @@ def cmd_reconstruct(args) -> int:
     sweep = config.sweep
     delta = sweep.deltas[0]
     alpha = sweep.alphas[0] if sweep.alphas else apriori_alpha(delta, sweep.alpha_c, sweep.alpha_sigma)
-    k, g_obs, reports, _ = worst_case_search(config, problem, delta, alpha)[-1]
+    k, g_obs, reports, _ = worst_case_search(config, problem, delta, alpha).choices[-1]
     path = os.path.join(outdir, "reconstruction.csv")
     columns = {"f_true": problem.f_true, "g_true": problem.g_true, "g_obs": g_obs}
     for n, r in enumerate(reports, 1):

@@ -39,6 +39,7 @@ __all__ = [
     "RateFit",
     "build_problem",
     "Choice",
+    "Search",
     "noise_frequencies",
     "worst_case_search",
     "apriori_alpha",
@@ -192,25 +193,33 @@ class RateFit:
     n_points: int
 
 
-# Rows of a worst-case search's candidate block. Each array a block makes
-# (its half spectra; on the spectral route the fidelity shift, one stack per
-# step and each step's errors) stays at or below 64.25 KiB at n = 512, below
-# glibc's 128 KiB mmap threshold, so the allocator reuses heap memory
-# instead of mapping and zero-faulting fresh pages on every search.
-# Measured on hilbert_envelope (k_max = 250, 2-core Xeon): 32 rows make
-# 128 KiB arrays and took 31k-39k minor page faults per pass, against 8-9
-# at 16 rows; 8 rows ran 21 % slower and 12 rows 4 % slower than 16.
-_BLOCK_ROWS = 16
+# Candidate blocks are sized by bytes: the most rows whose (rows, n/2 + 1)
+# complex array fits 96 KiB, at least one (23 rows at n = 512, 25 at 480).
+# Up to n = 12286 every array a block makes then stays below glibc's 128 KiB
+# mmap threshold, so it comes from the heap, not from fresh zeroed pages.
+# Measured on hilbert_envelope (n = 512, k_max = 250, 2-core Xeon): 23-row
+# blocks with the search's work array took a median 0.337 s per pass against
+# 0.389 s with 16-row blocks, faster in 10 of 10 alternating pairs.
+_BLOCK_BYTES = 96 * 1024
 
 
-def _candidate_spectra(g_rfft: np.ndarray, delta: float, ks: Sequence[int]) -> np.ndarray:
+def _block_rows(n: int) -> int:
+    """The rows of a candidate block on n points: the most whose (rows, n/2 + 1)
+    complex array fits ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
+
+
+def _candidate_spectra(
+    g_rfft: np.ndarray, delta: float, ks: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """The half spectra of g + delta sin(2 pi k .), one row per k of ks, given
-    g's half spectrum g_rfft, as a new writeable array. On n points the rfft
-    of delta sin(2 pi k .) is -i n/2 delta in mode k and 0 elsewhere, so each
-    row is g_rfft with only mode k's imaginary part changed; k = 0 (exact
-    data) leaves its row g_rfft."""
+    g's half spectrum g_rfft, written into ``out`` (len(ks), n/2 + 1), or into
+    a new array. On n points the rfft of delta sin(2 pi k .) is -i n/2 delta
+    in mode k and 0 elsewhere, so each row is g_rfft with only mode k's
+    imaginary part changed; k = 0 (exact data) leaves its row g_rfft."""
     n, ks = 2 * (len(g_rfft) - 1), np.asarray(ks)
-    spectra = np.tile(g_rfft, (len(ks), 1))
+    spectra = np.empty((len(ks), len(g_rfft)), dtype=complex) if out is None else out
+    spectra[...] = g_rfft
     rows = np.flatnonzero(ks)
     spectra.imag[rows, ks[rows]] -= n // 2 * delta
     return spectra
@@ -245,20 +254,25 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
-def _spectral_errors(problem: Problem, metric: str, chain: list[np.ndarray]) -> np.ndarray:
+def _spectral_errors(
+    problem: Problem, metric: str, chain: list[np.ndarray], work: np.ndarray
+) -> np.ndarray:
     """The (rows, steps) errors in ``metric`` of a block's spectral chains,
     one (rows, n/2 + 1) stack of half spectra per step, bit for bit as
     :func:`_error` scores their signals: kl by Parseval, squared by libm's
     pow as a float's ``** 2`` is, and l1 from the samples of an irfft. A
-    stack is scored where it lies and is not written."""
+    stack is scored where it lies and is not written. Each step's errors
+    are written into ``work``, a (rows, n/2 + 1) complex array: kl's half
+    spectra, or l1's (rows, n) samples in its float view."""
     n = problem.grid.n
     scores = np.empty((len(chain[0]), len(chain)))
+    errors = work if metric == "kl" else work.view(float)[:, :n]
     for i, step in enumerate(chain):
         if metric == "kl":
-            errors = np.subtract(step, problem.f_true.rfft)
+            np.subtract(step, problem.f_true.rfft, out=errors)
             scores[:, i] = 0.5 * np.float_power(norm_l2_rfft(errors, n), 2)
         else:
-            errors = np.fft.irfft(step, n)
+            np.fft.irfft(step, n, out=errors)
             errors -= problem.f_true.values
             scores[:, i] = norm_l1_array(errors)
     return scores
@@ -293,29 +307,42 @@ def noise_frequencies(noise: NoiseModel, n: int) -> Sequence[int]:
     return range(1, noise.k_max + 1)
 
 
+class Search(NamedTuple):
+    """A worst-case search's table and its choices. Row j of ``scores`` and
+    ``iterations`` is candidate ``ks[j]`` and column i is Bregman step i + 1;
+    ``choices[i]`` is the candidate at the first largest score of column i."""
+
+    ks: np.ndarray  # (K,) noise frequencies; 0 for exact data
+    scores: np.ndarray  # (K, steps) errors in config.sweep.metric
+    iterations: np.ndarray  # (K, steps) DR iterations; 0 on the spectral route
+    choices: list[Choice]  # one per Bregman step
+
+
 def worst_case_search(
     config: ExperimentConfig, problem: Problem, delta: float, alpha: float
-) -> list[Choice]:
+) -> Search:
     """Run the Bregman chain on every candidate observation; pick per step.
 
     The candidates follow ``config.sweep.noise``: the exact data (k = 0),
     g_true + delta sin(2 pi k_fixed .), or g_true + delta sin(2 pi k .) for
-    k = 1..k_max. Returns, for each Bregman step, the candidate with the
-    largest error in ``config.sweep.metric`` at that step (first index wins
-    ties); the first n steps of a chain are the n-step chain, so one chain
-    per candidate covers every step.
+    k = 1..k_max. Returns every candidate's error in ``config.sweep.metric``
+    and DR iterations at every step, and for each Bregman step the candidate
+    with the largest error at that step (first index wins ties); the first
+    n steps of a chain are the n-step chain, so one chain per candidate
+    covers every step.
 
-    The candidates are walked in blocks of ``_BLOCK_ROWS`` rows, each a
-    half spectrum built from the rfft of g_true's samples
-    (:func:`_candidate_spectra`). On the DR route each candidate is a signal
-    built from that spectrum, its samples computed at once, and one
-    :func:`_chain_metrics` call. On the spectral route a block's chains are
-    one :func:`~torusreg.bregman.spectral_chain` call, each step's stack is
+    The candidates are walked in blocks of ``_block_rows(n)`` rows, as many
+    as fit a 96 KiB complex block (23 at n = 512), each a half spectrum built
+    from the rfft of g_true's samples (:func:`_candidate_spectra`). On the
+    DR route each candidate is a signal built from that spectrum, its
+    samples computed at once, and one :func:`_chain_metrics` call. On the
+    spectral route a block's chains are one
+    :func:`~torusreg.bregman.spectral_chain` call, each step's stack is
     scored at once (:func:`_spectral_errors`), and the running best keeps
-    arrays only: the selected row's half spectrum and its minimizers'. A
-    signal and its reports are built after the walk, once per distinct
-    selected chain. The other error is computed for each step's selected
-    candidate only.
+    arrays only: the selected row's minimizers' half spectra. A signal and
+    its reports are built after the walk, once per distinct selected chain,
+    its observation's half spectrum built again from g_true's. The other
+    error is computed for each step's selected candidate only.
 
     The spectral chains are unchecked arrays, so a search checks the grids
     once and every score's finiteness once per block; a non-finite one
@@ -328,25 +355,41 @@ def worst_case_search(
     spectral = config.solver.method == "spectral"
     g_rfft = np.fft.rfft(problem.g_true.values)  # not g_true.rfft, which keeps mu f^
     # per step: (score, k, observation, chain) of the first candidate with the largest
-    # score: its signal and reports (DR), or its half spectrum and its minimizers' (spectral)
+    # score: its signal and reports (DR), or None and its minimizers' half spectra (spectral)
     best: list[tuple | None] = [None] * steps
-    for start in range(0, len(ks), _BLOCK_ROWS):
-        spectra = _candidate_spectra(g_rfft, delta, ks[start:start + _BLOCK_ROWS])
+    tables, counts = [], []  # each block's (rows, steps) scores and DR iterations
+    # One work array per search takes each block's candidate spectra and,
+    # once the chains are made from them, their errors; the last block's
+    # chains go before the next block's are made. A spectral search then
+    # holds at most 2 + steps block arrays at once, so it frees little at the
+    # heap top, which glibc trims above a threshold for the next search to
+    # fault in again. On hilbert_envelope (two steps, 23 rows) fresh spectra
+    # and errors per block, six arrays at once, took about 4.6k minor faults
+    # per pass in the benchmark's process; four take as few as 16 rows did.
+    rows = min(_block_rows(grid.n), len(ks))
+    work = np.empty((rows, len(g_rfft)), dtype=complex)
+    for start in range(0, len(ks), rows):
+        block = ks[start:start + rows]
+        spectra = _candidate_spectra(g_rfft, delta, block, out=work[:len(block)])
+        runs = None  # dropped before the new chains are made
         if spectral:  # the block's chains: one (rows, n/2 + 1) stack per step
             runs = spectral_chain(problem.op, spectra, alpha, problem.penalty, steps)
-            scores = _spectral_errors(problem, sweep.metric, runs)
+            scores = _spectral_errors(problem, sweep.metric, runs, spectra)
+            counts.append(np.zeros(scores.shape, dtype=int))
         else:  # one (reports, errors) per candidate
             observations = [Signal.from_rfft(grid, c) for c in spectra]
             runs = [_chain_metrics(problem, g_obs, alpha, steps, config.solver, sweep.metric)
                     for g_obs in observations]
             scores = np.array([errors for _, errors in runs])
+            counts.append(np.array([[r.iterations for r in reports] for reports, _ in runs]))
         if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
             row, step = np.argwhere(~np.isfinite(scores))[0]
             raise ConfigError(f"half spectrum must be finite: k = {ks[start + row]}, step {step + 1}")
+        tables.append(scores)
         for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
             if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
                 if spectral:
-                    observed = spectra[row].copy(), [step[row].copy() for step in runs]
+                    observed = None, [step[row].copy() for step in runs]
                 else:
                     observed = observations[row], runs[row][0]
                 best[i] = (float(scores[row, i]), ks[start + row], *observed)
@@ -355,7 +398,7 @@ def worst_case_search(
     for i, (score, k, observed, kept) in enumerate(best):
         if k not in chains:
             if spectral:  # a signal and reports for the selected chains only
-                observed = Signal.from_rfft(grid, observed)
+                observed = Signal.from_rfft(grid, _candidate_spectra(g_rfft, delta, [k])[0])
                 kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
             chains[k] = observed, kept
         g_obs, reports = chains[k]
@@ -363,11 +406,11 @@ def worst_case_search(
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
         l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
         choices.append(Choice(k, g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
-    return choices
+    return Search(np.array(ks), np.concatenate(tables), np.concatenate(counts), choices)
 
 
 def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float]) -> list[SweepRow]:
-    choices = worst_case_search(config, problem, *pair)
+    choices = worst_case_search(config, problem, *pair).choices
     return [SweepRow(*pair, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
 
 

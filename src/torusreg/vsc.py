@@ -236,14 +236,14 @@ def decay_space_norm(
 def _mode_inner_products(op, omega: Signal) -> tuple[np.ndarray, np.ndarray]:
     """Inner products of omega with the orthonormal real Fourier modes.
 
-    Returns (coefficients, symbol values): entry 0 is the constant mode,
-    then cos/sin pairs for j = 1..n/2-1.
+    Returns (coefficients, symbol values), n of each: entry 0 is the
+    constant mode, then cos/sin pairs for j = 1..n/2-1, and last the
+    Nyquist mode (-1)^i.
     """
-    n = omega.grid.n
-    c = omega.rfft[: n // 2] / n
-    mu = op.symbol_rfft[: n // 2]
-    pairs = np.sqrt(2.0) * np.column_stack([c[1:].real, -c[1:].imag]).ravel()
-    return np.append(c[0].real, pairs), np.append(mu[0], np.repeat(mu[1:], 2))
+    c, mu = omega.rfft / omega.grid.n, op.symbol_rfft
+    pairs = np.sqrt(2.0) * np.column_stack([c[1:-1].real, -c[1:-1].imag]).ravel()
+    coeffs = np.concatenate([[c[0].real], pairs, [c[-1].real]])
+    return coeffs, np.concatenate([[mu[0]], np.repeat(mu[1:-1], 2), [mu[-1]]])
 
 
 def vsc_violation_search(
@@ -257,7 +257,7 @@ def vsc_violation_search(
     """Randomized falsifier for <omega, f> <= 1/2 ||f||^2 + Phi(||Tf||^2).
 
     Samples rays f = t u over a log amplitude grid of t, for directions u of
-    unit norm sign-matched to omega: the single real Fourier modes, omega
+    unit norm sign-matched to omega: the n single real Fourier modes, omega
     itself (when nonzero) and ``trials`` seeded Gaussian directions. On a
     ray the residual <omega, f> - 1/2 ||f||^2 - Phi(||Tf||^2) is
     p t - t^2/2 - Phi(q^2 t^2) with p = |<omega, u>| and q = ||Tu||, and the

@@ -8,7 +8,7 @@ from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusG
 from torusreg.bregman import spectral_chain
 from torusreg.errors import field_types
 from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
-from torusreg.harness import Choice, SweepRow
+from torusreg.harness import Choice, Search, SweepRow
 from torusreg.reportio import SWEEP_HEADER
 from torusreg.torus import norm_l1_array, norm_l2_array
 
@@ -183,11 +183,14 @@ def per_candidate_search(config, problem, delta, alpha):
     per candidate, both errors of every step from the minimizer's samples,
     and per step the first candidate with the largest error in the sweep's
     metric. Candidate k is built from its half spectrum: the rfft of g_true's
-    samples minus i n/2 delta in mode k, the rfft of delta sin(2 pi k .)."""
+    samples minus i n/2 delta in mode k, the rfft of delta sin(2 pi k .).
+    Returns a ``Search``: every candidate's errors in the metric and DR
+    iterations per step, and the choices."""
     sweep, noise = config.sweep, config.sweep.noise
     ks = {"exact": [0], "fixed_sinusoid": [noise.k_fixed]}.get(noise.kind, range(1, noise.k_max + 1))
     col = 0 if sweep.metric == "kl" else 1
     best = [None] * sweep.bregman_steps
+    scores, iterations = [], []
     n = problem.grid.n
     for k in ks:
         spectrum = np.fft.rfft(problem.g_true.values)
@@ -196,6 +199,7 @@ def per_candidate_search(config, problem, delta, alpha):
         g_obs = Signal.from_rfft(problem.grid, spectrum)
         reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, sweep.bregman_steps,
                                   config.solver)
+        row = []  # this candidate's error in the metric per step
         for i, r in enumerate(reports):
             error = r.minimizer.values - problem.f_true.values
             if isinstance(problem.penalty, QuadraticPenalty):
@@ -205,4 +209,7 @@ def per_candidate_search(config, problem, delta, alpha):
             m = (kl, norm_l1_array(error), r.data_residual, r.iterations)
             if best[i] is None or m[col] > best[i].metrics[col]:
                 best[i] = Choice(k, g_obs, reports, m)
-    return best
+            row.append(m[col])
+        scores.append(row)
+        iterations.append([r.iterations for r in reports])
+    return Search(np.array(list(ks)), np.array(scores), np.array(iterations), best)

@@ -40,7 +40,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from torusreg.harness import _BLOCK_ROWS, _candidate_spectra
+from torusreg.harness import _block_rows, _candidate_spectra
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
@@ -183,9 +183,9 @@ def search_config(steps=1, metric="kl", **noise):
     )
 
 
-def blocks(k_max):
-    """The number of candidate blocks a search over k = 1..k_max walks."""
-    return -(-k_max // _BLOCK_ROWS)
+def blocks(k_max, n):
+    """The number of candidate blocks a search over k = 1..k_max on n points walks."""
+    return -(-k_max // _block_rows(n))
 
 
 def assert_round_trip_of(g_obs, g_true):
@@ -197,12 +197,15 @@ def assert_round_trip_of(g_obs, g_true):
 
 
 class TestWorstCaseNoise:
-    @pytest.mark.parametrize("n", [128, 480])
+    @pytest.mark.parametrize("n", [480, 512])
     def test_zero_delta_ties_to_first_candidate(self, n):
         # every candidate ties; across blocks the tie goes to the earlier block
         problem, k_max = quad_problem(n=n), 40
-        assert blocks(k_max) > 1
-        for choice in worst_case_search(search_config(steps=2, k_max=k_max), problem, 0.0, 0.1):
+        assert blocks(k_max, n) > 1
+        search = worst_case_search(search_config(steps=2, k_max=k_max), problem, 0.0, 0.1)
+        assert np.all(search.scores == search.scores[0])
+        assert search.ks[search.scores.argmax(axis=0)].tolist() == [1, 1]
+        for choice in search.choices:
             assert choice.k == 1
             assert_round_trip_of(choice.g_obs, problem.g_true)
 
@@ -212,7 +215,7 @@ class TestWorstCaseNoise:
         # like every candidate, the exact data carry the rfft of g_true's
         # samples, not the mu f^ that g_true keeps
         problem = quad_problem(n=n)
-        for choice in worst_case_search(search_config(steps=2, kind="exact"), problem, delta, 0.1):
+        for choice in worst_case_search(search_config(steps=2, kind="exact"), problem, delta, 0.1).choices:
             assert choice.k == 0
             assert np.array_equal(choice.g_obs.rfft, np.fft.rfft(problem.g_true.values))
             assert_round_trip_of(choice.g_obs, problem.g_true)
@@ -220,7 +223,7 @@ class TestWorstCaseNoise:
     def test_matches_brute_force_oracle(self):
         problem = quad_problem()
         alpha, delta, k_max = 1e-3, 1e-2, 16
-        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha)
+        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha).choices
         oracle = [tikhonov_error_oracle(problem, delta, k, alpha) for k in range(1, k_max + 1)]
         assert choice.k == 1 + int(np.argmax(oracle))
         assert choice.metrics[0] == pytest.approx(max(oracle), rel=1e-8)
@@ -232,7 +235,7 @@ class TestWorstCaseNoise:
         def evaluator(g_obs):
             return spectral_solve(problem.op, g_obs, alpha, problem.penalty.prior)
 
-        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha)
+        [choice] = worst_case_search(search_config(k_max=k_max), problem, delta, alpha).choices
         best = problem.penalty.bregman(evaluator(choice.g_obs), problem.f_true)
         for k in range(1, k_max + 1):
             candidate = problem.g_true + sinusoid_noise(problem.grid, delta, k)
@@ -251,7 +254,7 @@ class TestWorstCaseNoise:
         for k_max in (n // 2, n):
             with pytest.raises(ConfigError, match="k_max"):
                 worst_case_search(search_config(k_max=k_max), problem, 0.1, 0.1)
-        assert len(worst_case_search(search_config(k_max=n // 2 - 1), problem, 0.1, 0.1)) == 1
+        assert len(worst_case_search(search_config(k_max=n // 2 - 1), problem, 0.1, 0.1).choices) == 1
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError, match="delta"):
@@ -264,27 +267,46 @@ class TestWorstCaseNoise:
         # after the walk, whose samples are computed at build: one irfft for its
         # observation and one per step for its minimizers. Scores, kl and the
         # data residual come from half spectra by Parseval
-        problem = quad_problem()
+        problem = quad_problem(n=512)
         problem.penalty.prior.rfft, problem.f_true.rfft  # once per problem
         steps, k_max = 2, 40
-        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS  # a partial last block
+        assert blocks(k_max, 512) > 1 and k_max % _block_rows(512)  # a partial last block
         counts = count_ffts(monkeypatch)
-        choices = worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2)
+        choices = worst_case_search(search_config(steps=steps, k_max=k_max), problem, 1e-2, 1e-2).choices
         assert counts == {"rfft": 1, "irfft": len({c.k for c in choices}) * (steps + 1)}
 
     def test_spectral_search_fft_budget_l1(self, monkeypatch):
         # selecting by l1 reads the samples of every candidate's minimizers:
         # one irfft per block and step, of all the block's chains at once, on
         # top of the selected chains' signals as above
-        problem = quad_problem()
+        problem = quad_problem(n=512)
         problem.penalty.prior.rfft, problem.f_true.rfft  # once per problem
         steps, k_max = 2, 40
-        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
+        assert blocks(k_max, 512) > 1 and k_max % _block_rows(512)
         counts = count_ffts(monkeypatch)
         config = search_config(steps=steps, k_max=k_max, metric="l1")
-        choices = worst_case_search(config, problem, 1e-2, 1e-2)
-        irffts = len({c.k for c in choices}) * (steps + 1) + blocks(k_max) * steps
+        choices = worst_case_search(config, problem, 1e-2, 1e-2).choices
+        irffts = len({c.k for c in choices}) * (steps + 1) + blocks(k_max, 512) * steps
         assert counts == {"rfft": 1, "irfft": irffts}
+
+
+class TestBlockRows:
+    """A search's candidate blocks are sized by bytes: the most rows whose
+    complex (rows, n/2 + 1) block fits 96 KiB, and at least one."""
+
+    @pytest.mark.parametrize("n", [64, 480, 512, 1024, 4096])
+    def test_a_block_fits_the_budget(self, n):
+        rows = _block_rows(n)
+        assert rows >= 1
+        assert (rows + 1) * (n // 2 + 1) * 16 > 96 * 1024  # the most that fit
+        g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
+        spectra = _candidate_spectra(g_rfft, 1e-2, [1] * rows)  # at n = 64, more rows than ks
+        # the block's half spectra, and the l1 route's (rows, n) irfft of them
+        assert spectra.nbytes <= 96 * 1024
+        assert np.fft.irfft(spectra, n).nbytes <= 96 * 1024
+
+    def test_sizes(self):
+        assert [_block_rows(n) for n in (128, 480, 512, 1024, 4096)] == [94, 25, 23, 11, 2]
 
 
 class TestCandidateSpectra:
@@ -317,11 +339,12 @@ class TestCandidateSpectra:
         assert np.array_equal(exact, np.fft.rfft(g))
         assert exact[0].imag == exact[-1].imag == 0.0
 
-    @pytest.mark.parametrize("n", [128, 480])
+    @pytest.mark.parametrize("n", [480, 512])
     def test_a_block_is_the_rows_of_one_call(self, n):
-        # the second block of a k_max = 40 search (n >= 82) starts mid-ks
+        # the second block of a k_max = 40 search starts mid-ks, and is partial
         g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
-        ks, rows = tuple(range(1, 41)), slice(_BLOCK_ROWS, 2 * _BLOCK_ROWS)
+        ks, rows = tuple(range(1, 41)), slice(_block_rows(n), 2 * _block_rows(n))
+        assert blocks(len(ks), n) == 2
         whole = _candidate_spectra(g_rfft, 1e-2, ks)
         assert np.array_equal(_candidate_spectra(g_rfft, 1e-2, ks[rows]), whole[rows])
 
@@ -340,39 +363,53 @@ class TestSearchMatchesPerCandidateLoop:
         self.check(route, metric, noise)
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
-    @pytest.mark.parametrize("route, k_max", [("spectral_quadratic", 40), ("dr_entropy", 20)])
-    def test_choices_match_across_blocks(self, route, metric, k_max):
+    @pytest.mark.parametrize("route, n, k_max", [("spectral_quadratic", 512, 40),
+                                                 ("dr_entropy", 2048, 12)])
+    def test_choices_match_across_blocks(self, route, metric, n, k_max):
         # several blocks and a partial last one
-        assert blocks(k_max) > 1 and k_max % _BLOCK_ROWS
-        self.check(route, metric, {"k_max": k_max})
+        assert blocks(k_max, n) > 1 and k_max % _block_rows(n)
+        self.check(route, metric, {"k_max": k_max}, n=n)
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("k_max", [12, 40])
     def test_spectral_choices_match_at_one_and_three_steps(self, metric, steps, k_max):
-        # a block's chains run as one stack per step, whatever the step count
-        self.check("spectral_quadratic", metric, {"k_max": k_max}, steps)
+        # a block's chains run as one stack per step, whatever the step count;
+        # at n = 512, k_max = 40 is two blocks
+        self.check("spectral_quadratic", metric, {"k_max": k_max}, steps, n=512)
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
     def test_spectral_choices_match_in_one_full_block(self, metric):
-        assert blocks(_BLOCK_ROWS) == 1
-        self.check("spectral_quadratic", metric, {"k_max": _BLOCK_ROWS})
+        k_max = _block_rows(512)
+        assert blocks(k_max, 512) == 1 and blocks(k_max + 1, 512) == 2
+        self.check("spectral_quadratic", metric, {"k_max": k_max}, n=512)
 
     @staticmethod
-    def check(route, metric, noise, steps=2):
+    def check(route, metric, noise, steps=2, n=None):
         if route == "spectral_quadratic":
-            problem, solver, kl_rtol = quad_problem(), SolverConfig(method="spectral"), 1e-14
+            problem, solver, kl_rtol = quad_problem(n=n or 128), SolverConfig(method="spectral"), 1e-14
         else:
-            problem, solver, kl_rtol = build_problem(ProblemConfig(n=64)), SolverConfig(), 0.0
+            problem, solver, kl_rtol = build_problem(ProblemConfig(n=n or 64)), SolverConfig(), 0.0
         config = ExperimentConfig(
             solver=solver,
             sweep=SweepConfig(bregman_steps=steps, metric=metric, noise=NoiseModel(**noise)))
         for delta in (1e-1, 1e-3):
             alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
-            got = worst_case_search(config, problem, delta, alpha)
+            search = worst_case_search(config, problem, delta, alpha)
             want = per_candidate_search(config, problem, delta, alpha)
-            assert len(got) == len(want) == steps
-            for g, w in zip(got, want):
+            # the table: every candidate's score in the metric, and its DR iterations
+            assert np.array_equal(search.ks, want.ks)
+            assert search.scores.shape == search.iterations.shape == (len(want.ks), steps)
+            if metric == "kl":
+                assert np.all(np.abs(search.scores - want.scores) <= kl_rtol * want.scores)
+            else:
+                assert np.array_equal(search.scores, want.scores)
+            assert np.array_equal(search.iterations, want.iterations)
+            got = search.choices
+            assert len(got) == len(want.choices) == steps
+            # each step's choice is its column's first largest score
+            assert [c.k for c in got] == search.ks[search.scores.argmax(axis=0)].tolist()
+            for g, w in zip(got, want.choices):
                 assert g.k == w.k
                 assert np.array_equal(g.g_obs.values, w.g_obs.values)
                 assert [type(m) for m in g.metrics] == [float, float, float, int]
@@ -419,18 +456,18 @@ class TestSolveCount:
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
     def test_spectral_search_forms_the_shift_once_per_block(self, monkeypatch, metric):
-        # t mu g^ is formed for a block's chains at once: 3 blocks at k_max = 40,
-        # not one product per (candidate, step)
-        steps, k_max = 2, 40
+        # t mu g^ is formed for a block's chains at once: 3 blocks at k_max = 50
+        # on 512 points, not one product per (candidate, step)
+        steps, k_max = 2, 50
         shifts = [count_calls(monkeypatch, module, "_fidelity_prox_constants")
                   for module in (torusreg.bregman, torusreg.solvers)
                   if hasattr(module, "_fidelity_prox_constants")]
         solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
-        worst_case_search(search_config(steps=steps, metric=metric, k_max=k_max), quad_problem(),
+        worst_case_search(search_config(steps=steps, metric=metric, k_max=k_max), quad_problem(n=512),
                           1e-2, 1e-2)
-        assert blocks(k_max) == 3
+        assert blocks(k_max, 512) == 3
         assert solves["solve_quadratic_spectral"] == k_max * steps
-        assert sum(shifts, Counter()) == {"_fidelity_prox_constants": blocks(k_max)}
+        assert sum(shifts, Counter()) == {"_fidelity_prox_constants": blocks(k_max, 512)}
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_spectral_bregman_iterate(self, monkeypatch, steps):
@@ -451,7 +488,7 @@ class TestSpectralRoute:
     def test_reports_are_bregman_iterate_on_the_chosen_data(self, metric, delta):
         problem, steps, alpha = quad_problem(), 3, 1e-2
         config = search_config(steps=steps, metric=metric, k_max=8)
-        choices = worst_case_search(config, problem, delta, alpha)
+        choices = worst_case_search(config, problem, delta, alpha).choices
         for choice in choices:
             want = bregman_iterate(problem.op, choice.g_obs, alpha, problem.penalty, steps,
                                    SolverConfig(method="spectral"))

@@ -314,16 +314,34 @@ class TestDecaySpaceNorm:
                 assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
 
 
+def nyquist_mode(grid):
+    """The unit-norm Nyquist mode (-1)^i, the real mode j = n/2."""
+    return Signal(grid, (-1.0) ** np.arange(grid.n))
+
+
 class TestModeInnerProducts:
     def test_matches_inner_products_with_modes(self, grid, rng):
         op = make_inverse_helmholtz(grid)
-        modes = [(0, "cos")] + [(j, kind) for j in range(1, grid.n // 2) for kind in ("cos", "sin")]
+        half = grid.n // 2
+        modes = [(0, "cos")] + [(j, kind) for j in range(1, half) for kind in ("cos", "sin")]
+        units = [single_mode_signal(grid, j, kind) for j, kind in modes] + [nyquist_mode(grid)]
         for _ in range(10):
             omega = random_signal(grid, rng)
             coeffs, mus = _mode_inner_products(op, omega)
-            oracle = [inner(omega, single_mode_signal(grid, j, kind)) for j, kind in modes]
+            oracle = [inner(omega, u) for u in units]
+            assert len(coeffs) == len(mus) == grid.n
             assert np.max(np.abs(coeffs - oracle)) <= 1e-14
-            assert list(mus) == [op.symbol[grid.modes == j][0] for j, _ in modes]
+            assert list(mus) == [op.symbol[np.abs(grid.modes) == j][0] for j, _ in modes + [(half, "")]]
+
+    def test_sees_the_nyquist_mode(self, grid):
+        # omega = 5 (-1)^i is orthogonal to every other real mode, so its one
+        # nonzero coefficient is the Nyquist mode's, with symbol mu_{n/2}
+        op = make_inverse_helmholtz(grid)
+        omega = 5.0 * nyquist_mode(grid)
+        coeffs, mus = _mode_inner_products(op, omega)
+        assert coeffs[-1] == pytest.approx(5.0, rel=1e-15)
+        assert np.max(np.abs(coeffs[:-1])) <= 1e-14
+        assert mus[-1] == op.symbol_rfft[-1]
 
 
 def per_family_violation_search(op, omega, phi, trials, seed, amplitudes=np.logspace(-8, 4, 61)):
