@@ -25,8 +25,8 @@ from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
 from .torus import Signal, check_same_grid
 
-__all__ = ["accumulated_subgradient", "bregman_iterate", "spectral_chain", "spectral_reports",
-           "step_penalty"]
+__all__ = ["accumulated_subgradient", "bregman_iterate", "spectral_chain", "spectral_constants",
+           "spectral_reports", "step_penalty"]
 
 
 def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
@@ -50,46 +50,45 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
     return current
 
 
-def spectral_chain(
-    op: FourierMultiplierOperator, g_rfft: np.ndarray, alpha: float, penalty: Penalty, n_steps: int
-) -> list[np.ndarray]:
-    """The half spectra of the quadratic chains' minimizers (iterated Tikhonov),
-    one array per step, shaped as g_rfft: a chain on the data with half
-    spectrum g_rfft of shape (n/2 + 1,), or one chain per row of a
-    (rows, n/2 + 1) block of them.
-
-    The fidelity shift t mu g^ and the reciprocal 1/(1 + t mu^2), t = 1/alpha,
-    come from one :func:`~torusreg.functionals._fidelity_prox_constants` call
-    on all of g_rfft, which also tests alpha. Step n writes a fresh stack,
-    one row per ``solvers.solve_quadratic_spectral`` call with the row's
-    shift and prior f_{n-1} (the penalty's prior at step 1); the row is
-    what the call returns. The solve is looked up on the module, so that a
-    name patched there sees each solve. A non-quadratic penalty raises
-    :class:`Unsupported`, and a g_rfft whose last axis, or a prior whose
-    shape, is not the operator's n/2 + 1 modes raises :class:`GridMismatch`
-    naming it, both before any solve; finiteness is left to the caller,
-    which tests it once per chain or block.
-    """
+def spectral_constants(
+    op: FourierMultiplierOperator, g_rfft: np.ndarray, alpha: float, penalty: Penalty
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shift t mu g^, shaped as g_rfft (one half spectrum or a stack), and
+    the reciprocal 1/(1 + t mu^2), t = 1/alpha, of the quadratic chains on
+    g_rfft: one :func:`~torusreg.functionals._fidelity_prox_constants` call,
+    which tests alpha. A non-quadratic penalty raises :class:`Unsupported`,
+    and a g_rfft whose last axis, or a prior whose shape, is not the
+    operator's n/2 + 1 modes raises :class:`GridMismatch` naming it."""
     if not isinstance(penalty, QuadraticPenalty):
         raise Unsupported("spectral solve requires a quadratic penalty")
     modes, prior = op.symbol_rfft.shape, penalty.prior.rfft
-    if g_rfft.shape[-1:] != modes or prior.shape != modes:  # inline: one test per chain or block
+    if g_rfft.shape[-1:] != modes or prior.shape != modes:  # inline: one test per chain or search
         name, c = ("g_rfft", g_rfft) if g_rfft.shape[-1:] != modes else ("prior_rfft", prior)
         raise GridMismatch(
             f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
             f"got shape {c.shape}")
-    shift, recip = _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
-    shift = shift.reshape(-1, modes[0])  # one row per chain
-    solve, chain, previous = solvers.solve_quadratic_spectral, [], [prior] * len(shift)
-    for _ in range(n_steps):
-        step = np.empty_like(shift)
-        for s, p, out in zip(shift, previous, step):
+    return _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
+
+
+def spectral_chain(
+    shifts: list[np.ndarray], prior_rfft: np.ndarray, recip: np.ndarray, chain: list[list]
+) -> None:
+    """The quadratic chains (iterated Tikhonov), one per shift row: step n's
+    minimizers' half spectra are written into the row views ``chain[n - 1]``,
+    whose rows beyond ``len(shifts)`` are left as they are.
+
+    Each (row, step) is one ``solvers.solve_quadratic_spectral`` call, looked
+    up on the module so that a name patched there sees each solve, with the
+    row's shift, the prior f_{n-1} (``prior_rfft`` at step 1) and its out
+    row, which then holds what the call returns. Nothing is tested here:
+    :func:`spectral_constants` tests the arguments, the caller finiteness."""
+    solve, previous = solvers.solve_quadratic_spectral, [prior_rfft] * len(shifts)
+    for outs in chain:
+        for s, p, out in zip(shifts, previous, outs):
             row = solve(s, p, recip, out)
             if row is not out:  # the row is what the solve returns
                 out[...] = row
-        chain.append(step.reshape(g_rfft.shape))
-        previous = step
-    return chain
+        previous = outs
 
 
 def spectral_reports(
@@ -118,7 +117,9 @@ def bregman_iterate(
     check_value("n_steps", n_steps, int, AT_LEAST_ONE)
     if cfg.method == "spectral":
         check_same_grid(op, g_obs, penalty.prior)
-        chain = spectral_chain(op, g_obs.rfft, alpha, penalty, n_steps)
+        shift, recip = spectral_constants(op, g_obs.rfft, alpha, penalty)
+        chain = [np.empty_like(shift) for _ in range(n_steps)]
+        spectral_chain([shift], penalty.prior.rfft, recip, [[step] for step in chain])
         return spectral_reports(op, g_obs, alpha, penalty, chain)
     reports: list[SolveReport] = []
     previous: Signal | None = None

@@ -300,8 +300,9 @@ def _fidelity_prox_constants(
 
     Both depend on the operator and t only. The last t's pair is kept in the
     operator's instance dict, read-only, as ``symbol_rfft`` is, so a run of
-    solves at one alpha (a worst-case search) forms only (t mu) g^ per call:
-    that first array is fresh and the caller's to write. Both are complex
+    calls at one alpha forms only (t mu) g^ per call: once per DR solve, and
+    once per spectral chain or search (``bregman.spectral_constants``). That
+    first array is fresh and the caller's to write. Both are complex
     arrays with zero imaginary parts: numpy multiplies a complex array by a
     real one through that very cast, so no call pays it.
     """

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bregman import bregman_iterate, spectral_chain, spectral_reports
+from .bregman import bregman_iterate, spectral_chain, spectral_constants, spectral_reports
 from .errors import (
     AT_LEAST_ONE, FILE_NAME, FINITE, NON_NEGATIVE, POSITIVE, ConfigError, InsufficientData,
     NonPositiveError, check_fields, check_value, one_of,
@@ -25,7 +25,7 @@ from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
 from .torus import (
-    Signal, TorusGrid, bspline_truth, check_same_grid, norm_l1_array, norm_l2_rfft,
+    Signal, TorusGrid, bspline_truth, check_same_grid, norm_l1_array, norm_l2_parseval,
 )
 
 __all__ = [
@@ -193,13 +193,15 @@ class RateFit:
     n_points: int
 
 
-# Candidate blocks are sized by bytes: the most rows whose (rows, n/2 + 1)
-# complex array fits 96 KiB, at least one (23 rows at n = 512, 25 at 480).
-# Up to n = 12286 every array a block makes then stays below glibc's 128 KiB
-# mmap threshold, so it comes from the heap, not from fresh zeroed pages.
+# The spectral search walks its candidates in blocks sized by bytes: the
+# most rows whose (rows, n/2 + 1) complex array fits 96 KiB, at least one
+# (23 rows at n = 512, 25 at 480). Up to n = 12286 a search's 1 + steps work
+# arrays (the shifts, which then take the errors, and one stack per step)
+# stay below glibc's 128 KiB mmap threshold, so they come from the heap, not
+# from fresh zeroed pages; one more made glibc trim the heap top that each
+# search frees, for the next to fault in again (ROADMAP ground rule 5).
 # Measured on hilbert_envelope (n = 512, k_max = 250, 2-core Xeon): 23-row
-# blocks with the search's work array took a median 0.337 s per pass against
-# 0.389 s with 16-row blocks, faster in 10 of 10 alternating pairs.
+# blocks took a median 0.337 s per pass against 0.389 s with 16-row blocks.
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -209,16 +211,13 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
 
 
-def _candidate_spectra(
-    g_rfft: np.ndarray, delta: float, ks: Sequence[int], out: np.ndarray | None = None
-) -> np.ndarray:
+def _candidate_spectra(g_rfft: np.ndarray, delta: float, ks: Sequence[int]) -> np.ndarray:
     """The half spectra of g + delta sin(2 pi k .), one row per k of ks, given
-    g's half spectrum g_rfft, written into ``out`` (len(ks), n/2 + 1), or into
-    a new array. On n points the rfft of delta sin(2 pi k .) is -i n/2 delta
-    in mode k and 0 elsewhere, so each row is g_rfft with only mode k's
-    imaginary part changed; k = 0 (exact data) leaves its row g_rfft."""
+    g's half spectrum g_rfft. On n points the rfft of delta sin(2 pi k .) is
+    -i n/2 delta in mode k and 0 elsewhere, so each row is g_rfft with only
+    mode k's imaginary part changed; k = 0 (exact data) leaves its row g_rfft."""
     n, ks = 2 * (len(g_rfft) - 1), np.asarray(ks)
-    spectra = np.empty((len(ks), len(g_rfft)), dtype=complex) if out is None else out
+    spectra = np.empty((len(ks), len(g_rfft)), dtype=complex)
     spectra[...] = g_rfft
     rows = np.flatnonzero(ks)
     spectra.imag[rows, ks[rows]] -= n // 2 * delta
@@ -255,27 +254,66 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
 
 
 def _spectral_errors(
-    problem: Problem, metric: str, chain: list[np.ndarray], work: np.ndarray
-) -> np.ndarray:
-    """The (rows, steps) errors in ``metric`` of a block's spectral chains,
-    one (rows, n/2 + 1) stack of half spectra per step, bit for bit as
-    :func:`_error` scores their signals: kl by Parseval, squared by libm's
-    pow as a float's ``** 2`` is, and l1 from the samples of an irfft. A
-    stack is scored where it lies and is not written. Each step's errors
-    are written into ``work``, a (rows, n/2 + 1) complex array: kl's half
-    spectra, or l1's (rows, n) samples in its float view."""
+    problem: Problem, metric: str, chain: list[np.ndarray], work: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` (rows, steps) the errors in ``metric`` of a block's
+    spectral chains, one (rows, n/2 + 1) stack of half spectra per step, bit
+    for bit as :func:`_error` scores their signals. kl is by Parseval: each
+    step's vecdot and edge modes, then the norms and their squares (libm's
+    pow, as a float's ``** 2`` is) over the whole block at once. l1 is from
+    the samples of an irfft. A stack is scored where it lies and is not
+    written. Each step's errors are written into ``work``, a (rows, n/2 + 1)
+    complex array: kl's half spectra, or l1's (rows, n) samples in its float
+    view."""
     n = problem.grid.n
-    scores = np.empty((len(chain[0]), len(chain)))
-    errors = work if metric == "kl" else work.view(float)[:, :n]
-    for i, step in enumerate(chain):
-        if metric == "kl":
-            np.subtract(step, problem.f_true.rfft, out=errors)
-            scores[:, i] = 0.5 * np.float_power(norm_l2_rfft(errors, n), 2)
-        else:
+    if metric == "kl":
+        edges = np.empty(out.shape + (2,), dtype=complex)
+        for i, step in enumerate(chain):
+            np.subtract(step, problem.f_true.rfft, out=work)
+            out[:, i] = np.vecdot(work, work).real
+            edges[:, i] = work[:, ::n // 2]  # modes 0 and n/2
+        out[...] = 0.5 * np.float_power(norm_l2_parseval(out, edges, n), 2)
+    else:
+        errors = work.view(float)[:, :n]
+        for i, step in enumerate(chain):
             np.fft.irfft(step, n, out=errors)
             errors -= problem.f_true.values
-            scores[:, i] = norm_l1_array(errors)
-    return scores
+            out[:, i] = norm_l1_array(errors)
+
+
+def _spectral_blocks(
+    problem: Problem, metric: str, g_rfft: np.ndarray, delta: float, alpha: float,
+    ks: Sequence[int], scores: np.ndarray,
+):
+    """The spectral route's walk over the candidates ks in blocks of
+    ``_block_rows(n)``: a block's chains are one
+    :func:`~torusreg.bregman.spectral_chain` call, and their errors fill its
+    rows of ``scores`` (K, steps). Yields each block's (start, stop, kept),
+    kept(row) giving None and a copy of the row's minimizers' half spectra.
+
+    t mu g^ is formed once per search, of g^ and of g^ - i n/2 delta in every
+    mode: candidate k's shift is the first with mode k from the second, bit
+    for bit the product on its half spectrum (:func:`_candidate_spectra`);
+    k = 0 (exact data) keeps the first. The shifts, which take the errors
+    once the block's chains are made, and one stack per step are 1 + steps
+    arrays of (rows, n/2 + 1) per search, their row views made once."""
+    n, ks = problem.grid.n, np.asarray(ks)
+    rows = min(_block_rows(n), len(ks))
+    data = np.array([g_rfft, g_rfft])
+    data.imag[1] -= n // 2 * delta
+    (exact, noisy), recip = spectral_constants(problem.op, data, alpha, problem.penalty)
+    shifts = np.empty((rows, len(g_rfft)), dtype=complex)
+    chain = [np.empty_like(shifts) for _ in range(scores.shape[1])]
+    shift_rows, chain_rows = list(shifts), [list(stack) for stack in chain]
+    for start in range(0, len(ks), rows):
+        block = ks[start:start + rows]
+        stop, noisy_rows = start + len(block), np.flatnonzero(block)
+        shifts[:len(block)] = exact
+        shifts[noisy_rows, block[noisy_rows]] = noisy[block[noisy_rows]]
+        spectral_chain(shift_rows[:len(block)], problem.penalty.prior.rfft, recip, chain_rows)
+        steps = [stack[:len(block)] for stack in chain]
+        _spectral_errors(problem, metric, steps, shifts[:len(block)], scores[start:stop])
+        yield start, stop, lambda row, steps=steps: (None, [step[row].copy() for step in steps])
 
 
 def _chain_metrics(
@@ -291,6 +329,23 @@ def _chain_metrics(
     route scores a block's chains together instead (:func:`_spectral_errors`)."""
     reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
     return reports, [_error(problem, metric, r.minimizer) for r in reports]
+
+
+def _dr_chains(
+    config: ExperimentConfig, problem: Problem, g_rfft: np.ndarray, delta: float, alpha: float,
+    ks: Sequence[int], scores: np.ndarray, iterations: np.ndarray,
+):
+    """The DR route's walk over the candidates ks, one at a time: a signal
+    built from the candidate's half spectrum, its samples computed at once,
+    and one :func:`_chain_metrics` call, whose errors and DR iterations fill
+    the candidate's row of ``scores`` and ``iterations``. Yields each
+    candidate's (j, j + 1, kept), kept(row) giving its signal and reports."""
+    for j, k in enumerate(ks):
+        g_obs = Signal.from_rfft(problem.grid, _candidate_spectra(g_rfft, delta, [k])[0])
+        reports, scores[j] = _chain_metrics(problem, g_obs, alpha, scores.shape[1], config.solver,
+                                            config.sweep.metric)
+        iterations[j] = [r.iterations for r in reports]
+        yield j, j + 1, lambda row, kept=(g_obs, reports): kept
 
 
 def noise_frequencies(noise: NoiseModel, n: int) -> Sequence[int]:
@@ -331,73 +386,44 @@ def worst_case_search(
     n steps of a chain are the n-step chain, so one chain per candidate
     covers every step.
 
-    The candidates are walked in blocks of ``_block_rows(n)`` rows, as many
-    as fit a 96 KiB complex block (23 at n = 512), each a half spectrum built
-    from the rfft of g_true's samples (:func:`_candidate_spectra`). On the
-    DR route each candidate is a signal built from that spectrum, its
-    samples computed at once, and one :func:`_chain_metrics` call. On the
-    spectral route a block's chains are one
-    :func:`~torusreg.bregman.spectral_chain` call, each step's stack is
-    scored at once (:func:`_spectral_errors`), and the running best keeps
-    arrays only: the selected row's minimizers' half spectra. A signal and
-    its reports are built after the walk, once per distinct selected chain,
-    its observation's half spectrum built again from g_true's. The other
-    error is computed for each step's selected candidate only.
+    Candidates are half spectra built from the rfft of g_true's samples
+    (:func:`_candidate_spectra`). The DR route runs one chain per candidate
+    signal (:func:`_dr_chains`); the spectral route walks them in blocks
+    (:func:`_spectral_blocks`) and keeps arrays only for its running best,
+    so a signal and its reports are built after the walk, once per distinct
+    selected chain. The other error is computed for each step's selected
+    candidate only.
 
     The spectral chains are unchecked arrays, so a search checks the grids
-    once and every score's finiteness once per block; a non-finite one
-    raises :class:`ConfigError` naming the first such candidate and step.
+    once, and every score's finiteness once, after the walk; a non-finite
+    one raises :class:`ConfigError` naming the first such candidate and step.
     """
     sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
     check_value("delta", delta, float, NON_NEGATIVE)
     ks = tuple(noise_frequencies(sweep.noise, grid.n))
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
-    spectral = config.solver.method == "spectral"
     g_rfft = np.fft.rfft(problem.g_true.values)  # not g_true.rfft, which keeps mu f^
+    scores, iterations = np.empty((len(ks), steps)), np.zeros((len(ks), steps), dtype=int)
+    if config.solver.method == "spectral":
+        walk = _spectral_blocks(problem, sweep.metric, g_rfft, delta, alpha, ks, scores)
+    else:
+        walk = _dr_chains(config, problem, g_rfft, delta, alpha, ks, scores, iterations)
     # per step: (score, k, observation, chain) of the first candidate with the largest
     # score: its signal and reports (DR), or None and its minimizers' half spectra (spectral)
     best: list[tuple | None] = [None] * steps
-    tables, counts = [], []  # each block's (rows, steps) scores and DR iterations
-    # One work array per search takes each block's candidate spectra and,
-    # once the chains are made from them, their errors; the last block's
-    # chains go before the next block's are made. A spectral search then
-    # holds at most 2 + steps block arrays at once, so it frees little at the
-    # heap top, which glibc trims above a threshold for the next search to
-    # fault in again. On hilbert_envelope (two steps, 23 rows) fresh spectra
-    # and errors per block, six arrays at once, took about 4.6k minor faults
-    # per pass in the benchmark's process; four take as few as 16 rows did.
-    rows = min(_block_rows(grid.n), len(ks))
-    work = np.empty((rows, len(g_rfft)), dtype=complex)
-    for start in range(0, len(ks), rows):
-        block = ks[start:start + rows]
-        spectra = _candidate_spectra(g_rfft, delta, block, out=work[:len(block)])
-        runs = None  # dropped before the new chains are made
-        if spectral:  # the block's chains: one (rows, n/2 + 1) stack per step
-            runs = spectral_chain(problem.op, spectra, alpha, problem.penalty, steps)
-            scores = _spectral_errors(problem, sweep.metric, runs, spectra)
-            counts.append(np.zeros(scores.shape, dtype=int))
-        else:  # one (reports, errors) per candidate
-            observations = [Signal.from_rfft(grid, c) for c in spectra]
-            runs = [_chain_metrics(problem, g_obs, alpha, steps, config.solver, sweep.metric)
-                    for g_obs in observations]
-            scores = np.array([errors for _, errors in runs])
-            counts.append(np.array([[r.iterations for r in reports] for reports, _ in runs]))
-        if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
-            row, step = np.argwhere(~np.isfinite(scores))[0]
-            raise ConfigError(f"half spectrum must be finite: k = {ks[start + row]}, step {step + 1}")
-        tables.append(scores)
-        for i, row in enumerate(scores.argmax(axis=0).tolist()):  # the first of the block's largest
-            if best[i] is None or scores[row, i] > best[i][0]:  # ties go to the earlier block
-                if spectral:
-                    observed = None, [step[row].copy() for step in runs]
-                else:
-                    observed = observations[row], runs[row][0]
-                best[i] = (float(scores[row, i]), ks[start + row], *observed)
+    for start, stop, kept in walk:
+        block = scores[start:stop]
+        for i, row in enumerate(block.argmax(axis=0).tolist()):  # the first of the block's largest
+            if best[i] is None or block[row, i] > best[i][0]:  # ties go to the earlier block
+                best[i] = (float(block[row, i]), ks[start + row], *kept(row))
+    if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
+        row, step = np.argwhere(~np.isfinite(scores))[0]
+        raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
     for i, (score, k, observed, kept) in enumerate(best):
         if k not in chains:
-            if spectral:  # a signal and reports for the selected chains only
+            if observed is None:  # spectral: a signal and reports for the selected chains only
                 observed = Signal.from_rfft(grid, _candidate_spectra(g_rfft, delta, [k])[0])
                 kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
             chains[k] = observed, kept
@@ -406,7 +432,7 @@ def worst_case_search(
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
         l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
         choices.append(Choice(k, g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
-    return Search(np.array(ks), np.concatenate(tables), np.concatenate(counts), choices)
+    return Search(np.array(ks), scores, iterations, choices)
 
 
 def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float]) -> list[SweepRow]:

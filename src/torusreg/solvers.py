@@ -100,8 +100,9 @@ def solve_quadratic_spectral(
     ``shift`` = t mu g^ and ``recip`` = 1 / (1 + t mu^2), t = 1/alpha, are
     :func:`~torusreg.functionals._fidelity_prox_constants` of the operator
     and g's half spectrum at unit step, which tests alpha. Nothing is tested
-    here: ``bregman.spectral_chain``, the only caller, tests the shapes once
-    per chain or block, and its caller the finiteness.
+    here: ``bregman.spectral_chain`` is the only caller, and
+    ``bregman.spectral_constants`` tests the shapes once per chain or
+    spectral search, before any solve; the search tests the finiteness.
     """
     out = np.add(shift, prior_rfft, out=out)
     return np.multiply(out, recip, out=out)

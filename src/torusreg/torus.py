@@ -216,17 +216,21 @@ def norm_l2_rfft(c: np.ndarray, n: int) -> float | np.ndarray:
     Parseval: sqrt(|c_0|^2 + 2 sum_{0<j<n/2} |c_j|^2 + |c_{n/2}|^2) / n, a
     float; for a stack of half spectra along the last axis, the array of
     their norms, each bit-equal to the norm of its row alone.
+    """
+    norms = norm_l2_parseval(np.vecdot(c, c).real, c[..., [0, -1]], n)
+    return float(norms) if c.ndim == 1 else norms
+
+
+def norm_l2_parseval(dots: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
+    """:func:`norm_l2_rfft` from its parts, element by element: ``dots`` the
+    real parts of the half spectra's vecdot with themselves, and ``edges``
+    their modes 0 and n/2 along a last axis of two.
 
     The edge modes' |c|^2 is libm's hypot and pow, as ``abs(c) ** 2`` rounds
     on a complex scalar; numpy's ``abs`` and ``**`` on arrays round otherwise.
     """
-    edges = _abs_squared(c[..., 0]) + _abs_squared(c[..., -1])
-    squares = 2.0 * np.vecdot(c, c).real - edges
-    return math.sqrt(squares) / n if c.ndim == 1 else np.sqrt(squares) / n
-
-
-def _abs_squared(c: np.ndarray) -> np.ndarray:
-    return np.float_power(np.hypot(c.real, c.imag), 2)
+    squares = np.float_power(np.hypot(edges.real, edges.imag), 2)
+    return np.sqrt(2.0 * dots - (squares[..., 0] + squares[..., 1])) / n
 
 
 def inner(f: Signal, g: Signal) -> float:

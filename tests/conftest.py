@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
-from torusreg.bregman import spectral_chain
+from torusreg.bregman import spectral_chain, spectral_constants
 from torusreg.errors import field_types
 from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
 from torusreg.harness import Choice, Search, SweepRow
@@ -70,11 +70,23 @@ def make_identity(grid):
     return FourierMultiplierOperator(grid, np.ones(grid.n))
 
 
+def spectral_chains(op, g_rfft, alpha, penalty, steps):
+    """The half spectra of the quadratic chains on the data with half spectrum
+    g_rfft (one chain) or on each row of a stack of them, one array per step
+    shaped as g_rfft: ``bregman.spectral_chain`` on the shift rows of
+    ``bregman.spectral_constants``, as ``bregman_iterate`` runs it."""
+    shift, recip = spectral_constants(op, g_rfft, alpha, penalty)
+    shifts = shift.reshape(-1, shift.shape[-1])
+    chain = [np.empty_like(shifts) for _ in range(steps)]
+    spectral_chain(list(shifts), penalty.prior.rfft, recip, [list(step) for step in chain])
+    return [step.reshape(g_rfft.shape) for step in chain]
+
+
 def spectral_solve(op, g_obs, alpha, prior):
     """The minimizer of the one-step quadratic chain (one closed-form solve)
     on g_obs with the given prior, built from the half spectrum that
-    ``bregman.spectral_chain`` returns."""
-    [c] = spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
+    ``bregman.spectral_chain`` writes."""
+    [c] = spectral_chains(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
     return Signal.from_rfft(op.grid, c)
 
 

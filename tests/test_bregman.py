@@ -21,9 +21,8 @@ from torusreg import (
     step_penalty,
 )
 
-from torusreg.bregman import spectral_chain
 
-from conftest import make_identity, random_signal, spectral_solve, to_spectrum
+from conftest import make_identity, random_signal, spectral_chains, spectral_solve, to_spectrum
 
 
 def iterated_tikhonov_filter(op, g_obs, prior, alpha, n):
@@ -71,7 +70,7 @@ class TestChainBasics:
 
 
 class TestBlockChain:
-    """``spectral_chain`` on a (rows, n/2 + 1) block runs one chain per row."""
+    """``spectral_chain`` on the shift rows of a (rows, n/2 + 1) block runs one chain per row."""
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [1e-6, 0.37])
@@ -80,18 +79,18 @@ class TestBlockChain:
         penalty = QuadraticPenalty(prior)
         rows = np.stack([g_obs.rfft] + [random_signal(op.grid, rng).rfft for _ in range(4)])
         rows.setflags(write=False)
-        block = spectral_chain(op, rows, alpha, penalty, steps)
+        block = spectral_chains(op, rows, alpha, penalty, steps)
         assert len(block) == steps
         for step in block:
             assert step.shape == rows.shape and step.dtype == complex
         for i, g_rfft in enumerate(rows):
-            one = spectral_chain(op, g_rfft, alpha, penalty, steps)
+            one = spectral_chains(op, g_rfft, alpha, penalty, steps)
             assert [c.shape for c in one] == [g_rfft.shape] * steps
             for a, b in zip(block, one, strict=True):
                 assert a[i].tobytes() == b.tobytes()
         # a block of one row is the one-row chain too
-        one = spectral_chain(op, g_obs.rfft, alpha, penalty, steps)
-        single = spectral_chain(op, g_obs.rfft[None], alpha, penalty, steps)
+        one = spectral_chains(op, g_obs.rfft, alpha, penalty, steps)
+        single = spectral_chains(op, g_obs.rfft[None], alpha, penalty, steps)
         assert [a[0].tobytes() for a in single] == [b.tobytes() for b in one]
 
 

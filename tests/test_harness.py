@@ -41,6 +41,7 @@ from torusreg import (
 )
 
 from torusreg.harness import _block_rows, _candidate_spectra
+from torusreg.torus import norm_l1_array
 
 from conftest import (
     band_limited_signal, count_calls, count_ffts, per_candidate_search, sinusoid_noise,
@@ -455,9 +456,9 @@ class TestSolveCount:
         assert not spectral
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
-    def test_spectral_search_forms_the_shift_once_per_block(self, monkeypatch, metric):
-        # t mu g^ is formed for a block's chains at once: 3 blocks at k_max = 50
-        # on 512 points, not one product per (candidate, step)
+    def test_spectral_search_forms_the_shift_once_per_search(self, monkeypatch, metric):
+        # t mu g^ is formed for a search's chains at once: one call for the 3
+        # blocks of k_max = 50 on 512 points, not one per block or per (candidate, step)
         steps, k_max = 2, 50
         shifts = [count_calls(monkeypatch, module, "_fidelity_prox_constants")
                   for module in (torusreg.bregman, torusreg.solvers)
@@ -467,7 +468,7 @@ class TestSolveCount:
                           1e-2, 1e-2)
         assert blocks(k_max, 512) == 3
         assert solves["solve_quadratic_spectral"] == k_max * steps
-        assert sum(shifts, Counter()) == {"_fidelity_prox_constants": blocks(k_max, 512)}
+        assert sum(shifts, Counter()) == {"_fidelity_prox_constants": 1}
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_spectral_bregman_iterate(self, monkeypatch, steps):
@@ -525,18 +526,28 @@ class TestSpectralRoute:
                 worst_case_search(search_config(steps=2, metric=metric, **noise), problem, 1e-2, alpha)
 
     @pytest.mark.parametrize("metric", ["kl", "l1"])
-    def test_one_non_finite_candidate_is_not_skipped(self, monkeypatch, metric):
+    @pytest.mark.parametrize("n, k_max, steps, call, named", [
+        (128, 8, 1, 3, "k = 3, step 1"),
+        # the second block of 23 + 17 at n = 512: solve 2 * 23 + 7 is k = 30's first
+        (512, 40, 2, 2 * 23 + 7, "k = 30, step 1"),
+        (512, 40, 2, 2 * 23 + 17 + 7, "k = 30, step 2"),
+    ])
+    def test_one_non_finite_candidate_is_not_skipped(self, monkeypatch, metric, n, k_max, steps,
+                                                     call, named):
         # a NaN score loses every comparison, so a search that tested only the
-        # selected chains would drop candidate k = 3 here and return rows
+        # selected chains, or only the first block, would drop that candidate and return rows
+        assert blocks(k_max, n) == (2 if n == 512 else 1)
         solve, calls = torusreg.solvers.solve_quadratic_spectral, []
 
-        def nan_on_third_call(*args):
+        def nan_on_one_call(*args):
             calls.append(args)
-            return solve(*args) * (np.nan if len(calls) == 3 else 1.0)
+            return solve(*args) * (np.nan if len(calls) == call else 1.0)
 
-        monkeypatch.setattr(torusreg.solvers, "solve_quadratic_spectral", nan_on_third_call)
-        with pytest.raises(ConfigError, match="half spectrum must be finite: k = 3, step 1"):
-            worst_case_search(search_config(steps=1, metric=metric, k_max=8), quad_problem(), 1e-2, 1e-2)
+        monkeypatch.setattr(torusreg.solvers, "solve_quadratic_spectral", nan_on_one_call)
+        with pytest.raises(ConfigError, match=f"half spectrum must be finite: {named}$"):
+            worst_case_search(search_config(steps=steps, metric=metric, k_max=k_max),
+                              quad_problem(n=n), 1e-2, 1e-2)
+        assert len(calls) == k_max * steps  # every candidate is solved before the test
 
     def test_entropy_penalty_is_unsupported_before_any_solve(self, monkeypatch):
         solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "prox_fidelity")
@@ -544,6 +555,34 @@ class TestSpectralRoute:
             worst_case_search(search_config(steps=2, k_max=4), build_problem(ProblemConfig(n=64)),
                               1e-2, 1e-2)
         assert not solves
+
+
+class TestSpectralScoresAreTheChainsOnTheirSignals:
+    """Every score of a spectral search is, bit for bit, the error of
+    ``bregman_iterate``'s spectral chain on the candidate's own signal: kl is
+    ``QuadraticPenalty.bregman`` to f_true, l1 the L1 norm of the minimizer's
+    error. The search forms its shifts once and its kl norms per block."""
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("n", [480, 512])
+    @pytest.mark.parametrize("noise", [
+        {"k_max": 40}, {"kind": "fixed_sinusoid", "k_fixed": 7}, {"kind": "exact"},
+    ])
+    def test_every_score_is_the_chain_on_its_signal(self, metric, n, noise):
+        problem, steps = build_problem(ProblemConfig(n=n, penalty="quadratic")), 2
+        assert blocks(40, n) == 2 and 40 % _block_rows(n)  # k_max = 40: the last block partial
+        g_rfft = np.fft.rfft(problem.g_true.values)
+        for delta in (1e-1, 1e-3):  # exact data at delta > 0 are the k = 0 row
+            alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
+            search = worst_case_search(search_config(steps, metric, **noise), problem, delta, alpha)
+            for k, scores in zip(search.ks.tolist(), search.scores):
+                g_obs = Signal.from_rfft(problem.grid, _candidate_spectra(g_rfft, delta, [k])[0])
+                reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, steps,
+                                          SolverConfig(method="spectral"))
+                want = [problem.penalty.bregman(r.minimizer, problem.f_true) if metric == "kl"
+                        else norm_l1_array(r.minimizer.values - problem.f_true.values)
+                        for r in reports]
+                assert scores.tobytes() == np.array(want).tobytes(), (k, scores, want)
 
 
 class TestApproxErrorSweep:

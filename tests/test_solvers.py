@@ -25,13 +25,12 @@ from torusreg import (
     prox_fidelity,
     solve_generalized_dr,
 )
-from torusreg.bregman import spectral_chain
 from torusreg.functionals import _fidelity_prox_constants
 from torusreg.solvers import solve_quadratic_spectral
 
 from conftest import (
     allocating_dr, count_calls, count_ffts, make_identity, prox_signal, random_signal,
-    spectral_solve, to_spectrum,
+    spectral_chains, spectral_solve, to_spectrum,
 )
 
 
@@ -169,7 +168,7 @@ class TestSpectralSolver:
     def test_array_solve_is_the_unit_step_fidelity_prox(self, problem, alpha):
         # the half spectrum in, the half spectrum out, bit-equal to the Signal-level prox
         op, g_obs, prior = problem
-        [out] = spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
+        [out] = spectral_chains(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1)
         assert type(out) is np.ndarray and out.shape == (op.grid.n // 2 + 1,)
         assert np.array_equal(out, prox_fidelity(op, g_obs, prior, 1.0, alpha).rfft)
 
@@ -557,9 +556,9 @@ class TestInputChecks:
             lambda: bregman_iterate(
                 op, g_obs, alpha, QuadraticPenalty(prior), 1, SolverConfig(method="spectral")
             ),
-            lambda: spectral_chain(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1),
-            lambda: spectral_chain(op, np.stack([g_obs.rfft] * 3), alpha, QuadraticPenalty(prior),
-                                   2),
+            lambda: spectral_chains(op, g_obs.rfft, alpha, QuadraticPenalty(prior), 1),
+            lambda: spectral_chains(op, np.stack([g_obs.rfft] * 3), alpha, QuadraticPenalty(prior),
+                                    2),
             lambda: prox_fidelity(op, g_obs, prior, 1.0, alpha),
         )
         for call in calls:
@@ -580,7 +579,7 @@ class TestInputChecks:
             g_rfft = np.stack([g_rfft] * rows)
         solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
         with pytest.raises(GridMismatch, match=f"^{name} must have the operator's 33 half-spectrum modes"):
-            spectral_chain(make_inverse_helmholtz(grid), g_rfft, 1e-2, QuadraticPenalty(prior), 2)
+            spectral_chains(make_inverse_helmholtz(grid), g_rfft, 1e-2, QuadraticPenalty(prior), 2)
         assert not solves
 
     @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
