@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import POSITIVE, ConfigError, SubgradientUndefined, check_fields, check_value
 from .operators import FourierMultiplierOperator
-from .torus import Signal, _freeze, check_same_grid, norm_l2_array, norm_l2_rfft
+from .torus import Signal, check_same_grid, norm_l2_array, norm_l2_rfft
 
 __all__ = [
     "QuadraticPenalty",
@@ -298,26 +298,17 @@ def _fidelity_prox_constants(
     as the product with the reciprocal: numpy divides a complex number by a
     real-valued one so, and a product costs less than a quotient.
 
-    Both depend on the operator and t only. The last t's pair is kept in the
-    operator's instance dict, read-only, as ``symbol_rfft`` is, so a run of
-    calls at one alpha forms only (t mu) g^ per call: once per DR solve, and
-    once per spectral chain or search (``bregman.spectral_constants``). That
-    first array is fresh and the caller's to write. Both are complex
-    arrays with zero imaginary parts: numpy multiplies a complex array by a
-    real one through that very cast, so no call pays it.
+    Both are fresh complex arrays with zero imaginary parts, the caller's to
+    write: numpy multiplies a complex array by a real one through that very
+    cast. A call forms them anew: once per DR solve, and once per spectral
+    chain or search (``bregman.spectral_constants``).
     """
     if not 0 < gamma < np.inf:
         raise ConfigError(f"prox step gamma must be finite and positive, got {gamma}")
     if not 0 < alpha < np.inf:
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-    t = gamma / alpha
-    kept = op.__dict__.get("_fidelity_constants")
-    if kept is None or kept[0] != t:
-        mu = op.symbol_rfft
-        recip = 1.0 / (1.0 + t * mu**2)
-        kept = (t, _freeze((t * mu).astype(complex)), _freeze(recip.astype(complex)))
-        op.__dict__["_fidelity_constants"] = kept
-    return kept[1] * g_rfft, kept[2]
+    t, mu = gamma / alpha, op.symbol_rfft
+    return (t * mu).astype(complex) * g_rfft, (1.0 / (1.0 + t * mu**2)).astype(complex)
 
 
 def prox_fidelity(

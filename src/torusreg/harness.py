@@ -73,14 +73,19 @@ def geometric_grid(
     top: float, bottom: float, count: int, names: tuple[str, str, str] = ("top", "bottom", "count")
 ) -> tuple[float, ...]:
     """Strictly decreasing geometric grid from top to bottom inclusive. A bad
-    argument is a :class:`ConfigError` that calls the three by ``names``
-    (a config file's keys, say)."""
+    argument, or a count whose rounded points are not strictly decreasing,
+    is a :class:`ConfigError` that calls the three by ``names`` (a config
+    file's keys, say)."""
     top_name, bottom_name, count_name = names
     check_value(top_name, top, float, POSITIVE)
     check_value(bottom_name, bottom, float,
                 {f"lie in (0, {top_name} = {top})": lambda v: 0 < v < top})
     check_value(count_name, count, int, {"be >= 2": lambda v: v >= 2})
-    return tuple(np.geomspace(top, bottom, count).tolist())
+    grid = tuple(np.geomspace(top, bottom, count).tolist())
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{count_name} = {count} must give strictly decreasing points from "
+                          f"{top_name} to {bottom_name}, got {grid}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -211,17 +216,21 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
 
 
-def _candidate_spectra(g_rfft: np.ndarray, delta: float, ks: Sequence[int]) -> np.ndarray:
-    """The half spectra of g + delta sin(2 pi k .), one row per k of ks, given
-    g's half spectrum g_rfft. On n points the rfft of delta sin(2 pi k .) is
-    -i n/2 delta in mode k and 0 elsewhere, so each row is g_rfft with only
-    mode k's imaginary part changed; k = 0 (exact data) leaves its row g_rfft."""
-    n, ks = 2 * (len(g_rfft) - 1), np.asarray(ks)
-    spectra = np.empty((len(ks), len(g_rfft)), dtype=complex)
-    spectra[...] = g_rfft
+def _candidates(pair: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into the rows of ``out`` the candidates ks of ``pair``, and return
+    it. A search's pair is (g^, g^ - i n/2 delta), or the products of both
+    with t mu: on n points the rfft of delta sin(2 pi k .) is -i n/2 delta in
+    mode k and 0 elsewhere, so candidate k is the first row with mode k from
+    the second; k = 0 (exact data) keeps the first."""
+    out[...] = pair[0]
     rows = np.flatnonzero(ks)
-    spectra.imag[rows, ks[rows]] -= n // 2 * delta
-    return spectra
+    out[rows, ks[rows]] = pair[1, ks[rows]]
+    return out
+
+
+def _observation(grid: TorusGrid, pair: np.ndarray, ks: np.ndarray) -> Signal:
+    """The signal of the one candidate ks (a 1-array) of a search's pair."""
+    return Signal.from_rfft(grid, _candidates(pair, ks, np.empty_like(pair[:1]))[0])
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
@@ -282,34 +291,30 @@ def _spectral_errors(
 
 
 def _spectral_blocks(
-    problem: Problem, metric: str, g_rfft: np.ndarray, delta: float, alpha: float,
-    ks: Sequence[int], scores: np.ndarray,
+    problem: Problem, metric: str, pair: np.ndarray, alpha: float, ks: np.ndarray,
+    scores: np.ndarray,
 ):
-    """The spectral route's walk over the candidates ks in blocks of
-    ``_block_rows(n)``: a block's chains are one
-    :func:`~torusreg.bregman.spectral_chain` call, and their errors fill its
-    rows of ``scores`` (K, steps). Yields each block's (start, stop, kept),
-    kept(row) giving None and a copy of the row's minimizers' half spectra.
+    """The spectral route's walk over the candidates ks of the search's pair
+    (g^, g^ - i n/2 delta) in blocks of ``_block_rows(n)``: a block's chains
+    are one :func:`~torusreg.bregman.spectral_chain` call, and their errors
+    fill its rows of ``scores`` (K, steps). Yields each block's (start, stop,
+    kept), kept(row) giving None and a copy of the row's minimizers' half
+    spectra.
 
-    t mu g^ is formed once per search, of g^ and of g^ - i n/2 delta in every
-    mode: candidate k's shift is the first with mode k from the second, bit
-    for bit the product on its half spectrum (:func:`_candidate_spectra`);
-    k = 0 (exact data) keeps the first. The shifts, which take the errors
-    once the block's chains are made, and one stack per step are 1 + steps
-    arrays of (rows, n/2 + 1) per search, their row views made once."""
-    n, ks = problem.grid.n, np.asarray(ks)
-    rows = min(_block_rows(n), len(ks))
-    data = np.array([g_rfft, g_rfft])
-    data.imag[1] -= n // 2 * delta
-    (exact, noisy), recip = spectral_constants(problem.op, data, alpha, problem.penalty)
-    shifts = np.empty((rows, len(g_rfft)), dtype=complex)
+    t mu is applied to the pair once per search, and each block's shifts are
+    :func:`_candidates` of those products: bit for bit the product on each
+    candidate's half spectrum. The shifts, which take the errors once the
+    block's chains are made, and one stack per step are 1 + steps arrays of
+    (rows, n/2 + 1) per search, their row views made once."""
+    rows = min(_block_rows(problem.grid.n), len(ks))
+    products, recip = spectral_constants(problem.op, pair, alpha, problem.penalty)
+    shifts = np.empty((rows, pair.shape[1]), dtype=complex)
     chain = [np.empty_like(shifts) for _ in range(scores.shape[1])]
     shift_rows, chain_rows = list(shifts), [list(stack) for stack in chain]
     for start in range(0, len(ks), rows):
         block = ks[start:start + rows]
-        stop, noisy_rows = start + len(block), np.flatnonzero(block)
-        shifts[:len(block)] = exact
-        shifts[noisy_rows, block[noisy_rows]] = noisy[block[noisy_rows]]
+        stop = start + len(block)
+        _candidates(products, block, shifts[:len(block)])
         spectral_chain(shift_rows[:len(block)], problem.penalty.prior.rfft, recip, chain_rows)
         steps = [stack[:len(block)] for stack in chain]
         _spectral_errors(problem, metric, steps, shifts[:len(block)], scores[start:stop])
@@ -332,16 +337,16 @@ def _chain_metrics(
 
 
 def _dr_chains(
-    config: ExperimentConfig, problem: Problem, g_rfft: np.ndarray, delta: float, alpha: float,
-    ks: Sequence[int], scores: np.ndarray, iterations: np.ndarray,
+    config: ExperimentConfig, problem: Problem, pair: np.ndarray, alpha: float, ks: np.ndarray,
+    scores: np.ndarray, iterations: np.ndarray,
 ):
-    """The DR route's walk over the candidates ks, one at a time: a signal
-    built from the candidate's half spectrum, its samples computed at once,
-    and one :func:`_chain_metrics` call, whose errors and DR iterations fill
-    the candidate's row of ``scores`` and ``iterations``. Yields each
+    """The DR route's walk over the candidates ks of the search's pair, one
+    at a time: the candidate's signal (:func:`_observation`) and one
+    :func:`_chain_metrics` call, whose errors and DR iterations fill the
+    candidate's row of ``scores`` and ``iterations``. Yields each
     candidate's (j, j + 1, kept), kept(row) giving its signal and reports."""
-    for j, k in enumerate(ks):
-        g_obs = Signal.from_rfft(problem.grid, _candidate_spectra(g_rfft, delta, [k])[0])
+    for j in range(len(ks)):
+        g_obs = _observation(problem.grid, pair, ks[j:j + 1])
         reports, scores[j] = _chain_metrics(problem, g_obs, alpha, scores.shape[1], config.solver,
                                             config.sweep.metric)
         iterations[j] = [r.iterations for r in reports]
@@ -386,13 +391,13 @@ def worst_case_search(
     n steps of a chain are the n-step chain, so one chain per candidate
     covers every step.
 
-    Candidates are half spectra built from the rfft of g_true's samples
-    (:func:`_candidate_spectra`). The DR route runs one chain per candidate
-    signal (:func:`_dr_chains`); the spectral route walks them in blocks
-    (:func:`_spectral_blocks`) and keeps arrays only for its running best,
-    so a signal and its reports are built after the walk, once per distinct
-    selected chain. The other error is computed for each step's selected
-    candidate only.
+    Candidates are half spectra of one pair per search, (g^, g^ - i n/2
+    delta) from the rfft of g_true's samples (:func:`_candidates`). The DR
+    route runs one chain per candidate signal (:func:`_dr_chains`); the
+    spectral route walks them in blocks (:func:`_spectral_blocks`) and keeps
+    arrays only for its running best, so a signal and its reports are built
+    after the walk, once per distinct selected chain. The other error is
+    computed for each step's selected candidate only.
 
     The spectral chains are unchecked arrays, so a search checks the grids
     once, and every score's finiteness once, after the walk; a non-finite
@@ -400,39 +405,40 @@ def worst_case_search(
     """
     sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
     check_value("delta", delta, float, NON_NEGATIVE)
-    ks = tuple(noise_frequencies(sweep.noise, grid.n))
+    ks = np.array(noise_frequencies(sweep.noise, grid.n))
     check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
-    g_rfft = np.fft.rfft(problem.g_true.values)  # not g_true.rfft, which keeps mu f^
+    pair = np.array([np.fft.rfft(problem.g_true.values)] * 2)  # not g_true.rfft, which keeps mu f^
+    pair.imag[1] -= grid.n // 2 * delta
     scores, iterations = np.empty((len(ks), steps)), np.zeros((len(ks), steps), dtype=int)
     if config.solver.method == "spectral":
-        walk = _spectral_blocks(problem, sweep.metric, g_rfft, delta, alpha, ks, scores)
+        walk = _spectral_blocks(problem, sweep.metric, pair, alpha, ks, scores)
     else:
-        walk = _dr_chains(config, problem, g_rfft, delta, alpha, ks, scores, iterations)
-    # per step: (score, k, observation, chain) of the first candidate with the largest
+        walk = _dr_chains(config, problem, pair, alpha, ks, scores, iterations)
+    # per step: (score, j, observation, chain) of the first candidate with the largest
     # score: its signal and reports (DR), or None and its minimizers' half spectra (spectral)
     best: list[tuple | None] = [None] * steps
     for start, stop, kept in walk:
         block = scores[start:stop]
         for i, row in enumerate(block.argmax(axis=0).tolist()):  # the first of the block's largest
             if best[i] is None or block[row, i] > best[i][0]:  # ties go to the earlier block
-                best[i] = (float(block[row, i]), ks[start + row], *kept(row))
+                best[i] = (float(block[row, i]), start + row, *kept(row))
     if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
         row, step = np.argwhere(~np.isfinite(scores))[0]
         raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
     chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
     choices = []
-    for i, (score, k, observed, kept) in enumerate(best):
-        if k not in chains:
+    for i, (score, j, observed, kept) in enumerate(best):
+        if j not in chains:
             if observed is None:  # spectral: a signal and reports for the selected chains only
-                observed = Signal.from_rfft(grid, _candidate_spectra(g_rfft, delta, [k])[0])
+                observed = _observation(grid, pair, ks[j:j + 1])
                 kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
-            chains[k] = observed, kept
-        g_obs, reports = chains[k]
+            chains[j] = observed, kept
+        g_obs, reports = chains[j]
         r = reports[i]
         kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
         l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
-        choices.append(Choice(k, g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
-    return Search(np.array(ks), scores, iterations, choices)
+        choices.append(Choice(int(ks[j]), g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
+    return Search(ks, scores, iterations, choices)
 
 
 def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float]) -> list[SweepRow]:
@@ -466,23 +472,19 @@ def rate_sweep(
     return _sweep(config, problem, pairs, threads)
 
 
-def approx_error_sweep(
-    config: ExperimentConfig,
-    alphas: Sequence[float] | None = None,
-    problem: Problem | None = None,
-) -> list[SweepRow]:
-    """Exact-data sweep over alpha: rows carry delta = 0 and k_worst = 0.
+def approx_error_sweep(config: ExperimentConfig, problem: Problem | None = None) -> list[SweepRow]:
+    """Exact-data sweep over ``config.sweep.alphas``: rows carry delta = 0 and
+    k_worst = 0.
 
-    Rows are emitted in the given alpha order (unsorted), steps ascending
-    within each alpha.
+    Rows are emitted in the configured alpha order (unsorted), steps
+    ascending within each alpha.
     """
-    if alphas is None:
-        alphas = config.sweep.alphas
+    alphas = config.sweep.alphas
     if not alphas:
-        raise ConfigError("alphas must be non-empty: set [sweep] alphas or pass them")
-    sweep = replace(config.sweep, alphas=tuple(alphas), noise=NoiseModel(kind="exact"))  # checks them
+        raise ConfigError("alphas must be non-empty: set [sweep] alphas")
     if problem is None:
         problem = build_problem(config.problem)
+    sweep = replace(config.sweep, noise=NoiseModel(kind="exact"))
     return _sweep(replace(config, sweep=sweep), problem, [(0.0, alpha) for alpha in alphas])
 
 
@@ -497,12 +499,10 @@ class Calibration(NamedTuple):
 
 
 def calibrate_c(
-    config: ExperimentConfig,
-    candidate_cs: Sequence[float] | None = None,
-    threads: int = 1,
-    problem: Problem | None = None,
+    config: ExperimentConfig, threads: int = 1, problem: Problem | None = None
 ) -> Calibration:
-    """Pick the rule constant minimizing max_delta error(delta) / delta^rate.
+    """Pick the rule constant of ``config.sweep.calibrate_cs`` minimizing
+    max_delta error(delta) / delta^rate.
 
     The error column, target step and predicted rate come from the sweep
     configuration; the delta grid is the configured one, so calibration on
@@ -510,14 +510,11 @@ def calibrate_c(
     delta) pair is one search, on at most ``threads`` worker processes. The
     winner's rows come with it, so a caller need not sweep it again.
     """
-    sweep = config.sweep
-    if candidate_cs is None:
-        candidate_cs = sweep.calibrate_cs
-    if not candidate_cs:
-        raise ConfigError("calibrate_cs must be non-empty: set [sweep] calibrate_cs or pass them")
+    sweep, cs = config.sweep, config.sweep.calibrate_cs
+    if not cs:
+        raise ConfigError("calibrate_cs must be non-empty: set [sweep] calibrate_cs")
     if sweep.predicted_rate is None:
         raise ConfigError("predicted_rate must be set in [sweep] to calibrate c")
-    cs = replace(sweep, calibrate_cs=tuple(candidate_cs)).calibrate_cs  # checks them
     if len(cs) == 1:
         return Calibration(cs[0], (), None)
     if problem is None:

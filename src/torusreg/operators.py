@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NON_NEGATIVE, ConfigError, SourceDivisionError, check_value
-from .torus import Signal, TorusGrid, check_same_grid
+from .torus import Signal, TorusGrid, _freeze, _read_only, check_same_grid
 
 __all__ = [
     "FourierMultiplierOperator",
@@ -33,7 +33,9 @@ class FourierMultiplierOperator:
     """Diagonal operator (Tf)^_j = mu_j f^_j with a positive even symbol.
 
     ``smoothing_order`` records how many derivatives the operator gains
-    (metadata used by the rate predictors, not by the arithmetic).
+    (metadata used by the rate predictors, not by the arithmetic). The
+    symbol and its half spectrum are read-only; a writeable symbol is
+    copied, so a caller's later writes do not reach the operator.
     """
 
     grid: TorusGrid
@@ -42,7 +44,7 @@ class FourierMultiplierOperator:
 
     def __post_init__(self):
         check_value("smoothing_order", self.smoothing_order, float, NON_NEGATIVE)
-        mu = np.asarray(self.symbol, dtype=float)
+        mu = _read_only(np.asarray(self.symbol, dtype=float))
         if mu.shape != (self.grid.n,):
             raise ConfigError("symbol length does not match grid size")
         if not np.all((mu > 0) & (mu < np.inf)):
@@ -57,11 +59,13 @@ class FourierMultiplierOperator:
             raise ConfigError("symbol must be even in j")
         object.__setattr__(self, "symbol", mu)
 
+    __setstate__ = Signal.__setstate__  # unpickled arrays are frozen again
+
     @cached_property
     def symbol_rfft(self) -> np.ndarray:
         """Symbol on the rfft half spectrum: mu_j for j = 0, ..., n/2 (mu is even)."""
         half = self.grid.n // 2
-        return np.append(self.symbol[half:], self.symbol[0])
+        return _freeze(np.append(self.symbol[half:], self.symbol[0]))
 
 
 def make_inverse_helmholtz(grid: TorusGrid) -> FourierMultiplierOperator:

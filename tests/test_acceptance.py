@@ -111,9 +111,10 @@ def test_criterion_2_hilbert_rate_envelope():
                 bregman_steps=m,
                 predicted_rate=2.0 * target,  # kl column is the squared error
                 noise=NoiseModel(kind="worst_case", k_max=k_max),
+                calibrate_cs=cs,
             ),
         )
-        c = calibrate_c(cal, cs, problem=problem).c
+        c = calibrate_c(cal, problem=problem).c
         # pass 2: map the window so alpha spans [2e-5, 0.2]; the worst
         # sinusoid then stays within the searched frequencies
         d_hi, d_lo = (0.2 / c) ** (1 / sigma), (2e-5 / c) ** (1 / sigma)
@@ -185,9 +186,10 @@ def test_criterion_4_entropy_noise_rates():
                 bregman_steps=n_steps,
                 predicted_rate=rate,
                 noise=NoiseModel(kind="worst_case", k_max=k_max),
+                calibrate_cs=cs,
             ),
         )
-        c = calibrate_c(cal, cs).c
+        c = calibrate_c(cal).c
         cfg = replace(
             cal, sweep=replace(cal.sweep, deltas=geometric_grid(d_hi, d_lo, 12), alpha_c=c)
         )

@@ -649,7 +649,11 @@ class TestCli:
          "delta_min must lie in (0, delta_max = 0.0001), got 0.001"),
         ("delta_max = -1\ndelta_min = 1e-3\ndelta_count = 3\n",
          "delta_max must be finite and positive, got -1.0"),
-    ], ids=["delta_count", "delta_min", "delta_max"])
+        # the rounded grid repeats points: the count is to blame, not deltas
+        ("delta_max = 1e-1\ndelta_min = 0.09999999999999999\ndelta_count = 4\n",
+         "delta_count = 4 must give strictly decreasing points from delta_max to delta_min, "
+         "got (0.1, 0.1, 0.1, 0.09999999999999999)"),
+    ], ids=["delta_count", "delta_min", "delta_max", "delta_count_rounds_to_equal_points"])
     def test_bad_delta_grid_exits_2_naming_the_key(self, tmp_path, capsys, command, grid, message):
         # the shorthand's keys, not geometric_grid's argument names, start the message
         path = tmp_path / "grid.cfg"
@@ -697,7 +701,7 @@ class TestCli:
         *[(command, N32, COARSE) for command in COMMANDS],
         *[(command, BOX_HI, LOW_BOX) for command in COMMANDS],
         ("approx-sweep", "[problem]\nn = 64\n",
-         "alphas must be non-empty: set [sweep] alphas or pass them"),
+         "alphas must be non-empty: set [sweep] alphas"),
         ("rate-sweep", "[problem]\nn = 64\n\n[sweep]\nk_max = 8\ncalibrate_cs = 0.1, 1.0\n",
          "predicted_rate must be set in [sweep] to calibrate c"),
     ])

@@ -431,9 +431,9 @@ class TestProxFidelity:
         t, mu = gamma / alpha, op.symbol_rfft
         return (x.rfft + t * mu * g.rfft) / (1.0 + t * mu**2)
 
-    def test_kept_constants_match_a_fresh_operator(self, grid, rng):
-        # alpha1, alpha2, alpha1 on one operator: its kept constants are
-        # replaced each time, and every result is that of a fresh operator
+    def test_constants_match_a_fresh_operator(self, grid, rng):
+        # alpha1, alpha2, alpha1 on one operator: every result is that of a
+        # fresh operator, and of the formula
         op = make_inverse_helmholtz(grid)
         g, x = random_signal(grid, rng), random_signal(grid, rng)
         for alpha in (1e-2, 3e-5, 1e-2):
@@ -446,7 +446,7 @@ class TestProxFidelity:
             assert np.array_equal(shift, fresh_shift) and np.array_equal(recip, fresh_recip)
             assert np.array_equal((x.rfft + shift) * recip, out.rfft)
 
-    def test_operators_on_equal_grids_keep_their_own_constants(self, rng):
+    def test_operators_on_equal_grids_use_their_own_symbols(self, rng):
         grid = TorusGrid(64)
         j = grid.modes.astype(float)
         other = FourierMultiplierOperator(TorusGrid(64), (1.0 + j**2) ** -0.5, smoothing_order=1.0)

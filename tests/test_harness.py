@@ -40,7 +40,7 @@ from torusreg import (
     worst_case_search,
 )
 
-from torusreg.harness import _block_rows, _candidate_spectra
+from torusreg.harness import _block_rows, _candidates
 from torusreg.torus import norm_l1_array
 
 from conftest import (
@@ -96,8 +96,9 @@ class TestConfigs:
         for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
             with pytest.raises(ConfigError, match="calibrate_cs"):
                 SweepConfig(calibrate_cs=bad)
-            with pytest.raises(ConfigError, match="calibrate_cs"):
-                calibrate_c(ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0)), bad)
+        # calibrate_c reads the constants from the checked config alone
+        with pytest.raises(ConfigError, match="^calibrate_cs must be non-empty"):
+            calibrate_c(ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0)))
 
     def test_prior_value_must_be_finite_and_positive(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -145,6 +146,11 @@ class TestConfigs:
             with pytest.raises(ConfigError) as caught:
                 geometric_grid(*args, names=names)
             assert str(caught.value) == message
+        # a grid whose rounded points are not strictly decreasing blames the count
+        with pytest.raises(ConfigError) as caught:
+            geometric_grid(1e-1, 0.09999999999999999, 4, names=names)
+        assert str(caught.value) == ("steps = 4 must give strictly decreasing points from hi to lo, "
+                                     "got (0.1, 0.1, 0.1, 0.09999999999999999)")
 
     def test_row_validation(self):
         with pytest.raises(ConfigError):
@@ -187,6 +193,15 @@ def search_config(steps=1, metric="kl", **noise):
 def blocks(k_max, n):
     """The number of candidate blocks a search over k = 1..k_max on n points walks."""
     return -(-k_max // _block_rows(n))
+
+
+def noise_pair(n, delta):
+    """A search's pair on the shipped problem at n: g_true's half spectrum,
+    and that spectrum with -i n/2 delta in every mode."""
+    g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
+    pair = np.array([g_rfft, g_rfft])
+    pair.imag[1] -= n // 2 * delta
+    return pair
 
 
 def assert_round_trip_of(g_obs, g_true):
@@ -300,8 +315,8 @@ class TestBlockRows:
         rows = _block_rows(n)
         assert rows >= 1
         assert (rows + 1) * (n // 2 + 1) * 16 > 96 * 1024  # the most that fit
-        g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
-        spectra = _candidate_spectra(g_rfft, 1e-2, [1] * rows)  # at n = 64, more rows than ks
+        ks = np.ones(rows, dtype=int)  # at n = 64, more rows than a search's ks
+        spectra = _candidates(noise_pair(n, 1e-2), ks, np.empty((rows, n // 2 + 1), dtype=complex))
         # the block's half spectra, and the l1 route's (rows, n) irfft of them
         assert spectra.nbytes <= 96 * 1024
         assert np.fft.irfft(spectra, n).nbytes <= 96 * 1024
@@ -311,8 +326,9 @@ class TestBlockRows:
 
 
 class TestCandidateSpectra:
-    """A search's candidates are half spectra: the rfft of g plus the rfft of
-    delta sin(2 pi k .), which is -i n/2 delta in mode k alone."""
+    """A search's candidates are half spectra of its pair (g^, g^ - i n/2
+    delta): the rfft of g plus the rfft of delta sin(2 pi k .), which is
+    -i n/2 delta in mode k alone."""
 
     @pytest.mark.parametrize("delta", [1e-1, 1e-3, 3e-5])
     @pytest.mark.parametrize("n", [64, 480])
@@ -320,10 +336,12 @@ class TestCandidateSpectra:
         grid = TorusGrid(n)
         g = build_problem(ProblemConfig(n=n)).g_true.values
         g_rfft = np.fft.rfft(g)
-        g_rfft.setflags(write=False)  # not written
-        ks = [1, 2, n // 4, n // 2 - 1]
-        spectra = _candidate_spectra(g_rfft, delta, ks)
-        assert spectra.shape == (len(ks), n // 2 + 1) and spectra.flags.writeable
+        pair = noise_pair(n, delta)
+        pair.setflags(write=False)  # not written
+        ks = np.array([1, 2, n // 4, n // 2 - 1])
+        out = np.empty((len(ks), n // 2 + 1), dtype=complex)
+        spectra = _candidates(pair, ks, out)
+        assert spectra is out
         # round-off of the sampled sine and of the FFT, against the largest mode
         bound = 64 * np.finfo(float).eps * np.abs(g_rfft).max()
         for k, row in zip(ks, spectra):
@@ -336,18 +354,19 @@ class TestCandidateSpectra:
             assert row[k].real == g_rfft[k].real
             assert row[0].imag == row[-1].imag == 0.0
         # exact data (k = 0) are g's spectrum bit for bit, whatever delta
-        [exact] = _candidate_spectra(g_rfft, delta, [0])
+        [exact] = _candidates(pair, np.array([0]), np.empty_like(pair[:1]))
         assert np.array_equal(exact, np.fft.rfft(g))
         assert exact[0].imag == exact[-1].imag == 0.0
 
     @pytest.mark.parametrize("n", [480, 512])
     def test_a_block_is_the_rows_of_one_call(self, n):
         # the second block of a k_max = 40 search starts mid-ks, and is partial
-        g_rfft = np.fft.rfft(build_problem(ProblemConfig(n=n)).g_true.values)
-        ks, rows = tuple(range(1, 41)), slice(_block_rows(n), 2 * _block_rows(n))
+        pair = noise_pair(n, 1e-2)
+        ks, rows = np.arange(1, 41), slice(_block_rows(n), 2 * _block_rows(n))
         assert blocks(len(ks), n) == 2
-        whole = _candidate_spectra(g_rfft, 1e-2, ks)
-        assert np.array_equal(_candidate_spectra(g_rfft, 1e-2, ks[rows]), whole[rows])
+        whole = _candidates(pair, ks, np.empty((len(ks), n // 2 + 1), dtype=complex))
+        part = _candidates(pair, ks[rows], np.empty((len(ks[rows]), n // 2 + 1), dtype=complex))
+        assert np.array_equal(part, whole[rows])
 
 
 class TestSearchMatchesPerCandidateLoop:
@@ -571,12 +590,15 @@ class TestSpectralScoresAreTheChainsOnTheirSignals:
     def test_every_score_is_the_chain_on_its_signal(self, metric, n, noise):
         problem, steps = build_problem(ProblemConfig(n=n, penalty="quadratic")), 2
         assert blocks(40, n) == 2 and 40 % _block_rows(n)  # k_max = 40: the last block partial
-        g_rfft = np.fft.rfft(problem.g_true.values)
         for delta in (1e-1, 1e-3):  # exact data at delta > 0 are the k = 0 row
             alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
             search = worst_case_search(search_config(steps, metric, **noise), problem, delta, alpha)
             for k, scores in zip(search.ks.tolist(), search.scores):
-                g_obs = Signal.from_rfft(problem.grid, _candidate_spectra(g_rfft, delta, [k])[0])
+                # the candidate's own spectrum: g_true's, with -i n/2 delta in mode k
+                spectrum = np.fft.rfft(problem.g_true.values)
+                if k:
+                    spectrum.imag[k] -= n // 2 * delta
+                g_obs = Signal.from_rfft(problem.grid, spectrum)
                 reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, steps,
                                           SolverConfig(method="spectral"))
                 want = [problem.penalty.bregman(r.minimizer, problem.f_true) if metric == "kl"
@@ -622,11 +644,13 @@ class TestApproxErrorSweep:
         with pytest.raises(ConfigError):
             approx_error_sweep(cfg, problem=quad_problem())
 
-    def test_bad_alpha_argument_rejected(self):
+    def test_bad_alphas_rejected(self):
+        # approx_error_sweep reads the alphas from the config, which checks them
         cfg = ExperimentConfig(sweep=SweepConfig(noise=NoiseModel(kind="exact")))
-        for bad in ([-1.0], [1e-2, float("nan")], [float("inf")]):
+        for bad in ((-1.0,), (1e-2, float("nan")), (float("inf"),)):
             with pytest.raises(ConfigError, match="alphas"):
-                approx_error_sweep(cfg, alphas=bad, problem=quad_problem())
+                approx_error_sweep(replace(cfg, sweep=replace(cfg.sweep, alphas=bad)),
+                                   problem=quad_problem())
 
 
 class TestRateSweep:
@@ -773,6 +797,11 @@ class TestRateSweep:
         assert serial == parallel
 
 
+def with_cs(config, cs):
+    """config with the candidate constants cs for calibrate_c."""
+    return replace(config, sweep=replace(config.sweep, calibrate_cs=tuple(cs)))
+
+
 def exact_quadratic_config(deltas):
     return ExperimentConfig(
         problem=ProblemConfig(n=96, penalty="quadratic"),
@@ -809,7 +838,7 @@ class TestWorkerPool:
     def test_capped_at_job_count(self, pool_sizes):
         cfg = exact_quadratic_config((1e-1, 1e-2, 1e-3))
         assert rate_sweep(cfg, threads=64) == rate_sweep(cfg)
-        calibrate_c(cfg, (0.1, 1.0), threads=64)  # one job per (constant, delta) pair
+        calibrate_c(with_cs(cfg, (0.1, 1.0)), threads=64)  # one job per (constant, delta) pair
         assert pool_sizes == [3, 6]
 
     def test_one_job_runs_in_process(self, pool_sizes):
@@ -822,7 +851,7 @@ class TestWorkerPool:
             with pytest.raises(ConfigError, match="threads"):
                 rate_sweep(cfg, threads=bad)
             with pytest.raises(ConfigError, match="threads"):
-                calibrate_c(cfg, (0.1, 1.0), threads=bad)
+                calibrate_c(with_cs(cfg, (0.1, 1.0)), threads=bad)
         assert pool_sizes == []
 
     def test_arguments_checked_by_name(self, pool_sizes):
@@ -831,7 +860,7 @@ class TestWorkerPool:
         problem = quad_problem(n=64)
         calls = {
             "threads": (lambda bad: rate_sweep(cfg, threads=bad),
-                        lambda bad: calibrate_c(cfg, (0.1, 1.0), threads=bad)),
+                        lambda bad: calibrate_c(with_cs(cfg, (0.1, 1.0)), threads=bad)),
             "delta": (lambda bad: worst_case_search(search, problem, bad, 0.1),),
         }
         table = (("threads", 2.5), ("threads", None), ("threads", True), ("threads", "2"),
@@ -845,23 +874,24 @@ class TestWorkerPool:
 
 class TestCalibrateC:
     def test_single_candidate_returned(self):
-        cfg = ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0))
-        assert calibrate_c(cfg, [0.7]).c == 0.7
+        cfg = ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0, calibrate_cs=(0.7,)))
+        assert calibrate_c(cfg).c == 0.7
 
     def test_needs_predicted_rate(self):
-        cfg = ExperimentConfig()
-        with pytest.raises(ConfigError):
-            calibrate_c(cfg, [0.5, 1.0])
+        cfg = ExperimentConfig(sweep=SweepConfig(calibrate_cs=(0.5, 1.0)))
+        with pytest.raises(ConfigError, match="predicted_rate"):
+            calibrate_c(cfg)
 
     def test_matches_exhaustive_grid_oracle(self):
         problem = quad_problem(n=64, band=6)
         sweep = SweepConfig(
             deltas=geometric_grid(1e-2, 1e-4, 4), alpha_sigma=1.0, bregman_steps=1,
             noise=NoiseModel(kind="fixed_sinusoid", k_fixed=2), predicted_rate=1.0,
+            calibrate_cs=tuple(np.logspace(-3, 1, 9)),
         )
         cfg = ExperimentConfig(solver=SolverConfig(method="spectral"), sweep=sweep)
-        cs = tuple(np.logspace(-3, 1, 9))
-        chosen = calibrate_c(cfg, cs, problem=problem).c
+        cs = sweep.calibrate_cs
+        chosen = calibrate_c(cfg, problem=problem).c
 
         def objective(c):
             worst = 0.0
@@ -888,7 +918,7 @@ class TestCalibrateC:
         # rate_sweep at alpha_c = c, bit for bit; the winner's rows are its sweep
         cfg, problem = self.calibration_case(metric, steps)
         cs = (1.0, 0.01, 0.1)  # the winner, 0.01, is neither the first nor the last
-        calibration = calibrate_c(cfg, cs, problem=problem)
+        calibration = calibrate_c(with_cs(cfg, cs), problem=problem)
         col = f"{metric}_error"
         sweeps = [rate_sweep(replace(cfg, sweep=replace(cfg.sweep, alpha_c=c)), problem=problem)
                   for c in cs]
@@ -903,8 +933,9 @@ class TestCalibrateC:
     def test_threads_match_serial(self):
         # a real process pool, one job per (constant, delta) pair
         cfg, problem = self.calibration_case()
-        serial = calibrate_c(cfg, (0.01, 0.1, 1.0), problem=problem)
-        parallel = calibrate_c(cfg, (0.01, 0.1, 1.0), threads=2, problem=problem)
+        cfg = with_cs(cfg, (0.01, 0.1, 1.0))
+        serial = calibrate_c(cfg, problem=problem)
+        parallel = calibrate_c(cfg, threads=2, problem=problem)
         assert parallel.c == serial.c
         assert [o.hex() for o in parallel.objectives] == [o.hex() for o in serial.objectives]
         assert parallel.rows == serial.rows

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -5,10 +6,17 @@ import pytest
 
 from torusreg import (
     ConfigError,
+    EntropyPenalty,
+    ExperimentConfig,
     FourierMultiplierOperator,
     GridMismatch,
+    NoiseModel,
+    Problem,
+    QuadraticPenalty,
     Signal,
+    SolverConfig,
     SourceDivisionError,
+    SweepConfig,
     TorusGrid,
     apply,
     inner,
@@ -16,7 +24,10 @@ from torusreg import (
     make_inverse_helmholtz,
     norm_l2,
     power_apply,
+    solve_generalized_dr,
+    worst_case_search,
 )
+from torusreg.functionals import prox_fidelity
 
 from conftest import (
     band_limited_signal, random_signal, single_mode_signal, spectral_projection, to_spectrum,
@@ -50,6 +61,53 @@ class TestConstruction:
         mu = 1.0 / (1.0 + np.abs(grid.modes + 0.3))
         with pytest.raises(ConfigError):
             FourierMultiplierOperator(grid, mu)
+
+
+class TestImmutable:
+    """An operator's symbol and its half spectrum are read-only arrays of its
+    own, also once unpickled, and its instance dict holds nothing else."""
+
+    def test_a_callers_symbol_is_copied(self, grid):
+        mu = make_inverse_helmholtz(grid).symbol.copy()
+        op = FourierMultiplierOperator(grid, mu)
+        half = op.symbol_rfft.copy()
+        assert op.symbol is not mu and np.array_equal(op.symbol, mu)
+        mu[:] = -1.0  # the caller's array only
+        assert np.array_equal(op.symbol_rfft, half)
+        assert np.array_equal(np.append(op.symbol[grid.n // 2:], op.symbol[0]), half)
+
+    def test_arrays_are_read_only(self, grid):
+        op = make_inverse_helmholtz(grid)
+        for array in (op.symbol, op.symbol_rfft):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("read_half", [False, True])
+    def test_pickled_state_stays_read_only(self, grid, read_half):
+        # pickled before and after symbol_rfft is first read, as a pool job's is
+        op = make_inverse_helmholtz(grid)
+        if read_half:
+            op.symbol_rfft
+        back = pickle.loads(pickle.dumps(op))
+        assert set(back.__dict__) == set(op.__dict__)
+        for array in (back.symbol, back.symbol_rfft):
+            assert not array.flags.writeable
+        assert np.array_equal(back.symbol_rfft, op.symbol_rfft)
+
+    def test_solves_leave_only_fields_and_symbol_rfft(self):
+        # a DR solve, a spectral search and prox_fidelity keep nothing on the operator
+        grid = TorusGrid(64)
+        op = make_inverse_helmholtz(grid)
+        f_true = band_limited_signal(grid, np.random.default_rng(3), 6)
+        prior = Signal(grid, np.ones(grid.n))
+        g = apply(op, f_true)
+        solve_generalized_dr(op, g, 1e-2, EntropyPenalty(prior, 0.0, 10.0))
+        config = ExperimentConfig(solver=SolverConfig(method="spectral"),
+                                  sweep=SweepConfig(noise=NoiseModel(k_max=4)))
+        worst_case_search(config, Problem(grid, op, QuadraticPenalty(prior), f_true, g), 1e-2, 1e-2)
+        prox_fidelity(op, g, f_true, 1.0, 1e-3)
+        assert set(op.__dict__) == {"grid", "symbol", "smoothing_order", "symbol_rfft"}
 
 
 class TestInverseHelmholtz:
