@@ -100,13 +100,14 @@ def solve_quadratic_spectral(
     ``shift`` = t mu g^ and ``recip`` = 1 / (1 + t mu^2), t = 1/alpha, are
     :func:`~torusreg.functionals._fidelity_prox_constants` of the operator
     and g's half spectrum at unit step, which tests alpha, formed once per
-    chain or search; only ``out`` is written. Nothing is tested
-    here: ``bregman.spectral_chain`` is the only caller, and
-    ``bregman.spectral_constants`` tests the shapes once per chain or
-    spectral search, before any solve; the search tests the finiteness.
+    chain or search. Only ``out`` is written, given to both ufuncs by
+    position, which numpy parses faster than a keyword (numpy 2.4
+    deprecates that for maximum and minimum only). Nothing is tested here:
+    ``bregman.spectral_chain`` is the only caller, and ``spectral_constants``
+    tests the shapes once per chain or search; the search, the finiteness.
     """
-    out = np.add(shift, prior_rfft, out=out)
-    return np.multiply(out, recip, out=out)
+    out = np.add(shift, prior_rfft, out)
+    return np.multiply(out, recip, out)
 
 
 def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) -> SolveReport:

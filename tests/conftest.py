@@ -136,18 +136,19 @@ def max_newton_omega(zeta, y):
 def allocating_prox_map(penalty, gamma):
     """Oracle for ``penalty.prox_map(gamma)``: the prox formula with a fresh
     array for every step, dividing by gamma and multiplying by it at every
-    gamma; the entropy prox replaces its warm Newton root y on each call."""
+    gamma; the entropy prox replaces its warm Newton root y on each call,
+    starting from y = prior/gamma, the root at x = prior."""
     if not isinstance(penalty, EntropyPenalty):
         return lambda x: (x + gamma * penalty.prior.values) / (1.0 + gamma)
     shift = np.log(penalty.prior.values / gamma)
     lo, hi = max(penalty.box_lo, PROX_FLOOR), penalty.box_hi
     zeta_floor = np.log(lo) - np.log(gamma) - 1.0
-    y = None
+    y = penalty.prior.values / gamma
 
     def prox(x):
         nonlocal y
         zeta = np.maximum(x / gamma + shift, zeta_floor)
-        y = wrightomega(zeta) if y is None else max_newton_omega(zeta, y)
+        y = max_newton_omega(zeta, y)
         return np.minimum(np.maximum(gamma * y, lo), hi)
 
     return prox

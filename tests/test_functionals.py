@@ -209,9 +209,18 @@ def jump_inputs(rng, n):
             yield x + scale * rng.standard_normal(n)
 
 
+def closed_form_prox(pen, gamma, x):
+    """The entropy prox by its closed form, clamp(gamma omega(zeta)) with
+    zeta = max(x/gamma + ln(w/gamma), ln(lo/gamma) - 1), on scipy's omega."""
+    lo = max(pen.box_lo, PROX_FLOOR)
+    zeta = np.maximum(x / gamma + np.log(pen.prior.values / gamma), np.log(lo) - np.log(gamma) - 1.0)
+    return np.clip(gamma * wrightomega(zeta), lo, pen.box_hi)
+
+
 class TestWarmStartedProxMap:
     """The entropy prox map starts each call from the root of its previous
-    call; every output must match a fresh map's (omega from cold)."""
+    call, the first from prior/gamma; every output must match the closed
+    form on scipy's omega."""
 
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 30.0])
     @pytest.mark.parametrize("box", [(0.0, 5.0), (0.2, 3.0)])
@@ -224,7 +233,7 @@ class TestWarmStartedProxMap:
         with np.errstate(all="raise"):
             for x in inputs(rng, grid.n):
                 got = warm(x)
-                expected = pen.prox_map(gamma)(x)
+                expected = closed_form_prox(pen, gamma, x)
                 assert np.all(np.isfinite(got))
                 assert np.all(np.abs(got - expected) <= 1e-14 * expected)
                 at_lo |= bool(np.any(got == lo))
@@ -242,11 +251,14 @@ class TestWarmStartedProxMap:
             return wrightomega(z)
 
         monkeypatch.setattr(functionals, "wrightomega", counting_omega)
-        prox = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0)).prox_map(1.0)
-        x = rng.standard_normal(grid.n)
-        prox(x)
-        assert evaluated[-1] == grid.n  # the first call is omega on every entry
-        evaluated.clear()
+        prior = positive_signal(grid, rng, 0.2, 3.0)
+        for gamma in (1.0, 2.5, 0.37):
+            prox = EntropyPenalty(prior, 0.5, 2.0).prox_map(gamma)
+            # a DR solve starts at x = prior, whose root prior/gamma is the first start
+            got = prox(prior.values)
+            assert evaluated == []
+            assert got.tobytes() == np.clip(gamma * (prior.values / gamma), 0.5, 2.0).tobytes()
+        x = prior.values.copy()
         for _ in range(20):
             x = x + 1e-6 * rng.standard_normal(grid.n)
             prox(x)

@@ -367,6 +367,9 @@ class TestCandidateSpectra:
         whole = _candidates(pair, ks, np.empty((len(ks), n // 2 + 1), dtype=complex))
         part = _candidates(pair, ks[rows], np.empty((len(ks[rows]), n // 2 + 1), dtype=complex))
         assert np.array_equal(part, whole[rows])
+        # the spectral walk gathers the mode-k values once per search and passes each block its slice
+        gathered = _candidates(pair, ks[rows], np.empty_like(part), pair[1, ks][rows])
+        assert gathered.tobytes() == whole[rows].tobytes()
 
 
 class TestSearchMatchesPerCandidateLoop:
@@ -442,6 +445,26 @@ class TestSearchMatchesPerCandidateLoop:
 NOISE_KINDS = [
     ({"k_max": 6}, 6), ({"kind": "fixed_sinusoid", "k_fixed": 5}, 1), ({"kind": "exact"}, 1),
 ]
+
+
+class TestEntropyChainOmegaCalls:
+    """A DR solve starts at z = prior, whose prox root prior/gamma seeds the
+    entropy prox's Newton, and the warm Newton takes every later call: on
+    the benchmark's entropy shape a chain evaluates no Wright omega."""
+
+    def test_benchmark_shaped_chain_makes_no_omega_call(self, monkeypatch):
+        import torusreg.functionals
+
+        delta, steps = 1e-4, 2
+        config = ExperimentConfig(
+            solver=SolverConfig(tol=1e-12),
+            sweep=SweepConfig(bregman_steps=steps, noise=NoiseModel(k_max=1)))
+        problem = build_problem(ProblemConfig(n=480, prior_value=1.0, box_lo=0.0, box_hi=5.0))
+        omega = count_calls(monkeypatch, torusreg.functionals, "wrightomega")
+        dr = count_calls(monkeypatch, torusreg.bregman, "solve_generalized_dr")
+        search = worst_case_search(config, problem, delta, apriori_alpha(delta, 3.16e-3, 8.0 / 15.0))
+        assert dr["solve_generalized_dr"] == steps and search.iterations.min() > 1
+        assert omega["wrightomega"] == 0
 
 
 class TestSolveCount:
@@ -588,8 +611,19 @@ class TestSpectralScoresAreTheChainsOnTheirSignals:
         {"k_max": 40}, {"kind": "fixed_sinusoid", "k_fixed": 7}, {"kind": "exact"},
     ])
     def test_every_score_is_the_chain_on_its_signal(self, metric, n, noise):
-        problem, steps = build_problem(ProblemConfig(n=n, penalty="quadratic")), 2
         assert blocks(40, n) == 2 and 40 % _block_rows(n)  # k_max = 40: the last block partial
+        self.assert_scores_are_the_chains(n, metric, noise)
+
+    @pytest.mark.parametrize("n", [480, 512])
+    def test_candidates_up_to_the_one_next_to_nyquist(self, n):
+        # k = n/2 - 1 is the last mode a candidate changes; the chains share modes 0 and n/2
+        k_max = n // 2 - 1
+        assert blocks(k_max, n) > 2 and k_max % _block_rows(n)  # several blocks, the last partial
+        self.assert_scores_are_the_chains(n, "kl", {"k_max": k_max})
+
+    @staticmethod
+    def assert_scores_are_the_chains(n, metric, noise):
+        problem, steps = build_problem(ProblemConfig(n=n, penalty="quadratic")), 2
         for delta in (1e-1, 1e-3):  # exact data at delta > 0 are the k = 0 row
             alpha = apriori_alpha(delta, 1e-2, 8.0 / 15.0)
             search = worst_case_search(search_config(steps, metric, **noise), problem, delta, alpha)
