@@ -181,24 +181,34 @@ def _int_at_least(text: str, low: int) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="torusreg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torusreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the flags it reads: all read --config and --out
+    # each subcommand registers only the flags it reads
     for name, fn, flags in (
-        ("reconstruct", cmd_reconstruct, ()),
-        ("approx-sweep", cmd_approx_sweep, ()),
-        ("rate-sweep", cmd_rate_sweep, ("threads",)),
-        ("vsc-diagnose", cmd_vsc_diagnose, ("seed",)),
+        ("reconstruct", cmd_reconstruct, ("config", "out")),
+        ("approx-sweep", cmd_approx_sweep, ("config", "out")),
+        ("rate-sweep", cmd_rate_sweep, ("config", "out", "threads")),
+        ("vsc-diagnose", cmd_vsc_diagnose, ("config", "out", "seed")),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="path to a config file")
-        p.add_argument("--out", default=None, help="output directory override")
+        if "config" in flags:
+            p.add_argument("--config", default=None, help="path to a config file")
+        if "out" in flags:
+            p.add_argument("--out", default=None, help="output directory override")
         if "seed" in flags:
-            p.add_argument("--seed", type=lambda text: _int_at_least(text, 0), default=0)
+            p.add_argument("--seed", type=_non_negative_int, default=0)
         if "threads" in flags:
-            p.add_argument("--threads", type=lambda text: _int_at_least(text, 1), default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="worker processes, capped at the number of jobs")
         p.set_defaults(fn=fn)
     return parser

@@ -216,15 +216,15 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * (n // 2 + 1)))
 
 
-def _candidates(pair: np.ndarray, ks: np.ndarray, out: np.ndarray, values=None) -> np.ndarray:
+def _candidates(pair: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into the rows of ``out`` the candidates ks of ``pair``, and return
     it. A search's pair is (g^, g^ - i n/2 delta), or the products of both
     with t mu: on n points the rfft of delta sin(2 pi k .) is -i n/2 delta in
     mode k and 0 elsewhere, so candidate k is the first row with mode k from
     the second; k = 0 (exact data) keeps the first. One broadcast copy, then
-    one scatter of ``values``, pair[min(k, 1), k] per k, gathered if not given."""
+    one scatter of pair[min(k, 1), k] per k."""
     out[...] = pair[0]
-    out[np.arange(len(ks)), ks] = pair[np.minimum(ks, 1), ks] if values is None else values
+    out[np.arange(len(ks)), ks] = pair[np.minimum(ks, 1), ks]
     return out
 
 
@@ -262,22 +262,27 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
-def _spectral_errors(problem: Problem, metric: str, chain: list, edges, work, out) -> None:
+def _spectral_errors(
+    problem: Problem, metric: str, chain: list[np.ndarray], work: np.ndarray, out: np.ndarray
+) -> None:
     """Write into ``out`` (rows, steps) the errors in ``metric`` of a block's
     spectral chains, one (rows, n/2 + 1) stack of half spectra per step, bit
     for bit as :func:`_error` scores their signals. kl is by Parseval: each
-    step's vecdot, then the norms and their squares (libm's pow, as a
-    float's ``** 2`` is) over the whole block at once, with ``edges``
-    (steps, 2), the errors' modes 0 and n/2 per step, which every chain of a
-    search shares, broadcast over the rows. l1 is from the samples of an
-    irfft. A stack is scored where it lies and is not written. Each step's
-    errors are written into ``work``, a (rows, n/2 + 1) complex array: kl's
-    half spectra, or l1's (rows, n) samples in its float view."""
+    step's vecdot and the first row's edge modes 0 and n/2, which every
+    chain of a search shares (a candidate changes one mode k in
+    [1, n/2 - 1]), then the norms and their squares (libm's pow, as a
+    float's ``** 2`` is) over the whole block at once, the (steps, 2) edges
+    broadcast over the rows. l1 is from the samples of an irfft. A stack is
+    scored where it lies and is not written. Each step's errors are written
+    into ``work``, a (rows, n/2 + 1) complex array: kl's half spectra, or
+    l1's (rows, n) samples in its float view."""
     n = problem.grid.n
     if metric == "kl":
+        edges = np.empty((len(chain), 2), dtype=complex)
         for i, step in enumerate(chain):
             np.subtract(step, problem.f_true.rfft, out=work)
             out[:, i] = np.vecdot(work, work).real
+            edges[i] = work[0, ::n // 2]  # modes 0 and n/2
         out[...] = 0.5 * np.float_power(norm_l2_parseval(out, edges, n), 2)
     else:
         errors = work.view(float)[:, :n]
@@ -298,29 +303,23 @@ def _spectral_blocks(
     kept), kept(row) giving None and a copy of the row's minimizers' half
     spectra.
 
-    t mu is applied to the pair once per search, and the candidates' mode-k
-    values of those products are gathered once, so each block's shifts are
-    :func:`_candidates` of them: bit for bit the product on each candidate's
-    half spectrum. The shifts, which take the errors once the block's chains
-    are made, and one stack per step are 1 + steps arrays of (rows, n/2 + 1)
-    per search, their row views made once. A candidate changes one mode k in
-    [1, n/2 - 1], so every chain's modes 0 and n/2 are those of the first."""
-    rows, half = min(_block_rows(problem.grid.n), len(ks)), problem.grid.n // 2
+    t mu is applied to the pair once per search, and each block's shifts are
+    :func:`_candidates` of those products: bit for bit the product on each
+    candidate's half spectrum. The shifts, which take the errors once the
+    block's chains are made, and one stack per step are 1 + steps arrays of
+    (rows, n/2 + 1) per search, their row views made once."""
+    rows = min(_block_rows(problem.grid.n), len(ks))
     products, recip = spectral_constants(problem.op, pair, alpha, problem.penalty)
-    values = products[np.minimum(ks, 1), ks]  # as _candidates gathers them
     shifts = np.empty((rows, pair.shape[1]), dtype=complex)
     chain = [np.empty_like(shifts) for _ in range(scores.shape[1])]
     shift_rows, chain_rows = list(shifts), [list(stack) for stack in chain]
-    edges = None
     for start in range(0, len(ks), rows):
         block = ks[start:start + rows]
         stop = start + len(block)
-        _candidates(products, block, shifts[:len(block)], values[start:stop])
+        _candidates(products, block, shifts[:len(block)])
         spectral_chain(shift_rows[:len(block)], problem.penalty.prior.rfft, recip, chain_rows)
         steps = [stack[:len(block)] for stack in chain]
-        if edges is None:
-            edges = np.subtract([step[0, ::half] for step in steps], problem.f_true.rfft[::half])
-        _spectral_errors(problem, metric, steps, edges, shifts[:len(block)], scores[start:stop])
+        _spectral_errors(problem, metric, steps, shifts[:len(block)], scores[start:stop])
         yield start, stop, lambda row, steps=steps: (None, [step[row].copy() for step in steps])
 
 

@@ -224,8 +224,7 @@ def norm_l2_rfft(c: np.ndarray, n: int) -> float | np.ndarray:
 def norm_l2_parseval(dots: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
     """:func:`norm_l2_rfft` from its parts, element by element: ``dots`` the
     real parts of the half spectra's vecdot with themselves, and ``edges``
-    their modes 0 and n/2 along a last axis of two, broadcast against dots
-    (a spectral search passes one (steps, 2) array for every block's rows).
+    their modes 0 and n/2 along a last axis of two, broadcast against dots.
 
     The edge modes' |c|^2 is libm's hypot and pow, as ``abs(c) ** 2`` rounds
     on a complex scalar; numpy's ``abs`` and ``**`` on arrays round otherwise.

@@ -253,18 +253,19 @@ class TestWarmStartedProxMap:
         monkeypatch.setattr(functionals, "wrightomega", counting_omega)
         prior = positive_signal(grid, rng, 0.2, 3.0)
         for gamma in (1.0, 2.5, 0.37):
+            evaluated.clear()
             prox = EntropyPenalty(prior, 0.5, 2.0).prox_map(gamma)
             # a DR solve starts at x = prior, whose root prior/gamma is the first start
             got = prox(prior.values)
             assert evaluated == []
             assert got.tobytes() == np.clip(gamma * (prior.values / gamma), 0.5, 2.0).tobytes()
-        x = prior.values.copy()
-        for _ in range(20):
-            x = x + 1e-6 * rng.standard_normal(grid.n)
-            prox(x)
-        assert evaluated == []
-        prox(x - 800.0)  # Newton from the old roots overshoots below 0: omega
-        assert evaluated == [grid.n]
+            x = prior.values.copy()
+            for _ in range(20):
+                x = x + 1e-6 * rng.standard_normal(grid.n)
+                prox(x)
+            assert evaluated == []
+            prox(x - 800.0 * gamma)  # Newton from the old roots overshoots below 0: omega
+            assert evaluated == [grid.n]
 
     def test_nan_input_does_not_poison_later_calls(self, grid, rng):
         pen = EntropyPenalty(positive_signal(grid, rng, 0.2, 3.0))
