@@ -80,14 +80,12 @@ def spectral_chain(
     Each (row, step) is one ``solvers.solve_quadratic_spectral`` call, looked
     up on the module so that a name patched there sees each solve, with the
     row's shift, the prior f_{n-1} (``prior_rfft`` at step 1) and its out
-    row, which then holds what the call returns. Nothing is tested here:
+    row, which the solve writes. Nothing is tested here:
     :func:`spectral_constants` tests the arguments, the caller finiteness."""
     solve, previous = solvers.solve_quadratic_spectral, [prior_rfft] * len(shifts)
     for outs in chain:
         for s, p, out in zip(shifts, previous, outs):
-            row = solve(s, p, recip, out)
-            if row is not out:  # the row is what the solve returns
-                out[...] = row
+            solve(s, p, recip, out)
         previous = outs
 
 

@@ -7,7 +7,6 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .bregman import bregman_iterate  # noqa: F401 # the tracer (perfbench/spans.py) patches it
@@ -34,16 +33,15 @@ from .vsc import (
 )
 
 
-def _ensure_outdir(config, args):
-    """Make the output directory; every command does so before it computes.
+def _ensure_outdir(directory, made):
+    """Make the output directory; :func:`main` does so before any command computes.
 
-    The directories it makes are listed in ``args.made``, deepest first, so
+    The directories it makes are appended to ``made``, deepest first, so
     that :func:`main` can remove them again when the command exits 2.
     """
-    directory = args.out or config.output.directory
     head = os.path.abspath(directory)
     while not os.path.exists(head):
-        args.made.append(head)
+        made.append(head)
         head = os.path.dirname(head)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -52,13 +50,7 @@ def _ensure_outdir(config, args):
     return directory
 
 
-def _load(args):
-    return load_config(args.config) if args.config else default_config()
-
-
-def cmd_reconstruct(args) -> int:
-    config = _load(args)
-    outdir = _ensure_outdir(config, args)
+def cmd_reconstruct(config, outdir, args) -> int:
     problem = build_problem(config.problem)
     sweep = config.sweep
     delta = sweep.deltas[0]
@@ -80,7 +72,7 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _emit_sweep_outputs(config, rows, outdir, x_field, xlabel):
+def _emit_sweep_outputs(config, rows, outdir, x_field):
     csv_path = os.path.join(outdir, config.output.csv_name)
     write_sweep_csv(rows, csv_path)
     print(f"wrote {csv_path}")
@@ -108,35 +100,27 @@ def _emit_sweep_outputs(config, rows, outdir, x_field, xlabel):
         )
     if config.output.write_svg and series:
         svg_path = os.path.join(outdir, config.output.svg_name)
-        svg_loglog(svg_path, series, lines, title="penalty error", xlabel=xlabel, ylabel="error")
+        svg_loglog(svg_path, series, lines, title="penalty error", xlabel=x_field, ylabel="error")
         print(f"wrote {svg_path}")
 
 
-def cmd_approx_sweep(args) -> int:
-    config = _load(args)
-    outdir = _ensure_outdir(config, args)
+def cmd_approx_sweep(config, outdir, args) -> int:
     rows = approx_error_sweep(config)
-    _emit_sweep_outputs(config, rows, outdir, "alpha", "alpha")
+    _emit_sweep_outputs(config, rows, outdir, "alpha")
     return 0
 
 
-def cmd_rate_sweep(args) -> int:
-    config = _load(args)
-    outdir = _ensure_outdir(config, args)
-    rows = None
+def cmd_rate_sweep(config, outdir, args) -> int:
     if config.sweep.calibrate_cs:
-        c, _, rows = calibrate_c(config, threads=args.threads)  # rows: the sweep at c, if it ran
+        c, _, rows = calibrate_c(config, threads=args.threads)  # rows: the sweep at c
         print(f"calibrated c = {c:g}")
-        config = replace(config, sweep=replace(config.sweep, alpha_c=c))
-    if rows is None:
+    else:
         rows = rate_sweep(config, threads=args.threads)
-    _emit_sweep_outputs(config, rows, outdir, "delta", "delta")
+    _emit_sweep_outputs(config, rows, outdir, "delta")
     return 0
 
 
-def cmd_vsc_diagnose(args) -> int:
-    config = _load(args)
-    outdir = _ensure_outdir(config, args)
+def cmd_vsc_diagnose(config, outdir, args) -> int:
     problem = build_problem(config.problem)
     path = os.path.join(outdir, "vsc_report.txt")
     lines = [f"torusreg {__version__} vsc diagnostics (n={problem.grid.n})"]
@@ -193,18 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="torusreg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torusreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand registers only the flags it reads
+    # each subcommand takes --config and --out, and registers only the other flags it reads
     for name, fn, flags in (
-        ("reconstruct", cmd_reconstruct, ("config", "out")),
-        ("approx-sweep", cmd_approx_sweep, ("config", "out")),
-        ("rate-sweep", cmd_rate_sweep, ("config", "out", "threads")),
-        ("vsc-diagnose", cmd_vsc_diagnose, ("config", "out", "seed")),
+        ("reconstruct", cmd_reconstruct, ()),
+        ("approx-sweep", cmd_approx_sweep, ()),
+        ("rate-sweep", cmd_rate_sweep, ("threads",)),
+        ("vsc-diagnose", cmd_vsc_diagnose, ("seed",)),
     ):
         p = sub.add_parser(name)
-        if "config" in flags:
-            p.add_argument("--config", default=None, help="path to a config file")
-        if "out" in flags:
-            p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument("--config", default=None, help="path to a config file")
+        p.add_argument("--out", default=None, help="output directory override")
         if "seed" in flags:
             p.add_argument("--seed", type=_non_negative_int, default=0)
         if "threads" in flags:
@@ -216,11 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.made = []
+    made: list[str] = []
     try:
-        return args.fn(args)
+        config = load_config(args.config) if args.config else default_config()
+        outdir = _ensure_outdir(args.out or config.output.directory, made)
+        return args.fn(config, outdir, args)
     except TorusRegError as exc:
-        for directory in args.made:  # rmdir leaves a directory with output in it
+        for directory in made:  # rmdir leaves a directory with output in it
             with contextlib.suppress(OSError):
                 os.rmdir(directory)
         print(f"error: {exc}", file=sys.stderr)

@@ -449,9 +449,12 @@ def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float])
 
 
 def _sweep(
-    config: ExperimentConfig, problem: Problem, pairs: Sequence, threads: int = 1
+    config: ExperimentConfig, problem: Problem | None, pairs: Sequence, threads: int = 1
 ) -> list[SweepRow]:
-    """The rows of one worst-case search per (delta, alpha) pair, in pair order."""
+    """The rows of one worst-case search per (delta, alpha) pair, in pair order,
+    on ``problem``, or on the configured problem when it is None."""
+    if problem is None:
+        problem = build_problem(config.problem)
     chunks = _map(partial(_rows, config, problem), pairs, threads)
     return [row for chunk in chunks for row in chunk]
 
@@ -467,8 +470,6 @@ def rate_sweep(
 
     Pass ``problem`` to sweep a synthetic problem instead of the configured one.
     """
-    if problem is None:
-        problem = build_problem(config.problem)
     sweep = config.sweep
     pairs = [(d, apriori_alpha(d, sweep.alpha_c, sweep.alpha_sigma)) for d in sweep.deltas]
     return _sweep(config, problem, pairs, threads)
@@ -484,20 +485,17 @@ def approx_error_sweep(config: ExperimentConfig, problem: Problem | None = None)
     alphas = config.sweep.alphas
     if not alphas:
         raise ConfigError("alphas must be non-empty: set [sweep] alphas")
-    if problem is None:
-        problem = build_problem(config.problem)
     sweep = replace(config.sweep, noise=NoiseModel(kind="exact"))
     return _sweep(replace(config, sweep=sweep), problem, [(0.0, alpha) for alpha in alphas])
 
 
 class Calibration(NamedTuple):
     """The chosen constant, every candidate's objective in order, and the
-    :func:`rate_sweep` rows at alpha_c = c. A single candidate is taken
-    without a sweep: no objectives, and rows None."""
+    :func:`rate_sweep` rows at alpha_c = c; a single candidate is swept too."""
 
     c: float
     objectives: tuple[float, ...]
-    rows: list[SweepRow] | None
+    rows: list[SweepRow]
 
 
 def calibrate_c(
@@ -509,18 +507,15 @@ def calibrate_c(
     The error column, target step and predicted rate come from the sweep
     configuration; the delta grid is the configured one, so calibration on
     a reduced grid just means passing a reduced config. Each (constant,
-    delta) pair is one search, on at most ``threads`` worker processes. The
-    winner's rows come with it, so a caller need not sweep it again.
+    delta) pair is one search, on at most ``threads`` worker processes; a
+    single constant is swept once too, and is chosen. The winner's rows come
+    with it, so a caller need not sweep it again.
     """
     sweep, cs = config.sweep, config.sweep.calibrate_cs
     if not cs:
         raise ConfigError("calibrate_cs must be non-empty: set [sweep] calibrate_cs")
     if sweep.predicted_rate is None:
         raise ConfigError("predicted_rate must be set in [sweep] to calibrate c")
-    if len(cs) == 1:
-        return Calibration(cs[0], (), None)
-    if problem is None:
-        problem = build_problem(config.problem)
     pairs = [(d, apriori_alpha(d, c, sweep.alpha_sigma)) for c in cs for d in sweep.deltas]
     rows = _sweep(config, problem, pairs, threads)
     size = len(sweep.deltas) * sweep.bregman_steps  # one constant's rows

@@ -44,6 +44,7 @@ __all__ = [
 
 
 _UNIT_INTERVAL = {"lie in (0, 1]": lambda v: 0 < v <= 1}
+_AMPLITUDES = np.logspace(-8, 4, 61)  # the ray amplitudes t of vsc_violation_search
 
 
 @dataclass(frozen=True)
@@ -252,23 +253,20 @@ def vsc_violation_search(
     phi: HoelderIndexFunction,
     trials: int = 64,
     seed: int = 0,
-    amplitudes: np.ndarray | None = None,
 ) -> float:
     """Randomized falsifier for <omega, f> <= 1/2 ||f||^2 + Phi(||Tf||^2).
 
-    Samples rays f = t u over a log amplitude grid of t, for directions u of
-    unit norm sign-matched to omega: the n single real Fourier modes, omega
-    itself (when nonzero) and ``trials`` seeded Gaussian directions. On a
-    ray the residual <omega, f> - 1/2 ||f||^2 - Phi(||Tf||^2) is
-    p t - t^2/2 - Phi(q^2 t^2) with p = |<omega, u>| and q = ||Tu||, and the
-    largest residual over all rays is returned. A positive value certifies
-    a violation; a non-positive value over finitely many samples proves
-    nothing.
+    Samples rays f = t u at 61 log-spaced amplitudes t in [1e-8, 1e4], for
+    directions u of unit norm sign-matched to omega: the n single real
+    Fourier modes, omega itself (when nonzero) and ``trials`` seeded
+    Gaussian directions. On a ray the residual <omega, f> - 1/2 ||f||^2 -
+    Phi(||Tf||^2) is p t - t^2/2 - Phi(q^2 t^2) with p = |<omega, u>| and
+    q = ||Tu||, and the largest residual over all rays is returned. A
+    positive value certifies a violation; a non-positive value over
+    finitely many samples proves nothing.
     """
     check_value("trials", trials, int, AT_LEAST_ONE)
     check_value("seed", seed, int, NON_NEGATIVE)
-    if amplitudes is None:
-        amplitudes = np.logspace(-8, 4, 61)
     n = omega.grid.n
     directions = np.random.default_rng(seed).standard_normal((trials, n))
     if norm_l2(omega) > 0:
@@ -281,5 +279,5 @@ def vsc_violation_search(
     coeffs, mus = _mode_inner_products(op, omega)
     p = np.append(np.abs(coeffs), np.abs(directions @ omega.values) / n)
     q = np.append(mus, np.sqrt(images) / n)
-    t = amplitudes[:, None]
+    t = _AMPLITUDES[:, None]
     return float(np.max(p * t - 0.5 * t**2 - phi((q * t) ** 2)))

@@ -499,6 +499,26 @@ class TestCli:
         swept = rate_sweep(replace(config, sweep=replace(config.sweep, alpha_c=calibration.c)))
         assert read_sweep_csv(str(tmp_path / "out" / "sweep.csv")) == calibration.rows == swept
 
+    def test_one_constant_calibration_writes_the_plain_sweep(self, tmp_path, capsys, monkeypatch):
+        # one constant is swept once, by the calibration: D searches, not 2 * D, and the
+        # outputs are those of an uncalibrated rate-sweep at alpha_c = that constant
+        cfg = small_cli_config(tmp_path)
+        with open(cfg) as handle:
+            text = handle.read().replace("alpha_c = 0.005", "alpha_c = 0.005\npredicted_rate = 1.0")
+        with open(cfg, "w") as handle:
+            handle.write(text)
+        plain = tmp_path / "plain"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(plain)]) == 0
+        with open(cfg, "w") as handle:  # alpha_c is not read once c is calibrated
+            handle.write(text.replace("alpha_c = 0.005", "alpha_c = 1.0\ncalibrate_cs = 0.005"))
+        capsys.readouterr()
+        searches = count_calls(monkeypatch, torusreg.harness, "worst_case_search")
+        assert main(["rate-sweep", "--config", cfg]) == 0
+        assert searches == {"worst_case_search": 3}  # one per delta
+        assert capsys.readouterr().out.startswith("calibrated c = 0.005\n")
+        for name in ("sweep.csv", "sweep.svg"):
+            assert (tmp_path / "out" / name).read_bytes() == (plain / name).read_bytes()
+
     def test_reconstruct_writes_signals(self, tmp_path):
         cfg = small_cli_config(tmp_path)
         assert main(["reconstruct", "--config", cfg]) == 0

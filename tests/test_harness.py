@@ -580,7 +580,10 @@ class TestSpectralRoute:
 
         def nan_on_one_call(*args):
             calls.append(args)
-            return solve(*args) * (np.nan if len(calls) == call else 1.0)
+            row = solve(*args)
+            if len(calls) == call:
+                row *= np.nan  # in place: the row is the solve's out row
+            return row
 
         monkeypatch.setattr(torusreg.solvers, "solve_quadratic_spectral", nan_on_one_call)
         with pytest.raises(ConfigError, match=f"half spectrum must be finite: {named}$"):
@@ -905,8 +908,15 @@ class TestWorkerPool:
 
 class TestCalibrateC:
     def test_single_candidate_returned(self):
-        cfg = ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0, calibrate_cs=(0.7,)))
-        assert calibrate_c(cfg).c == 0.7
+        # one constant is swept too: it is chosen, with its objective and its sweep's rows
+        cfg, problem = self.calibration_case()
+        calibration = calibrate_c(with_cs(cfg, (0.7,)), problem=problem)
+        rows = rate_sweep(replace(cfg, sweep=replace(cfg.sweep, alpha_c=0.7)), problem=problem)
+        rate = cfg.sweep.predicted_rate
+        want = max(r.kl_error / r.delta**rate for r in rows if r.n_bregman == cfg.sweep.bregman_steps)
+        assert calibration.c == 0.7
+        assert [o.hex() for o in calibration.objectives] == [want.hex()]
+        assert calibration.rows == rows
 
     def test_needs_predicted_rate(self):
         cfg = ExperimentConfig(sweep=SweepConfig(calibrate_cs=(0.5, 1.0)))
