@@ -48,12 +48,15 @@ def _phi_entropy(ratio_minus_one: np.ndarray) -> np.ndarray:
 
 
 def kl_divergence(f: Signal, g: Signal) -> float:
-    """KL(f, g) for f >= 0 and g > 0, with the convention 0 ln 0 = 0."""
+    """KL(f, g) for f >= 0 and g > 0, with the convention 0 ln 0 = 0.
+
+    The sign tests are one min each: a ``Signal`` is finite by construction,
+    so they decide as a test of every sample would."""
     check_same_grid(f, g)
     fv, gv = f.values, g.values
-    if np.any(gv <= 0):
+    if gv.min() <= 0:
         raise SubgradientUndefined("KL base must be strictly positive")
-    if np.any(fv < 0):
+    if fv.min() < 0:
         return float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
         e = (fv - gv) / gv
@@ -133,14 +136,16 @@ class EntropyPenalty:
     def boundary_touch(self, f: Signal, tol: float = TOUCH_TOL) -> bool:
         """Whether a sample lies within ``tol`` of a box bound, or beyond it;
         tol = 0 tests that f is not strictly inside the box (and, as
-        box_lo >= 0, not strictly positive)."""
+        box_lo >= 0, not strictly positive). The samples' min and max
+        decide it, as f is finite by construction."""
         v = f.values
-        return bool(np.any(v <= self.box_lo + tol) or np.any(v >= self.box_hi - tol))
+        return bool(v.min() <= self.box_lo + tol or v.max() >= self.box_hi - tol)
 
     def in_box(self, f: Signal) -> bool:
-        """Whether every sample lies in the box widened by ``BOX_SLACK``."""
+        """Whether every sample lies in the box widened by ``BOX_SLACK``: the
+        samples' min and max decide it, as f is finite by construction."""
         v = f.values
-        return not (np.any(v < self.box_lo - BOX_SLACK) or np.any(v > self.box_hi + BOX_SLACK))
+        return bool(v.min() >= self.box_lo - BOX_SLACK and v.max() <= self.box_hi + BOX_SLACK)
 
     def value(self, f: Signal) -> float:
         check_same_grid(f, self.prior)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torusreg import FourierMultiplierOperator, QuadraticPenalty, Signal, TorusGrid, bregman_iterate
+from torusreg import solvers
 from torusreg.bregman import spectral_chain, spectral_constants
 from torusreg.errors import field_types
 from torusreg.functionals import NEWTON_STEPS, NEWTON_TOL, PROX_FLOOR, EntropyPenalty, wrightomega
@@ -61,8 +62,18 @@ def count_calls(monkeypatch, owner, *names) -> Counter:
 
 
 def count_ffts(monkeypatch) -> Counter:
-    """Count every numpy FFT call from here on."""
-    return count_calls(monkeypatch, np.fft, "fft", "ifft", "rfft", "irfft")
+    """Count every FFT call from here on, by its ``np.fft`` name: numpy's FFT
+    functions, and the Douglas-Rachford loop's rfft and irfft kernels, which
+    ``solve_generalized_dr`` looks up on ``torusreg.solvers`` per solve and
+    which no ``np.fft`` name sees."""
+    counts = count_calls(monkeypatch, np.fft, "fft", "ifft", "rfft", "irfft")
+    for name, kernel in (("rfft", "_rfft_even"), ("irfft", "_irfft")):
+        def counted(*args, _name=name, _fn=getattr(solvers, kernel)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solvers, kernel, counted)
+    return counts
 
 
 def make_identity(grid):
@@ -154,10 +165,12 @@ def allocating_prox_map(penalty, gamma):
     return prox
 
 
-def allocating_dr(op, g_obs, alpha, penalty, cfg):
+def allocating_dr(op, g_obs, alpha, penalty, cfg, norms=None):
     """Oracle for ``solve_generalized_dr``: the Douglas-Rachford loop with a
-    fresh array for every step, on :func:`allocating_prox_map`. Returns the
-    minimizer's samples, the iterations and the final relative step."""
+    fresh array for every step, on :func:`allocating_prox_map`, testing
+    ||step|| / max(1, ||z||) at every iteration. Returns the minimizer's
+    samples, the iterations and the final relative step. Given a list
+    ``norms``, it appends (||step||, ||z||) of each iteration."""
     def rms(v):
         return math.sqrt(float(np.dot(v, v)) / v.size)
 
@@ -173,6 +186,8 @@ def allocating_dr(op, g_obs, alpha, penalty, cfg):
         step = np.fft.irfft((np.fft.rfft(reflected) + shift) / scale, op.grid.n)
         step -= u
         residual = rms(step) / max(1.0, z_norm)
+        if norms is not None:
+            norms.append((rms(step), z_norm))
         z = z + step
         z_norm = rms(z)
         u = prox_penalty(z)

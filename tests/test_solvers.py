@@ -436,14 +436,75 @@ class TestArrayCoreMatchesSignalLoop:
         assert np.max(np.abs(report.misfit.values - expected.values)) <= tol
 
     def test_fft_budget(self, grid, data, monkeypatch):
-        # an rfft and an irfft per iteration in the fidelity prox, and the
-        # minimizer's rfft for the report; the data enter by their kept spectrum
+        # an rfft and an irfft per iteration in the fidelity prox (numpy's
+        # kernels, looked up on solvers), and the minimizer's rfft for the
+        # report (np.fft's); the data enter by their kept spectrum
         op, g_obs = data
         g_obs.rfft
         pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
         counts = count_ffts(monkeypatch)
         report = solve_generalized_dr(op, g_obs, 1e-2, pen)
-        assert sum(counts.values()) == 2 * report.iterations + 1
+        assert counts == {"rfft": report.iterations + 1, "irfft": report.iterations}
+
+
+class TestFftKernels:
+    """The DR loop's FFT pair: numpy's gufuncs, bound in ``solvers``."""
+
+    @pytest.mark.parametrize("n", [4, 64, 480, 512])
+    def test_kernels_are_np_fft_bit_for_bit(self, rng, n):
+        x = rng.standard_normal(n)
+        c = np.empty(n // 2 + 1, dtype=complex)
+        torusreg.solvers._rfft_even(x, 1.0, c)
+        assert np.array_equal(c, np.fft.rfft(x))
+        spectrum = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        y = np.empty(n)
+        torusreg.solvers._irfft(spectrum, 1.0 / n, y)
+        assert np.array_equal(y, np.fft.irfft(spectrum, n))
+
+
+class TestLazyStopTest:
+    """The solve reads ||z|| only where the stop test can pass; its stops,
+    iterations and residuals must be those of the oracle, which reads
+    ||z|| at every iteration. With the prior 3, max(1, ||z||) is ||z||,
+    about 3, so the norm decides the stop."""
+
+    @staticmethod
+    def case(grid, penalty):
+        op = make_inverse_helmholtz(grid)
+        x = grid.points
+        g_obs = apply(op, Signal(grid, 3.0 + 1.2 * np.cos(2 * np.pi * x)))
+        g_obs = g_obs + Signal(grid, 1e-3 * np.sin(6 * np.pi * x))
+        prior = Signal(grid, np.full(grid.n, 3.0))
+        pen = EntropyPenalty(prior, 0.0, 5.0) if penalty == "entropy" else QuadraticPenalty(prior)
+        return op, g_obs, pen
+
+    @pytest.mark.parametrize("penalty", ["entropy", "quadratic"])
+    @pytest.mark.parametrize("alpha, tol", [(1.0, 1e-10), (1e-2, 1e-8), (1e-5, 1e-10)])
+    def test_stop_matches_the_oracle(self, grid, penalty, alpha, tol):
+        op, g_obs, pen = self.case(grid, penalty)
+        cfg = SolverConfig(tol=tol)
+        norms = []
+        u, iterations, residual = allocating_dr(op, g_obs, alpha, pen, cfg, norms)
+        report = solve_generalized_dr(op, g_obs, alpha, pen, cfg)
+        assert report.iterations == iterations
+        assert report.final_residual == residual
+        assert np.array_equal(report.minimizer.values, u)
+        step, z_norm = norms[-1]
+        # the stopping step is above tol: a test on the step alone would run on
+        assert tol < step <= tol * z_norm
+
+    @pytest.mark.parametrize("max_iter", [1, 7])
+    def test_max_iter_reports_the_last_relative_step(self, grid, max_iter):
+        op, g_obs, pen = self.case(grid, "entropy")
+        cfg = SolverConfig(max_iter=max_iter)
+        norms = []
+        with pytest.raises(AssertionError, match="oracle loop did not converge"):
+            allocating_dr(op, g_obs, 1e-2, pen, cfg, norms)
+        with pytest.raises(NonConvergence) as info:
+            solve_generalized_dr(op, g_obs, 1e-2, pen, cfg)
+        step, z_norm = norms[-1]
+        assert info.value.final_residual == step / max(1.0, z_norm)
+        assert info.value.iterations == max_iter
 
 
 class TestInPlaceLoop:
