@@ -103,11 +103,12 @@ class QuadraticPenalty:
         and returns ``out``; else it returns a fresh array. It reads x only.
         """
         check_value("gamma", gamma, float, POSITIVE)
-        shift, scale = gamma * self.prior.values, 1.0 + gamma
+        shift, scale = gamma * self.prior.values, np.array(1.0 + gamma, float)
+        add, divide = np.add, np.divide
 
         def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            out = np.add(x, shift, out=out)
-            return np.divide(out, scale, out=out)
+            out = add(x, shift, out)
+            return divide(out, scale, out)
 
         return prox
 
@@ -189,6 +190,10 @@ class EntropyPenalty:
         shape, the call writes its result there and returns ``out``; else it
         returns a fresh array. At gamma = 1 the map skips x/gamma and
         gamma*y, which are exact there: the same bits, two calls fewer.
+        gamma, the box bounds, zeta's floor and Newton's 1 are 0-d float64
+        arrays made once per map, and every ufunc but ``maximum`` and
+        ``minimum`` (whose positional ``out`` numpy 2.4 deprecates) takes
+        ``out`` by position: the same values at less cost per call.
         """
         check_value("gamma", gamma, float, POSITIVE)
         shift = np.log(self.prior.values / gamma)
@@ -197,21 +202,25 @@ class EntropyPenalty:
         zeta, rel, tmp = (np.empty_like(shift) for _ in range(3))
         unit = gamma == 1.0
         y = self.prior.values / gamma
+        constants = (gamma, lo, hi, zeta_floor, 1.0)
+        gamma, lo, hi, zeta_floor, one = (np.array(v, float) for v in constants)
+        add, divide, multiply = np.add, np.divide, np.multiply
+        maximum, minimum = np.maximum, np.minimum
 
         def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if unit:
-                np.add(x, shift, out=zeta)
+                add(x, shift, zeta)
             else:
-                np.divide(x, gamma, out=zeta)
-                np.add(zeta, shift, out=zeta)
-            np.maximum(zeta, zeta_floor, out=zeta)
-            _newton_omega(zeta, y, rel, tmp)
+                divide(x, gamma, zeta)
+                add(zeta, shift, zeta)
+            maximum(zeta, zeta_floor, out=zeta)
+            _newton_omega(zeta, y, rel, tmp, one)
             if unit:
-                out = np.maximum(y, lo, out=out)
+                out = maximum(y, lo, out=out)
             else:
-                out = np.multiply(gamma, y, out=out)
-                np.maximum(out, lo, out=out)
-            return np.minimum(out, hi, out=out)
+                out = multiply(gamma, y, out)
+                maximum(out, lo, out=out)
+            return minimum(out, hi, out=out)
 
         return prox
 
@@ -252,10 +261,15 @@ def wrightomega(z):
         return np.fmin(y, s)
 
 
-def _newton_omega(zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _newton_omega(
+    zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndarray, one: np.ndarray
+) -> np.ndarray:
     """omega(zeta) by at most ``NEWTON_STEPS`` Newton steps on y + ln y = zeta
     from a positive start y, written into y, with ``rel`` and ``tmp`` as work
-    arrays of y's shape.
+    arrays of y's shape and ``one`` the 0-d float64 array 1, which the
+    caller makes once (``EntropyPenalty.prox_map``, per map). A step's ufuncs
+    take ``out`` by position, and s below is read through ``rel``'s bound
+    ``dot``.
 
     An entry is accepted once its last correction is at most ``NEWTON_TOL``
     of the y before that step; Newton converges quadratically here, so
@@ -275,14 +289,15 @@ def _newton_omega(zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndar
     that no decision can differ; s between them, s near 1 or above, and a
     NaN or inf s take the exact test on the largest |rel|.
     """
-    go_on = y.size * _DOT_GO_ON
+    go_on, rel_dot = y.size * _DOT_GO_ON, rel.dot
+    log, add, subtract, divide, multiply = np.log, np.add, np.subtract, np.divide, np.multiply
     for _ in range(NEWTON_STEPS):
-        np.log(y, out=rel)
-        rel += y
-        rel -= zeta
-        rel /= np.add(1.0, y, out=tmp)  # the Newton correction relative to y
-        y *= np.subtract(1.0, rel, out=tmp)
-        s = float(np.vdot(rel, rel))
+        log(y, rel)
+        add(rel, y, rel)
+        subtract(rel, zeta, rel)
+        divide(rel, add(one, y, tmp), rel)  # the Newton correction relative to y
+        multiply(y, subtract(one, rel, tmp), y)
+        s = float(rel_dot(rel))
         if s <= _DOT_ACCEPT:
             return y
         if not go_on < s < _DOT_BELOW_ONE:

@@ -509,30 +509,34 @@ class TestLazyStopTest:
 
 class TestInPlaceLoop:
     """The solve runs on work arrays it owns; it must equal the allocating
-    loop bit for bit and leave its inputs as they were."""
+    loop bit for bit and leave its inputs as they were. gamma = 1 takes the
+    entropy prox's unit branch; 0.1 and 2.5 divide and multiply by gamma."""
 
     @staticmethod
-    def assert_matches_oracle(op, g_obs, alpha, report):
-        cfg = SolverConfig()
+    def assert_matches_oracle(op, g_obs, alpha, report, cfg):
         u, iterations, residual = allocating_dr(op, g_obs, alpha, report.penalty, cfg)
         assert np.array_equal(report.minimizer.values, u)
         assert report.iterations == iterations
         assert report.final_residual == residual
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.1, 2.5])
     @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
-    def test_two_step_entropy_chain_matches_allocating_loop(self, grid, data, alpha):
+    def test_two_step_entropy_chain_matches_allocating_loop(self, grid, data, alpha, gamma):
         op, g_obs = data
         pen = EntropyPenalty(Signal(grid, np.ones(grid.n)), 0.0, 5.0)
-        reports = bregman_iterate(op, g_obs, alpha, pen, 2)
+        cfg = SolverConfig(gamma=gamma)
+        reports = bregman_iterate(op, g_obs, alpha, pen, 2, cfg)
         assert reports[1].penalty.prior is reports[0].minimizer
         for report in reports:
-            self.assert_matches_oracle(op, g_obs, alpha, report)
+            self.assert_matches_oracle(op, g_obs, alpha, report, cfg)
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.1, 2.5])
     @pytest.mark.parametrize("alpha", [1e-2, 1e-5])
-    def test_quadratic_solve_matches_allocating_loop(self, problem, alpha):
+    def test_quadratic_solve_matches_allocating_loop(self, problem, alpha, gamma):
         op, g_obs, prior = problem
-        report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior))
-        self.assert_matches_oracle(op, g_obs, alpha, report)
+        cfg = SolverConfig(gamma=gamma)
+        report = solve_generalized_dr(op, g_obs, alpha, QuadraticPenalty(prior), cfg)
+        self.assert_matches_oracle(op, g_obs, alpha, report, cfg)
 
     @pytest.mark.parametrize("penalty", ["entropy", "quadratic"])
     def test_inputs_are_untouched(self, grid, data, penalty):
