@@ -103,12 +103,11 @@ class QuadraticPenalty:
         and returns ``out``; else it returns a fresh array. It reads x only.
         """
         check_value("gamma", gamma, float, POSITIVE)
-        shift, scale = gamma * self.prior.values, np.array(1.0 + gamma, float)
-        add, divide = np.add, np.divide
+        shift, scale = gamma * self.prior.values, 1.0 + gamma
 
         def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            out = add(x, shift, out)
-            return divide(out, scale, out)
+            out = np.add(x, shift, out=out)
+            return np.divide(out, scale, out=out)
 
         return prox
 
@@ -190,10 +189,10 @@ class EntropyPenalty:
         shape, the call writes its result there and returns ``out``; else it
         returns a fresh array. At gamma = 1 the map skips x/gamma and
         gamma*y, which are exact there: the same bits, two calls fewer.
-        gamma, the box bounds, zeta's floor and Newton's 1 are 0-d float64
-        arrays made once per map, and every ufunc but ``maximum`` and
-        ``minimum`` (whose positional ``out`` numpy 2.4 deprecates) takes
-        ``out`` by position: the same values at less cost per call.
+        gamma, the box bounds and zeta's floor are 0-d float64 arrays made
+        once per map, and every ufunc but ``maximum`` and ``minimum`` (whose
+        positional ``out`` numpy 2.4 deprecates) takes ``out`` by position:
+        the same values at less cost per call.
         """
         check_value("gamma", gamma, float, POSITIVE)
         shift = np.log(self.prior.values / gamma)
@@ -202,25 +201,22 @@ class EntropyPenalty:
         zeta, rel, tmp = (np.empty_like(shift) for _ in range(3))
         unit = gamma == 1.0
         y = self.prior.values / gamma
-        constants = (gamma, lo, hi, zeta_floor, 1.0)
-        gamma, lo, hi, zeta_floor, one = (np.array(v, float) for v in constants)
-        add, divide, multiply = np.add, np.divide, np.multiply
-        maximum, minimum = np.maximum, np.minimum
+        gamma, lo, hi, zeta_floor = (np.array(v, float) for v in (gamma, lo, hi, zeta_floor))
 
         def prox(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if unit:
-                add(x, shift, zeta)
+                np.add(x, shift, zeta)
             else:
-                divide(x, gamma, zeta)
-                add(zeta, shift, zeta)
-            maximum(zeta, zeta_floor, out=zeta)
-            _newton_omega(zeta, y, rel, tmp, one)
+                np.divide(x, gamma, zeta)
+                np.add(zeta, shift, zeta)
+            np.maximum(zeta, zeta_floor, out=zeta)
+            _newton_omega(zeta, y, rel, tmp)
             if unit:
-                out = maximum(y, lo, out=out)
+                out = np.maximum(y, lo, out=out)
             else:
-                out = multiply(gamma, y, out)
-                maximum(out, lo, out=out)
-            return minimum(out, hi, out=out)
+                out = np.multiply(gamma, y, out)
+                np.maximum(out, lo, out=out)
+            return np.minimum(out, hi, out=out)
 
         return prox
 
@@ -261,15 +257,12 @@ def wrightomega(z):
         return np.fmin(y, s)
 
 
-def _newton_omega(
-    zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndarray, one: np.ndarray
-) -> np.ndarray:
+def _newton_omega(zeta: np.ndarray, y: np.ndarray, rel: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """omega(zeta) by at most ``NEWTON_STEPS`` Newton steps on y + ln y = zeta
     from a positive start y, written into y, with ``rel`` and ``tmp`` as work
-    arrays of y's shape and ``one`` the 0-d float64 array 1, which the
-    caller makes once (``EntropyPenalty.prox_map``, per map). A step's ufuncs
-    take ``out`` by position, and s below is read through ``rel``'s bound
-    ``dot``.
+    arrays of y's shape. Newton's 1 is a 0-d float64 array made once per
+    call, a step's ufuncs take ``out`` by position, and s below is read
+    through ``rel``'s ``dot`` method.
 
     An entry is accepted once its last correction is at most ``NEWTON_TOL``
     of the y before that step; Newton converges quadratically here, so
@@ -289,15 +282,14 @@ def _newton_omega(
     that no decision can differ; s between them, s near 1 or above, and a
     NaN or inf s take the exact test on the largest |rel|.
     """
-    go_on, rel_dot = y.size * _DOT_GO_ON, rel.dot
-    log, add, subtract, divide, multiply = np.log, np.add, np.subtract, np.divide, np.multiply
+    go_on, one = y.size * _DOT_GO_ON, np.array(1.0)
     for _ in range(NEWTON_STEPS):
-        log(y, rel)
-        add(rel, y, rel)
-        subtract(rel, zeta, rel)
-        divide(rel, add(one, y, tmp), rel)  # the Newton correction relative to y
-        multiply(y, subtract(one, rel, tmp), y)
-        s = float(rel_dot(rel))
+        np.log(y, rel)
+        np.add(rel, y, rel)
+        np.subtract(rel, zeta, rel)
+        np.divide(rel, np.add(one, y, tmp), rel)  # the Newton correction relative to y
+        np.multiply(y, np.subtract(one, rel, tmp), y)
+        s = float(rel.dot(rel))
         if s <= _DOT_ACCEPT:
             return y
         if not go_on < s < _DOT_BELOW_ONE:

@@ -131,7 +131,7 @@ def _report(op, g_obs: Signal, alpha, penalty, f: Signal, iterations, residual) 
 
 
 def _rms(v: np.ndarray) -> float:
-    """norm_l2 on a plain array."""
+    """norm_l2 on a plain array, read through its ``dot`` method."""
     return math.sqrt(float(v.dot(v)) / v.size)
 
 
@@ -166,10 +166,10 @@ def solve_generalized_dr(
     the wrappers. A grid is even, so ``rfft_n_even`` is the one forward
     kernel. The solve looks both up on this module; ``np.fft`` sees only the
     minimizer's rfft. The factors are 0-d float64 arrays made once per solve,
-    the loop's ufuncs are bound once and take ``out`` by position, and
-    ||step|| is read through the step array's bound ``dot``: at n = 480 a
-    call costs more than its arithmetic, and those forms cost the least per
-    call for the same operations on the same values.
+    the loop's ufuncs take ``out`` by position, and ||step|| and ||z|| are
+    read through the arrays' ``dot`` method: at n = 480 a call costs more
+    than its arithmetic, and those forms cost less per call for the same
+    operations on the same values.
 
     ||z|| is read only where the stop test can pass: ``bound`` stays at least
     max(1, ||z||) by the triangle inequality, widened by ``_SLACK`` per step,
@@ -182,24 +182,22 @@ def solve_generalized_dr(
     gamma, tol, max_iter, n = cfg.gamma, cfg.tol, cfg.max_iter, g_obs.grid.n
     prox_penalty = penalty.prox_map(gamma)
     shift, recip = _fidelity_prox_constants(op, g_obs.rfft, gamma, alpha)
-    # constant operands as 0-d arrays and ufuncs bound once, out by position:
-    # at n = 480 a Python-float operand costs about 0.2 us per ufunc call
+    # constant operands as 0-d arrays, out by position: at n = 480 a
+    # Python-float operand costs about 0.2 us per ufunc call
     rfft, irfft, one, inv_n = _rfft_even, _irfft, np.array(1.0), np.array(1.0 / n)
-    add, subtract, multiply = np.add, np.subtract, np.multiply
     z = penalty.prior.values.copy()
     step, c = np.empty(n), np.empty(n // 2 + 1, dtype=complex)
-    step_dot = step.dot
     u = prox_penalty(z)
     bound = max(1.0, _rms(z)) * _SLACK
     for it in range(1, max_iter + 1):
-        add(u, u, step)
-        subtract(step, z, step)
+        np.add(u, u, step)
+        np.subtract(step, z, step)
         rfft(step, one, c)
-        add(c, shift, c)
-        multiply(c, recip, c)
+        np.add(c, shift, c)
+        np.multiply(c, recip, c)
         irfft(c, inv_n, step)
-        subtract(step, u, step)
-        step_norm = math.sqrt(float(step_dot(step)) / n)
+        np.subtract(step, u, step)
+        step_norm = _rms(step)
         # ||z|| where the test may pass, the step is not finite, or the loop ends
         exact = not tol * bound < step_norm < math.inf or it == max_iter
         if exact:
@@ -213,7 +211,7 @@ def solve_generalized_dr(
                     iterations=it,
                 )
             bound = z_norm * _SLACK
-        add(z, step, z)
+        np.add(z, step, z)
         bound = (bound + step_norm) * _SLACK
         u = prox_penalty(z, u)
         if exact and residual <= tol:

@@ -376,7 +376,7 @@ class TestNewtonDecisions:
     def test_matches_max_based_newton(self, zeta, y):
         want = max_newton_omega(zeta, y.copy())
         got = y.copy()
-        assert _newton_omega(zeta, got, np.empty(N), np.empty(N), np.array(1.0)) is got
+        assert _newton_omega(zeta, got, np.empty(N), np.empty(N)) is got
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ONE_ENTRY_BOUNDS)
