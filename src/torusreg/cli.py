@@ -11,7 +11,7 @@ import sys
 from . import __version__
 from .bregman import bregman_iterate  # noqa: F401 # the tracer (perfbench/spans.py) patches it
 from .config import default_config, load_config
-from .errors import ConfigError, SourceDivisionError, TorusRegError
+from .errors import ConfigError, InsufficientData, SourceDivisionError, TorusRegError
 from .harness import (
     apriori_alpha,
     approx_error_sweep,
@@ -80,11 +80,12 @@ def _emit_sweep_outputs(config, rows, outdir, x_field):
     series, lines = [], []
     for n in steps:
         picked = [r for r in rows if r.n_bregman == n and r.kl_error > 0 and getattr(r, x_field) > 0]
-        if len(picked) < 3:
+        try:
+            fit = fit_rate(picked, x=x_field, y="kl_error")
+        except InsufficientData:  # fewer than 3 points, or one distinct x value
             continue
         xs = [getattr(r, x_field) for r in picked]
         ys = [r.kl_error for r in picked]
-        fit = fit_rate(picked, x=x_field, y="kl_error")
         print(f"  step {n}: slope={fit.slope:.4f} r2={fit.r_squared:.5f} points={fit.n_points}")
         series.append(Series(label=f"step {n} (slope {fit.slope:.3f})", xs=xs, ys=ys))
         lines.append(Line(label="", slope=fit.slope, intercept10=fit.intercept / math.log(10), dashed=False))

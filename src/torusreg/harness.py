@@ -547,6 +547,8 @@ def fit_rate(
     ys = np.array([getattr(r, y) for r in picked])
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise NonPositiveError("log-log fit needs positive values")
+    if xs.min() == xs.max():
+        raise InsufficientData(f"need >= 2 distinct {x} values, have 1")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     predicted = slope * lx + intercept

@@ -32,8 +32,9 @@ OVERFLOW_LIMIT = 1e300
 class FourierMultiplierOperator:
     """Diagonal operator (Tf)^_j = mu_j f^_j with a positive even symbol.
 
-    ``smoothing_order`` records how many derivatives the operator gains
-    (metadata used by the rate predictors, not by the arithmetic). The
+    ``smoothing_order`` records how many derivatives the operator gains; it
+    is checked, but no computation reads it (the rate predictors take their
+    orders as arguments). The
     symbol and its half spectrum are read-only; a writeable symbol is
     copied, so a caller's later writes do not reach the operator.
     """

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +425,14 @@ N32 = "[problem]\nn = 32\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
 BOX_HI = "[problem]\nn = 64\nbox_hi = 1.5\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
 COARSE = "n must be >= 8 * (bspline_degree + 1) = 48, got 32"
 LOW_BOX = "box_hi = 1.5 must lie above max(f_true) = 1.55"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# each config below ends in its [sweep] section, so a line appended to it lands there
+ENTROPY = ("[problem]\nn = 96\n\n[solver]\ntol = 1e-9\n\n[sweep]\ndelta_max = 1e-2\n"
+           "delta_min = 1e-3\ndelta_count = 3\nalpha_c = 0.005\nalpha_sigma = 0.6667\n")
+# quadratic penalty, spectral route; k_max = 40 walks the search's candidates
+# in several blocks, the last one partial
+SPECTRAL = ("[problem]\npenalty = quadratic\n\n[solver]\nmethod = spectral\n\n[sweep]\n"
+            "delta_max = 1e-1\ndelta_min = 1e-4\ndelta_count = 12\nk_max = 40\nbregman_steps = 2\n")
 
 
 class TestCli:
@@ -472,12 +481,58 @@ class TestCli:
         assert len(rows) == 6
         assert all(r.k_worst == 2 for r in rows)
 
-    def test_rate_sweep_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("command, text", [
+        # entropy, Douglas-Rachford route: one fixed k, and the worst case over k = 1..6
+        ("rate-sweep", ENTROPY + "noise = fixed_sinusoid\nk_fixed = 2\n"),
+        ("rate-sweep", ENTROPY + "k_max = 6\n"),
+        ("rate-sweep", SPECTRAL),
+        # selecting by l1 reads the samples of every candidate's minimizers, by kl only the selected ones
+        ("rate-sweep", SPECTRAL + "metric = l1\n"),
+        ("rate-sweep", SPECTRAL + "noise = fixed_sinusoid\nk_fixed = 7\n"),
+        # exact data at delta > 0: each search's one row is k = 0
+        ("rate-sweep", SPECTRAL + "noise = exact\n"),
+        # k = n/2 - 1 is the last mode a candidate changes; the search takes modes 0 and n/2 from one row
+        ("rate-sweep", "[problem]\nn = 64\npenalty = quadratic\n\n[solver]\nmethod = spectral\n\n"
+                       "[sweep]\nk_max = 31\n"),
+        # the entropy prox maps keep Newton roots and write into each solve's arrays
+        ("approx-sweep", (CONFIGS / "approx_error.cfg").read_text()),
+        # exact data take the spectral route as an unperturbed spectrum, like every noisy candidate
+        ("approx-sweep", SPECTRAL + "noise = exact\nalphas = 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6\n"),
+    ], ids=["entropy-fixed-k", "entropy-worst-case", "spectral-kl", "spectral-l1", "spectral-fixed-k",
+            "spectral-exact", "spectral-nyquist", "shipped-approx-error", "spectral-exact-approx"])
+    def test_same_config_writes_the_same_bytes(self, tmp_path, command, text):
+        # at one and two workers (rate-sweep), and on a later run in the same process
+        path = tmp_path / "case.cfg"
+        path.write_text(text)
+        if command == "rate-sweep":
+            runs = [["--threads", "1"], ["--threads", "2"], ["--threads", "1"]]
+        else:
+            runs = [[], []]
+        written = []
+        for n, flags in enumerate(runs):
+            out = tmp_path / f"run{n}"
+            assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+            written.append((out / "sweep.csv").read_bytes())
+        assert written == written[:1] * len(runs)
+
+    @pytest.mark.parametrize("edit, fitted", [
+        # no plot asked for: each step's fit is printed, the plot is not written
+        (("[output]\n", "[output]\nwrite_svg = no\n"), True),
+        # one distinct alpha fixes no slope: each step is skipped, so there is nothing to plot
+        (("alphas = 1e-1, 3e-2, 1e-2, 3e-3", "alphas = 1e-2, 1e-2, 1e-2"), False),
+    ], ids=["write_svg_no", "one_distinct_alpha"])
+    def test_sweep_without_a_plot_writes_the_csv_alone(self, tmp_path, capsys, edit, fitted):
         cfg = small_cli_config(tmp_path)
-        assert main(["rate-sweep", "--config", cfg]) == 0
-        first = (tmp_path / "out" / "sweep.csv").read_bytes()
-        assert main(["rate-sweep", "--config", cfg]) == 0
-        assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+        with open(cfg) as handle:
+            text = handle.read()
+        with open(cfg, "w") as handle:
+            handle.write(text.replace(*edit))
+        assert main(["approx-sweep", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        outdir = tmp_path / "out"
+        assert f"wrote {outdir / 'sweep.csv'}\n" in out and len(read_sweep_csv(str(outdir / "sweep.csv"))) > 0
+        assert not (outdir / "sweep.svg").exists() and "sweep.svg" not in out
+        assert ("slope=" in out) == fitted
 
     def test_calibrated_rate_sweep_searches_each_constant_once(self, tmp_path, monkeypatch):
         # the winner's rows come from the calibration: C * D searches, not (C + 1) * D,
@@ -499,12 +554,16 @@ class TestCli:
         swept = rate_sweep(replace(config, sweep=replace(config.sweep, alpha_c=calibration.c)))
         assert read_sweep_csv(str(tmp_path / "out" / "sweep.csv")) == calibration.rows == swept
 
-    def test_one_constant_calibration_writes_the_plain_sweep(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("route", ["entropy", "spectral"])
+    def test_one_constant_calibration_writes_the_plain_sweep(self, tmp_path, capsys, monkeypatch, route):
         # one constant is swept once, by the calibration: D searches, not 2 * D, and the
         # outputs are those of an uncalibrated rate-sweep at alpha_c = that constant
         cfg = small_cli_config(tmp_path)
         with open(cfg) as handle:
             text = handle.read().replace("alpha_c = 0.005", "alpha_c = 0.005\npredicted_rate = 1.0")
+        if route == "spectral":
+            text = text.replace("n = 96\n", "n = 96\npenalty = quadratic\n")
+            text = text.replace("tol = 1e-9\n", "tol = 1e-9\nmethod = spectral\n")
         with open(cfg, "w") as handle:
             handle.write(text)
         plain = tmp_path / "plain"
@@ -519,12 +578,14 @@ class TestCli:
         for name in ("sweep.csv", "sweep.svg"):
             assert (tmp_path / "out" / name).read_bytes() == (plain / name).read_bytes()
 
-    def test_reconstruct_writes_signals(self, tmp_path):
-        cfg = small_cli_config(tmp_path)
-        assert main(["reconstruct", "--config", cfg]) == 0
-        lines = (tmp_path / "out" / "reconstruction.csv").read_text().splitlines()
+    @pytest.mark.parametrize("shipped", [None, "approx_error.cfg", "noise_rates.cfg"])
+    def test_reconstruct_writes_signals(self, tmp_path, shipped):
+        cfg = small_cli_config(tmp_path) if shipped is None else str(CONFIGS / shipped)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "reconstruction.csv").read_text().splitlines()
         assert lines[0] == "x,f_true,g_true,g_obs,f_step1,f_step2"
-        assert len(lines) == 97
+        assert len(lines) == load_config(cfg).problem.n + 1
 
     def test_reconstruct_noise_matches_rate_sweep_last_step(self, tmp_path, capsys):
         path = small_cli_config(tmp_path)
@@ -574,10 +635,12 @@ class TestCli:
                    for line in out.splitlines() if "data_residual=" in line]
         assert len(printed) == 2 and printed[-1] == f"{last.data_residual:.6e}"
 
-    def test_vsc_diagnose_writes_report(self, tmp_path):
-        cfg = small_cli_config(tmp_path)
-        assert main(["vsc-diagnose", "--config", cfg, "--seed", "1"]) == 0
-        report = (tmp_path / "out" / "vsc_report.txt").read_text()
+    @pytest.mark.parametrize("shipped", [None, "noise_rates.cfg"])
+    def test_vsc_diagnose_writes_report(self, tmp_path, shipped):
+        cfg = small_cli_config(tmp_path) if shipped is None else str(CONFIGS / shipped)
+        out = tmp_path / "out"
+        assert main(["vsc-diagnose", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        report = (out / "vsc_report.txt").read_text()
         assert "decay norm" in report
         assert "order 1 source: ok" in report
 

@@ -1014,6 +1014,12 @@ class TestFitRate:
         with pytest.raises(InsufficientData):
             fit_rate(rows, x="delta", y="kl_error")
 
+    def test_one_distinct_x_value_is_insufficient(self):
+        # three rows at one alpha fix no slope: no fit, and no RankWarning from polyfit
+        rows = [SweepRow(0.0, 1e-2, 0, 1, e, 1.0, 0.0, 0) for e in (0.1, 0.2, 0.3)]
+        with pytest.raises(InsufficientData, match="^need >= 2 distinct alpha values, have 1$"):
+            fit_rate(rows, x="alpha", y="kl_error")
+
     def test_nonpositive_error(self):
         rows = [SweepRow(d, 1.0, 0, 1, 0.0, 1.0, 0.0, 0) for d in (1.0, 0.5, 0.25)]
         with pytest.raises(NonPositiveError):

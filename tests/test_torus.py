@@ -223,16 +223,25 @@ class TestBsplineTruth:
         oracle = np.nan_to_num(spline(grid.points * (degree + 1)), nan=0.0)
         assert np.max(np.abs(bspline_truth(grid, degree).values - 1.0 - oracle)) <= 4.4e-16
 
-    def test_import_leaves_scipy_interpolate_out(self):
-        # import the package this suite tests, from a fresh interpreter; no
-        # scipy module at all, scipy.interpolate included
+    def test_import_leaves_scipy_interpolate_out(self, tmp_path):
+        # from a fresh interpreter, import the package this suite tests and run
+        # approx-sweep on the shipped config and a small calibrated entropy
+        # rate-sweep: no scipy module at all is loaded, scipy.interpolate included
         src = os.path.dirname(os.path.dirname(torusreg.__file__))
-        code = ("import sys, torusreg.cli; "
+        shipped = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "configs", "approx_error.cfg")
+        rates = tmp_path / "rates.cfg"
+        rates.write_text("[problem]\nn = 96\n\n[sweep]\ndelta_max = 1e-2\ndelta_min = 1e-3\n"
+                         "delta_count = 3\nk_max = 4\npredicted_rate = 1.0\ncalibrate_cs = 0.1, 1.0\n")
+        code = ("import sys; from torusreg.cli import main; approx, rates, out = sys.argv[1:]; "
+                "assert main(['approx-sweep', '--config', approx, '--out', out + '/approx']) == 0; "
+                "assert main(['rate-sweep', '--config', rates, '--out', out + '/rates']) == 0; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env=env)
-        assert done.stdout.strip() == "[]"
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code, shipped, str(rates), str(tmp_path)],
+                              capture_output=True, text=True, check=True, env=env)
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "approx" / "sweep.csv").exists() and (tmp_path / "rates" / "sweep.csv").exists()
 
     def test_supported_degrees_only(self):
         with pytest.raises(ConfigError):
