@@ -8,73 +8,13 @@ source-condition diagnostics, and a convergence-rate experiment harness.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    GridMismatch,
-    InsufficientData,
-    InteriorityWarning,
-    NonConvergence,
-    NonPositiveError,
-    SourceDivisionError,
-    SubgradientUndefined,
-    TorusRegError,
-    Unsupported,
-)
-from .torus import (
-    Signal,
-    TorusGrid,
-    bspline_truth,
-    inner,
-    norm_l1,
-    norm_l2,
-)
-from .operators import (
-    FourierMultiplierOperator,
-    apply,
-    kernel_signal,
-    make_inverse_helmholtz,
-    multiplier_power_apply,
-    power_apply,
-)
-from .functionals import (
-    EntropyPenalty,
-    QuadraticPenalty,
-    kl_divergence,
-    prox_fidelity,
-)
-from .solvers import SolveReport, SolverConfig, solve_generalized_dr
-from .bregman import accumulated_subgradient, bregman_iterate, step_penalty
-from .vsc import (
-    HoelderIndexFunction,
-    RatePrediction,
-    SourceDecomposition,
-    construct_source,
-    decay_space_norm,
-    fenchel_psi,
-    predict_rate_entropy,
-    predict_rate_hoelder,
-    rate_function,
-    vsc_violation_search,
-)
-from .harness import (
-    Calibration,
-    ExperimentConfig,
-    NoiseModel,
-    OutputConfig,
-    Problem,
-    ProblemConfig,
-    RateFit,
-    Search,
-    SweepConfig,
-    SweepRow,
-    apriori_alpha,
-    approx_error_sweep,
-    build_problem,
-    calibrate_c,
-    fit_rate,
-    geometric_grid,
-    rate_sweep,
-    worst_case_search,
-)
-from .config import default_config, load_config
+# the public API is each module's __all__
+from .errors import *  # noqa: F401,F403
+from .torus import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
+from .bregman import *  # noqa: F401,F403
+from .vsc import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403

@@ -18,15 +18,14 @@ import warnings
 import numpy as np
 
 from . import solvers
-from .errors import AT_LEAST_ONE, GridMismatch, InteriorityWarning, Unsupported, check_value
+from .errors import AT_LEAST_ONE, InteriorityWarning, Unsupported, check_value
 from .functionals import TOUCH_TOL, Penalty, QuadraticPenalty, _fidelity_prox_constants
 # apply stays importable here: perfbench/spans.py patches torusreg.bregman.apply
 from .operators import FourierMultiplierOperator, apply  # noqa: F401
 from .solvers import SolveReport, SolverConfig, solve_generalized_dr
 from .torus import Signal, check_same_grid
 
-__all__ = ["accumulated_subgradient", "bregman_iterate", "spectral_chain", "spectral_constants",
-           "spectral_reports", "step_penalty"]
+__all__ = ["accumulated_subgradient", "bregman_iterate", "step_penalty"]
 
 
 def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
@@ -56,17 +55,11 @@ def spectral_constants(
     """The shift t mu g^, shaped as g_rfft (one half spectrum or a stack), and
     the reciprocal 1/(1 + t mu^2), t = 1/alpha, of the quadratic chains on
     g_rfft: one :func:`~torusreg.functionals._fidelity_prox_constants` call,
-    which tests alpha. A non-quadratic penalty raises :class:`Unsupported`,
-    and a g_rfft whose last axis, or a prior whose shape, is not the
-    operator's n/2 + 1 modes raises :class:`GridMismatch` naming it."""
+    which tests alpha. A non-quadratic penalty raises :class:`Unsupported`.
+    The grids are the caller's to check: g_rfft's last axis and the prior
+    are taken to be on the operator's n/2 + 1 modes."""
     if not isinstance(penalty, QuadraticPenalty):
         raise Unsupported("spectral solve requires a quadratic penalty")
-    modes, prior = op.symbol_rfft.shape, penalty.prior.rfft
-    if g_rfft.shape[-1:] != modes or prior.shape != modes:  # inline: one test per chain or search
-        name, c = ("g_rfft", g_rfft) if g_rfft.shape[-1:] != modes else ("prior_rfft", prior)
-        raise GridMismatch(
-            f"{name} must have the operator's {modes[0]} half-spectrum modes (n = {op.grid.n}), "
-            f"got shape {c.shape}")
     return _fidelity_prox_constants(op, g_rfft, 1.0, alpha)
 
 
@@ -80,8 +73,8 @@ def spectral_chain(
     Each (row, step) is one ``solvers.solve_quadratic_spectral`` call, looked
     up on the module so that a name patched there sees each solve, with the
     row's shift, the prior f_{n-1} (``prior_rfft`` at step 1) and its out
-    row, which the solve writes. Nothing is tested here:
-    :func:`spectral_constants` tests the arguments, the caller finiteness."""
+    row, which the solve writes. Nothing is tested here: :func:`spectral_constants`
+    tests alpha and the penalty, the caller the grids and finiteness."""
     solve, previous = solvers.solve_quadratic_spectral, [prior_rfft] * len(shifts)
     for outs in chain:
         for s, p, out in zip(shifts, previous, outs):

@@ -7,6 +7,7 @@ import contextlib
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .bregman import bregman_iterate  # noqa: F401 # the tracer (perfbench/spans.py) patches it
@@ -166,14 +167,6 @@ def _int_at_least(text: str, low: int) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="torusreg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torusreg {__version__}")
@@ -189,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory override")
         if "seed" in flags:
-            p.add_argument("--seed", type=_non_negative_int, default=0)
+            p.add_argument("--seed", type=partial(_int_at_least, low=0), default=0)
         if "threads" in flags:
-            p.add_argument("--threads", type=_positive_int, default=1,
+            p.add_argument("--threads", type=partial(_int_at_least, low=1), default=1,
                            help="worker processes, capped at the number of jobs")
         p.set_defaults(fn=fn)
     return parser
@@ -204,7 +197,7 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else default_config()
         outdir = _ensure_outdir(args.out or config.output.directory, made)
         return args.fn(config, outdir, args)
-    except TorusRegError as exc:
+    except (TorusRegError, OSError) as exc:  # OSError: an output file that cannot be written
         for directory in made:  # rmdir leaves a directory with output in it
             with contextlib.suppress(OSError):
                 os.rmdir(directory)

@@ -8,6 +8,10 @@ from dataclasses import fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
+__all__ = ["TorusRegError", "GridMismatch", "ConfigError", "SourceDivisionError",
+           "SubgradientUndefined", "NonConvergence", "Unsupported", "DomainError",
+           "InsufficientData", "NonPositiveError", "InteriorityWarning"]
+
 
 class TorusRegError(Exception):
     """Base class for all torusreg errors."""

@@ -78,6 +78,8 @@ class QuadraticPenalty:
 
     prior: Signal
 
+    __post_init__ = check_fields
+
     def value(self, f: Signal) -> float:
         check_same_grid(f, self.prior)
         return 0.5 * norm_l2_array(f.values - self.prior.values) ** 2

@@ -155,7 +155,9 @@ class Problem:
     f_true: Signal = field(repr=False)
     g_true: Signal = field(repr=False)
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        check_same_grid(self, self.op, self.penalty.prior, self.f_true, self.g_true)
 
 
 def build_problem(cfg: ProblemConfig) -> Problem:
@@ -401,14 +403,14 @@ def worst_case_search(
     after the walk, once per distinct selected chain. The other error is
     computed for each step's selected candidate only.
 
-    The spectral chains are unchecked arrays, so a search checks the grids
-    once, and every score's finiteness once, after the walk; a non-finite
-    one raises :class:`ConfigError` naming the first such candidate and step.
+    The spectral chains are unchecked arrays on the grid that the Problem
+    checked when it was made, so a search checks every score's finiteness
+    once, after the walk; a non-finite one raises :class:`ConfigError`
+    naming the first such candidate and step.
     """
     sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
     check_value("delta", delta, float, NON_NEGATIVE)
     ks = np.array(noise_frequencies(sweep.noise, grid.n))
-    check_same_grid(problem.op, problem.penalty.prior, problem.f_true, problem.g_true)
     pair = np.array([np.fft.rfft(problem.g_true.values)] * 2)  # not g_true.rfft, which keeps mu f^
     pair.imag[1] -= grid.n // 2 * delta
     scores, iterations = np.empty((len(ks), steps)), np.zeros((len(ks), steps), dtype=int)

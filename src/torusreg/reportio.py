@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .errors import field_types
 from .harness import SweepRow
-from .torus import Signal
+from .torus import Signal, check_same_grid
 
 __all__ = ["SWEEP_HEADER", "format_float", "write_sweep_csv", "write_signals_csv"]
 
@@ -33,10 +33,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def write_signals_csv(path: str, columns: dict[str, Signal]) -> None:
-    """Write named signals side by side, first column the grid points."""
-    grids = {sig.grid.n for sig in columns.values()}
-    if len(grids) != 1:
-        raise ValueError("signals must share one grid")
+    """Write named signals side by side, first column the grid points; signals
+    on two grids raise :class:`~torusreg.errors.GridMismatch`."""
+    check_same_grid(*columns.values())
     names = list(columns)
     first = columns[names[0]]
     with open(path, "w", newline="\n") as handle:

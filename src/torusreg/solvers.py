@@ -108,8 +108,8 @@ def solve_quadratic_spectral(
     chain or search. Only ``out`` is written, given to both ufuncs by
     position, which numpy parses faster than a keyword (numpy 2.4
     deprecates that for maximum and minimum only). Nothing is tested here:
-    ``bregman.spectral_chain`` is the only caller, and ``spectral_constants``
-    tests the shapes once per chain or search; the search, the finiteness.
+    ``bregman.spectral_chain`` is the only caller, its callers check the
+    grids once per chain or search; the search, the finiteness.
     """
     out = np.add(shift, prior_rfft, out)
     return np.multiply(out, recip, out)

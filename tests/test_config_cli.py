@@ -1,3 +1,4 @@
+import errno
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -13,6 +14,7 @@ from torusreg import (
     EntropyPenalty,
     ExperimentConfig,
     FourierMultiplierOperator,
+    GridMismatch,
     HoelderIndexFunction,
     NoiseModel,
     OutputConfig,
@@ -39,7 +41,7 @@ from torusreg import (
 )
 from torusreg.cli import main
 from torusreg.errors import AT_LEAST_ONE, POSITIVE, check_value
-from torusreg.reportio import SWEEP_HEADER, write_sweep_csv
+from torusreg.reportio import SWEEP_HEADER, write_signals_csv, write_sweep_csv
 from torusreg.harness import SweepRow
 
 from conftest import count_calls, read_sweep_csv
@@ -390,6 +392,15 @@ class TestSweepCsv:
         assert line.split(",")[0] == "0.33333333333333331"
 
 
+class TestSignalsCsv:
+    def test_signals_on_two_grids_are_rejected(self, tmp_path):
+        grid, other = TorusGrid(64), TorusGrid(62)
+        columns = {"f": Signal(grid, np.zeros(grid.n)), "g": Signal(other, np.zeros(other.n))}
+        with pytest.raises(GridMismatch, match=r"^mixed grid sizes \[62, 64\]$"):
+            write_signals_csv(str(tmp_path / "signals.csv"), columns)
+        assert not (tmp_path / "signals.csv").exists()
+
+
 def small_cli_config(tmp_path, extra=""):
     path = tmp_path / "cli.cfg"
     path.write_text(
@@ -708,6 +719,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory ") and str(blocker / "x") in err
         assert "Traceback" not in err
+
+    def test_unwritable_output_file_exits_2_after_the_sweep(self, tmp_path, capsys):
+        # the sweep runs, then its sweep.csv cannot be written: it is a directory
+        out = tmp_path / "out"
+        (out / "sweep.csv").mkdir(parents=True)
+        assert main(["approx-sweep", "--config", small_cli_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and str(out / "sweep.csv") in err
+        assert "Traceback" not in err
+        assert (out / "sweep.csv").is_dir()
+
+    def test_failed_write_removes_the_output_directories_it_made(self, tmp_path, capsys, monkeypatch):
+        def unwritable(rows, path):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(torusreg.cli, "write_sweep_csv", unwritable)
+        out = tmp_path / "out" / "nested"
+        assert main(["approx-sweep", "--config", small_cli_config(tmp_path), "--out", str(out)]) == 2
+        path = str(out / "sweep.csv")
+        assert capsys.readouterr().err == f"error: [Errno {errno.EACCES}] Permission denied: {path!r}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, key", [
         ("approx-sweep", "[problem]\nn = 96\n", "alphas"),

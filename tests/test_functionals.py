@@ -71,6 +71,12 @@ class TestPenaltyValues:
         with pytest.raises(SubgradientUndefined):
             EntropyPenalty(Signal(grid, bad))
 
+    @pytest.mark.parametrize("penalty", [QuadraticPenalty, EntropyPenalty])
+    def test_prior_must_be_a_signal(self, grid, penalty):
+        # rejected when built, not at the first value or Bregman distance
+        with pytest.raises(ConfigError, match="^prior must be Signal, got array"):
+            penalty(np.ones(grid.n))
+
     def test_grid_mismatch(self, grid, ones):
         other = TorusGrid(32)
         with pytest.raises(GridMismatch):

@@ -12,6 +12,7 @@ import torusreg.solvers
 from torusreg import (
     ConfigError,
     ExperimentConfig,
+    GridMismatch,
     InsufficientData,
     NoiseModel,
     NonPositiveError,
@@ -1044,6 +1045,17 @@ class TestBuildProblem:
     def test_quadratic_variant(self):
         problem = build_problem(ProblemConfig(penalty="quadratic"))
         assert isinstance(problem.penalty, QuadraticPenalty)
+
+    @pytest.mark.parametrize("field", ["op", "prior", "f_true", "g_true"])
+    def test_fields_on_two_grids_are_rejected_when_built(self, field):
+        # one field on n = 62, the others on the problem's n = 64
+        grid, other = TorusGrid(64), TorusGrid(62)
+        on = {name: other if name == field else grid for name in ("op", "prior", "f_true", "g_true")}
+        op = make_inverse_helmholtz(on["op"])
+        penalty = QuadraticPenalty(Signal(on["prior"], np.zeros(on["prior"].n)))
+        f_true, g_true = (Signal(on[name], np.ones(on[name].n)) for name in ("f_true", "g_true"))
+        with pytest.raises(GridMismatch, match=r"mixed grid sizes \[62, 64\]"):
+            Problem(grid, op, penalty, f_true, g_true)
 
     def test_box_must_contain_truth(self):
         # max f_true is 1.55 and min f_true is 1.0

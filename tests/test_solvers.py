@@ -630,21 +630,18 @@ class TestInputChecks:
             with pytest.raises(ConfigError, match="alpha"):
                 call()
 
-    @pytest.mark.parametrize("rows", [None, 3])
-    @pytest.mark.parametrize("name", ["g_rfft", "prior_rfft"])
-    def test_spectral_chain_rejects_a_half_spectrum_of_another_grid(self, monkeypatch, name, rows):
-        # n = 64 has 33 half-spectrum modes; a 32-mode array (the data's, of
-        # one chain or of a block of 3, or the prior's, on n = 62) is named,
-        # not broadcast, before any solve
+    @pytest.mark.parametrize("method", ["dr", "spectral"])
+    @pytest.mark.parametrize("name", ["g_obs", "prior"])
+    def test_bregman_iterate_rejects_another_grid_before_any_solve(self, monkeypatch, method, name):
+        # the spectral route's chains are unchecked arrays, so this is their grid check
         grid, other = TorusGrid(64), TorusGrid(62)
-        g_grid, prior_grid = (other, grid) if name == "g_rfft" else (grid, other)
-        g_rfft = np.fft.rfft(np.ones(g_grid.n))
+        g_grid, prior_grid = (other, grid) if name == "g_obs" else (grid, other)
+        g_obs = Signal(g_grid, np.ones(g_grid.n))
         prior = Signal(prior_grid, np.zeros(prior_grid.n))
-        if rows:
-            g_rfft = np.stack([g_rfft] * rows)
-        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral")
-        with pytest.raises(GridMismatch, match=f"^{name} must have the operator's 33 half-spectrum modes"):
-            spectral_chains(make_inverse_helmholtz(grid), g_rfft, 1e-2, QuadraticPenalty(prior), 2)
+        solves = count_calls(monkeypatch, torusreg.solvers, "solve_quadratic_spectral", "_irfft")
+        with pytest.raises(GridMismatch, match=r"^mixed grid sizes \[62, 64\]$"):
+            bregman_iterate(make_inverse_helmholtz(grid), g_obs, 1e-2, QuadraticPenalty(prior), 2,
+                            SolverConfig(method=method))
         assert not solves
 
     @pytest.mark.parametrize("data, alpha", [(1e300, 1e-300), (1.0, 5e-324)])
