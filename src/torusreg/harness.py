@@ -25,7 +25,8 @@ from .functionals import EntropyPenalty, Penalty, QuadraticPenalty
 from .operators import FourierMultiplierOperator, apply, make_inverse_helmholtz
 from .solvers import SolveReport, SolverConfig
 from .torus import (
-    Signal, TorusGrid, bspline_truth, check_same_grid, norm_l1_array, norm_l2_parseval,
+    Signal, TorusGrid, bspline_truth, check_same_grid, edge_squares, norm_l1_array,
+    norm_l2_parseval, norm_l2_rfft,
 )
 
 __all__ = [
@@ -230,9 +231,9 @@ def _candidates(pair: np.ndarray, ks: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _observation(grid: TorusGrid, pair: np.ndarray, ks: np.ndarray) -> Signal:
-    """The signal of the one candidate ks (a 1-array) of a search's pair."""
-    return Signal.from_rfft(grid, _candidates(pair, ks, np.empty_like(pair[:1]))[0])
+def _candidate(pair: np.ndarray, ks: np.ndarray, j: int) -> np.ndarray:
+    """The half spectrum of the one candidate ks[j] of a search's pair."""
+    return _candidates(pair, ks[j:j + 1], np.empty_like(pair[:1]))[0]
 
 
 def apriori_alpha(delta: float, c: float, sigma: float) -> float:
@@ -264,36 +265,6 @@ def _error(problem: Problem, metric: str, f: Signal) -> float:
     return norm_l1_array(f.values - problem.f_true.values)
 
 
-def _spectral_errors(
-    problem: Problem, metric: str, chain: list[np.ndarray], work: np.ndarray, out: np.ndarray
-) -> None:
-    """Write into ``out`` (rows, steps) the errors in ``metric`` of a block's
-    spectral chains, one (rows, n/2 + 1) stack of half spectra per step, bit
-    for bit as :func:`_error` scores their signals. kl is by Parseval: each
-    step's vecdot and the first row's edge modes 0 and n/2, which every
-    chain of a search shares (a candidate changes one mode k in
-    [1, n/2 - 1]), then the norms and their squares (libm's pow, as a
-    float's ``** 2`` is) over the whole block at once, the (steps, 2) edges
-    broadcast over the rows. l1 is from the samples of an irfft. A stack is
-    scored where it lies and is not written. Each step's errors are written
-    into ``work``, a (rows, n/2 + 1) complex array: kl's half spectra, or
-    l1's (rows, n) samples in its float view."""
-    n = problem.grid.n
-    if metric == "kl":
-        edges = np.empty((len(chain), 2), dtype=complex)
-        for i, step in enumerate(chain):
-            np.subtract(step, problem.f_true.rfft, out=work)
-            out[:, i] = np.vecdot(work, work).real
-            edges[i] = work[0, ::n // 2]  # modes 0 and n/2
-        out[...] = 0.5 * np.float_power(norm_l2_parseval(out, edges, n), 2)
-    else:
-        errors = work.view(float)[:, :n]
-        for i, step in enumerate(chain):
-            np.fft.irfft(step, n, out=errors)
-            errors -= problem.f_true.values
-            out[:, i] = norm_l1_array(errors)
-
-
 def _spectral_blocks(
     problem: Problem, metric: str, pair: np.ndarray, alpha: float, ks: np.ndarray,
     scores: np.ndarray,
@@ -309,19 +280,40 @@ def _spectral_blocks(
     :func:`_candidates` of those products: bit for bit the product on each
     candidate's half spectrum. The shifts, which take the errors once the
     block's chains are made, and one stack per step are 1 + steps arrays of
-    (rows, n/2 + 1) per search, their row views made once."""
-    rows = min(_block_rows(problem.grid.n), len(ks))
+    (rows, n/2 + 1) per search, their row views made once.
+
+    Each step's stack is scored where it lies, bit for bit as :func:`_error`
+    scores the chains' signals: kl by Parseval, each step's vecdot, then the
+    norms and their squares (libm's pow, as a float's ``** 2`` is) over the
+    block at once, with the (steps,) edge terms of modes 0 and n/2 that every
+    chain shares (a candidate changes one mode k in [1, n/2 - 1]), taken from
+    the search's first row; l1 from an irfft into the shifts' float view."""
+    n, f_true = problem.grid.n, problem.f_true
+    rows = min(_block_rows(n), len(ks))
     products, recip = spectral_constants(problem.op, pair, alpha, problem.penalty)
     shifts = np.empty((rows, pair.shape[1]), dtype=complex)
     chain = [np.empty_like(shifts) for _ in range(scores.shape[1])]
-    shift_rows, chain_rows = list(shifts), [list(stack) for stack in chain]
+    shift_rows, chain_rows, edges = list(shifts), [list(stack) for stack in chain], None
     for start in range(0, len(ks), rows):
         block = ks[start:start + rows]
         stop = start + len(block)
-        _candidates(products, block, shifts[:len(block)])
+        work, out = _candidates(products, block, shifts[:len(block)]), scores[start:stop]
         spectral_chain(shift_rows[:len(block)], problem.penalty.prior.rfft, recip, chain_rows)
         steps = [stack[:len(block)] for stack in chain]
-        _spectral_errors(problem, metric, steps, shifts[:len(block)], scores[start:stop])
+        if metric == "kl":
+            for i, step in enumerate(steps):
+                np.subtract(step, f_true.rfft, out=work)
+                out[:, i] = np.vecdot(work, work).real
+            if edges is None:
+                edges = edge_squares(np.array([step[0, ::n // 2] for step in steps])
+                                     - f_true.rfft[::n // 2])
+            out[...] = 0.5 * np.float_power(norm_l2_parseval(out, edges, n), 2)
+        else:
+            errors = work.view(float)[:, :n]
+            for i, step in enumerate(steps):
+                np.fft.irfft(step, n, out=errors)
+                errors -= f_true.values
+                out[:, i] = norm_l1_array(errors)
         yield start, stop, lambda row, steps=steps: (None, [step[row].copy() for step in steps])
 
 
@@ -335,7 +327,7 @@ def _chain_metrics(
 ) -> tuple[list[SolveReport], list[float]]:
     """The Douglas-Rachford chain on the candidate g_obs: its solve reports,
     and its minimizers' errors in ``metric``, one per step. The spectral
-    route scores a block's chains together instead (:func:`_spectral_errors`)."""
+    route scores a block's chains together instead (:func:`_spectral_blocks`)."""
     reports = bregman_iterate(problem.op, g_obs, alpha, problem.penalty, n_steps, solver)
     return reports, [_error(problem, metric, r.minimizer) for r in reports]
 
@@ -345,12 +337,12 @@ def _dr_chains(
     scores: np.ndarray, iterations: np.ndarray,
 ):
     """The DR route's walk over the candidates ks of the search's pair, one
-    at a time: the candidate's signal (:func:`_observation`) and one
+    at a time: the candidate's signal (of :func:`_candidate`) and one
     :func:`_chain_metrics` call, whose errors and DR iterations fill the
     candidate's row of ``scores`` and ``iterations``. Yields each
     candidate's (j, j + 1, kept), kept(row) giving its signal and reports."""
     for j in range(len(ks)):
-        g_obs = _observation(problem.grid, pair, ks[j:j + 1])
+        g_obs = Signal.from_rfft(problem.grid, _candidate(pair, ks, j))
         reports, scores[j] = _chain_metrics(problem, g_obs, alpha, scores.shape[1], config.solver,
                                             config.sweep.metric)
         iterations[j] = [r.iterations for r in reports]
@@ -382,6 +374,43 @@ class Search(NamedTuple):
     choices: list[Choice]  # one per Bregman step
 
 
+def _select(config: ExperimentConfig, problem: Problem, delta: float, alpha: float) -> tuple:
+    """The selection walk that every search runs: ks, the pair, both tables, and per
+    step (score, j, observation, chain) of the first largest score, as the walk keeps it."""
+    sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
+    check_value("delta", delta, float, NON_NEGATIVE)
+    ks = np.array(noise_frequencies(sweep.noise, grid.n))
+    pair = np.array([np.fft.rfft(problem.g_true.values)] * 2)  # not g_true.rfft, which keeps mu f^
+    pair.imag[1] -= grid.n // 2 * delta
+    scores, iterations = np.empty((len(ks), steps)), np.zeros((len(ks), steps), dtype=int)
+    if config.solver.method == "spectral":
+        walk = _spectral_blocks(problem, sweep.metric, pair, alpha, ks, scores)
+    else:
+        walk = _dr_chains(config, problem, pair, alpha, ks, scores, iterations)
+    best: list[tuple | None] = [None] * steps
+    for start, stop, kept in walk:
+        block = scores[start:stop]
+        for i, row in enumerate(block.argmax(axis=0).tolist()):  # the first of the block's largest
+            if best[i] is None or block[row, i] > best[i][0]:  # ties go to the earlier block
+                best[i] = (float(block[row, i]), start + row, *kept(row))
+    if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
+        row, step = np.argwhere(~np.isfinite(scores))[0]
+        raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
+    return ks, pair, scores, iterations, best
+
+
+def _metrics(problem: Problem, metric: str, score: float, c: np.ndarray, g: np.ndarray,
+             f: np.ndarray | None = None) -> tuple[float, float, float, int]:
+    """A spectral choice's (kl, l1, data residual, DR iterations) at ``score``, from c and
+    g, the half spectra of its minimizer (f its samples, if kept) and data: bit for bit
+    what ``QuadraticPenalty.bregman``, :func:`_error` and ``SolveReport`` give on signals."""
+    n, f_true = problem.grid.n, problem.f_true
+    kl = score if metric == "kl" else 0.5 * norm_l2_rfft(c - f_true.rfft, n) ** 2
+    l1 = score if metric == "l1" else norm_l1_array(
+        (np.fft.irfft(c, n) if f is None else f) - f_true.values)
+    return kl, l1, norm_l2_rfft(problem.op.symbol_rfft * c - g, n), 0
+
+
 def worst_case_search(
     config: ExperimentConfig, problem: Problem, delta: float, alpha: float
 ) -> Search:
@@ -398,56 +427,47 @@ def worst_case_search(
     Candidates are half spectra of one pair per search, (g^, g^ - i n/2
     delta) from the rfft of g_true's samples (:func:`_candidates`). The DR
     route runs one chain per candidate signal (:func:`_dr_chains`); the
-    spectral route walks them in blocks (:func:`_spectral_blocks`) and keeps
-    arrays only for its running best, so a signal and its reports are built
-    after the walk, once per distinct selected chain. The other error is
-    computed for each step's selected candidate only.
+    spectral route walks them in blocks (:func:`_spectral_blocks`), with
+    kl's edge terms once per search, and keeps arrays only for its running
+    best. For this function's callers only, it then builds a signal and
+    reports per distinct selected chain; the metrics, like the rows', come
+    from half spectra (:func:`_metrics`).
 
     The spectral chains are unchecked arrays on the grid that the Problem
     checked when it was made, so a search checks every score's finiteness
     once, after the walk; a non-finite one raises :class:`ConfigError`
     naming the first such candidate and step.
     """
-    sweep, steps, grid = config.sweep, config.sweep.bregman_steps, problem.grid
-    check_value("delta", delta, float, NON_NEGATIVE)
-    ks = np.array(noise_frequencies(sweep.noise, grid.n))
-    pair = np.array([np.fft.rfft(problem.g_true.values)] * 2)  # not g_true.rfft, which keeps mu f^
-    pair.imag[1] -= grid.n // 2 * delta
-    scores, iterations = np.empty((len(ks), steps)), np.zeros((len(ks), steps), dtype=int)
-    if config.solver.method == "spectral":
-        walk = _spectral_blocks(problem, sweep.metric, pair, alpha, ks, scores)
-    else:
-        walk = _dr_chains(config, problem, pair, alpha, ks, scores, iterations)
-    # per step: (score, j, observation, chain) of the first candidate with the largest
-    # score: its signal and reports (DR), or None and its minimizers' half spectra (spectral)
-    best: list[tuple | None] = [None] * steps
-    for start, stop, kept in walk:
-        block = scores[start:stop]
-        for i, row in enumerate(block.argmax(axis=0).tolist()):  # the first of the block's largest
-            if best[i] is None or block[row, i] > best[i][0]:  # ties go to the earlier block
-                best[i] = (float(block[row, i]), start + row, *kept(row))
-    if not np.isfinite(scores).all():  # a NaN score loses every comparison: test them all
-        row, step = np.argwhere(~np.isfinite(scores))[0]
-        raise ConfigError(f"half spectrum must be finite: k = {ks[row]}, step {step + 1}")
-    chains: dict[int, tuple] = {}  # (g_obs, reports), one per selected chain
-    choices = []
+    ks, pair, scores, iterations, best = _select(config, problem, delta, alpha)
+    metric, chains, choices = config.sweep.metric, {}, []  # chains: (g_obs, reports) by j
     for i, (score, j, observed, kept) in enumerate(best):
         if j not in chains:
             if observed is None:  # spectral: a signal and reports for the selected chains only
-                observed = _observation(grid, pair, ks[j:j + 1])
+                observed = Signal.from_rfft(problem.grid, _candidate(pair, ks, j))
                 kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
             chains[j] = observed, kept
         g_obs, reports = chains[j]
-        r = reports[i]
-        kl = score if sweep.metric == "kl" else _error(problem, "kl", r.minimizer)
-        l1 = score if sweep.metric == "l1" else _error(problem, "l1", r.minimizer)
-        choices.append(Choice(int(ks[j]), g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
+        r, f = reports[i], reports[i].minimizer
+        if config.solver.method == "spectral":
+            metrics = _metrics(problem, metric, score, f.rfft, g_obs.rfft, f.values)
+        else:
+            metrics = (score if metric == "kl" else _error(problem, "kl", f),
+                       score if metric == "l1" else _error(problem, "l1", f),
+                       r.data_residual, r.iterations)
+        choices.append(Choice(int(ks[j]), g_obs, reports, metrics))
     return Search(ks, scores, iterations, choices)
 
 
 def _rows(config: ExperimentConfig, problem: Problem, pair: tuple[float, float]) -> list[SweepRow]:
-    choices = worst_case_search(config, problem, *pair).choices
-    return [SweepRow(*pair, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
+    """One search's rows: a DR search's choices', or a spectral search's from the
+    half spectra its walk keeps (:func:`_metrics`), building no signal or report."""
+    if config.solver.method != "spectral":
+        choices = worst_case_search(config, problem, *pair).choices
+        return [SweepRow(*pair, c.k, n, *c.metrics) for n, c in enumerate(choices, start=1)]
+    ks, noise, _, _, best = _select(config, problem, *pair)
+    return [SweepRow(*pair, int(ks[j]), i + 1, *_metrics(problem, config.sweep.metric, score,
+                                                          chain[i], _candidate(noise, ks, j)))
+            for i, (score, j, _, chain) in enumerate(best)]
 
 
 def _sweep(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import field_types
+from .errors import ConfigError, field_types
 from .harness import SweepRow
 from .torus import Signal, check_same_grid
 
@@ -33,8 +33,11 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def write_signals_csv(path: str, columns: dict[str, Signal]) -> None:
-    """Write named signals side by side, first column the grid points; signals
-    on two grids raise :class:`~torusreg.errors.GridMismatch`."""
+    """Write named signals side by side, first column the grid points; no
+    signal raises :class:`~torusreg.errors.ConfigError`, and signals on two
+    grids :class:`~torusreg.errors.GridMismatch`."""
+    if not columns:
+        raise ConfigError("columns must name at least one signal")
     check_same_grid(*columns.values())
     names = list(columns)
     first = columns[names[0]]

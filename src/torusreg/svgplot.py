@@ -35,6 +35,12 @@ class Line:
     dashed: bool = True
 
 
+def _text(s: str) -> str:
+    """s as XML text content: &, < and > escaped. Written out, as importing
+    ``html.escape`` loads ``html.entities``, about 0.4 MB of resident memory."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float) -> list[int]:
     return list(range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1))
 
@@ -47,6 +53,8 @@ def svg_loglog(
     xlabel: str = "",
     ylabel: str = "",
 ) -> None:
+    """Write a log-log plot of ``series`` and ``lines`` to ``path``; the title
+    and every label are escaped as XML text, so any string is drawn as is."""
     pts = [(math.log10(x), math.log10(y)) for s in series for x, y in zip(s.xs, s.ys)]
     if not pts:
         raise ValueError("nothing to plot")
@@ -67,7 +75,7 @@ def svg_loglog(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
+        f'font-size="16">{_text(title)}</text>',
     ]
     # frame
     out.append(
@@ -97,12 +105,12 @@ def svg_loglog(
         )
     out.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" y="{HEIGHT - 20}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="14">{xlabel}</text>'
+        f'text-anchor="middle" font-family="sans-serif" font-size="14">{_text(xlabel)}</text>'
     )
     out.append(
         f'<text x="22" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 22 {(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 22 {(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f})">{_text(ylabel)}</text>'
     )
     # reference / fit lines clipped to the frame's x-range
     for i, line in enumerate(lines):
@@ -116,7 +124,7 @@ def svg_loglog(
         )
         out.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{sy(ys1) - 6:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{line.label}</text>'
+            f'font-family="sans-serif" font-size="12" fill="{color}">{_text(line.label)}</text>'
         )
     # scatter series
     for i, s in enumerate(series):
@@ -128,7 +136,7 @@ def svg_loglog(
             )
         out.append(
             f'<text x="{MARGIN_L + 10}" y="{MARGIN_T + 20 + 16 * i}" font-family="sans-serif" '
-            f'font-size="12" fill="{color}">{s.label}</text>'
+            f'font-size="12" fill="{color}">{_text(s.label)}</text>'
         )
     out.append("</svg>")
     with open(path, "w", newline="\n") as handle:

@@ -217,20 +217,24 @@ def norm_l2_rfft(c: np.ndarray, n: int) -> float | np.ndarray:
     float; for a stack of half spectra along the last axis, the array of
     their norms, each bit-equal to the norm of its row alone.
     """
-    norms = norm_l2_parseval(np.vecdot(c, c).real, c[..., [0, -1]], n)
+    norms = norm_l2_parseval(np.vecdot(c, c).real, edge_squares(c[..., [0, -1]]), n)
     return float(norms) if c.ndim == 1 else norms
+
+
+def edge_squares(edges: np.ndarray) -> np.ndarray:
+    """|c_0|^2 + |c_{n/2}|^2 of half spectra whose modes 0 and n/2 are
+    ``edges``, along a last axis of two: libm's hypot and pow, as
+    ``abs(c) ** 2`` rounds on a complex scalar; numpy's ``abs`` and ``**``
+    on arrays round otherwise."""
+    squares = np.float_power(np.hypot(edges.real, edges.imag), 2)
+    return squares[..., 0] + squares[..., 1]
 
 
 def norm_l2_parseval(dots: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
     """:func:`norm_l2_rfft` from its parts, element by element: ``dots`` the
     real parts of the half spectra's vecdot with themselves, and ``edges``
-    their modes 0 and n/2 along a last axis of two, broadcast against dots.
-
-    The edge modes' |c|^2 is libm's hypot and pow, as ``abs(c) ** 2`` rounds
-    on a complex scalar; numpy's ``abs`` and ``**`` on arrays round otherwise.
-    """
-    squares = np.float_power(np.hypot(edges.real, edges.imag), 2)
-    return np.sqrt(2.0 * dots - (squares[..., 0] + squares[..., 1])) / n
+    their :func:`edge_squares`, broadcast against dots."""
+    return np.sqrt(2.0 * dots - edges) / n
 
 
 def inner(f: Signal, g: Signal) -> float:

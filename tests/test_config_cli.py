@@ -1,5 +1,6 @@
 import errno
 from dataclasses import replace
+from xml.dom import minidom
 from functools import partial
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from torusreg import (
 from torusreg.cli import main
 from torusreg.errors import AT_LEAST_ONE, POSITIVE, check_value
 from torusreg.reportio import SWEEP_HEADER, write_signals_csv, write_sweep_csv
+from torusreg.svgplot import Line, Series, svg_loglog
 from torusreg.harness import SweepRow
 
 from conftest import count_calls, read_sweep_csv
@@ -400,6 +402,23 @@ class TestSignalsCsv:
             write_signals_csv(str(tmp_path / "signals.csv"), columns)
         assert not (tmp_path / "signals.csv").exists()
 
+    def test_no_signal_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^columns must name at least one signal$"):
+            write_signals_csv(str(tmp_path / "signals.csv"), {})
+        assert not (tmp_path / "signals.csv").exists()
+
+
+class TestSvgPlot:
+    def test_markup_characters_in_text_are_escaped(self, tmp_path):
+        # the title, both axis labels and every series and line label are XML text
+        path = tmp_path / "plot.svg"
+        texts = ["a < b & c", "x > 0 & <y>", "delta & alpha", "k < n/2", "fit & \"slope\" < 1"]
+        svg_loglog(str(path), [Series(texts[0], [1, 10], [1, 2])], [Line(texts[1], 1.0, 0.0)],
+                   title=texts[2], xlabel=texts[3], ylabel=texts[4])
+        drawn = {node.firstChild.data for node in minidom.parse(str(path)).getElementsByTagName("text")
+                 if node.firstChild is not None}
+        assert set(texts) <= drawn
+
 
 def small_cli_config(tmp_path, extra=""):
     path = tmp_path / "cli.cfg"
@@ -559,9 +578,10 @@ class TestCli:
         assert len(calibration.objectives) == 3
         chosen = config.sweep.calibrate_cs.index(calibration.c)
         assert calibration.objectives[chosen] == min(calibration.objectives)
-        searches = count_calls(monkeypatch, torusreg.harness, "worst_case_search")
+        # every search, of either route, runs one selection walk
+        searches = count_calls(monkeypatch, torusreg.harness, "_select")
         assert main(["rate-sweep", "--config", cfg]) == 0
-        assert searches == {"worst_case_search": 3 * 3}
+        assert searches == {"_select": 3 * 3}
         swept = rate_sweep(replace(config, sweep=replace(config.sweep, alpha_c=calibration.c)))
         assert read_sweep_csv(str(tmp_path / "out" / "sweep.csv")) == calibration.rows == swept
 
@@ -582,9 +602,9 @@ class TestCli:
         with open(cfg, "w") as handle:  # alpha_c is not read once c is calibrated
             handle.write(text.replace("alpha_c = 0.005", "alpha_c = 1.0\ncalibrate_cs = 0.005"))
         capsys.readouterr()
-        searches = count_calls(monkeypatch, torusreg.harness, "worst_case_search")
+        searches = count_calls(monkeypatch, torusreg.harness, "_select")  # a spectral row's search
         assert main(["rate-sweep", "--config", cfg]) == 0
-        assert searches == {"worst_case_search": 3}  # one per delta
+        assert searches == {"_select": 3}  # one per delta
         assert capsys.readouterr().out.startswith("calibrated c = 0.005\n")
         for name in ("sweep.csv", "sweep.svg"):
             assert (tmp_path / "out" / name).read_bytes() == (plain / name).read_bytes()

@@ -1,6 +1,6 @@
 import concurrent.futures
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -203,6 +203,12 @@ def noise_pair(n, delta):
     pair = np.array([g_rfft, g_rfft])
     pair.imag[1] -= n // 2 * delta
     return pair
+
+
+def bits(row):
+    """A row's values with each float as its exact hex form, so that equal
+    rows are equal bit for bit."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
 def assert_round_trip_of(g_obs, g_true):
@@ -640,6 +646,61 @@ class TestSpectralScoresAreTheChainsOnTheirSignals:
                         else norm_l1_array(r.minimizer.values - problem.f_true.values)
                         for r in reports]
                 assert scores.tobytes() == np.array(want).tobytes(), (k, scores, want)
+
+
+def spectral_sweep_config(n, metric, noise, steps=2, deltas=geometric_grid(1e-1, 1e-3, 3)):
+    """A spectral rate sweep of the quadratic problem on n points, ready to calibrate."""
+    return ExperimentConfig(
+        problem=ProblemConfig(n=n, penalty="quadratic"),
+        solver=SolverConfig(method="spectral"),
+        sweep=SweepConfig(deltas=deltas, bregman_steps=steps, metric=metric,
+                          noise=NoiseModel(**noise), predicted_rate=1.0, calibrate_cs=(0.1, 1.0)),
+    )
+
+
+class TestSpectralRowsFromHalfSpectra:
+    """A spectral sweep takes its rows from the half spectra that each search
+    keeps: it builds no Signal, and each row is, bit for bit, the metrics of
+    worst_case_search's choice, which builds signals and reports for its callers."""
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    def test_sweeps_build_no_signal(self, monkeypatch, metric):
+        # one rfft per search; kl selection reads each row's samples for its l1
+        # error (one irfft per row), l1 selection every block's (one per block and step)
+        steps, k_max = 2, 40
+        config = spectral_sweep_config(512, metric, {"k_max": k_max}, steps)
+        problem = build_problem(config.problem)
+        problem.penalty.prior.rfft, problem.f_true.rfft  # once per problem
+        signals = count_calls(monkeypatch, Signal, "__post_init__")
+        ffts = count_ffts(monkeypatch)
+        rows = rate_sweep(config, problem=problem)
+        calibration = calibrate_c(config, problem=problem)
+        assert not signals
+        searches = len(config.sweep.deltas) * (1 + len(config.sweep.calibrate_cs))
+        per_search = steps if metric == "kl" else blocks(k_max, 512) * steps
+        assert ffts == {"rfft": searches, "irfft": searches * per_search}
+        assert len(rows) == len(calibration.rows) == len(config.sweep.deltas) * steps
+
+    @pytest.mark.parametrize("metric", ["kl", "l1"])
+    @pytest.mark.parametrize("n, noise", [
+        (128, {"k_max": 12}),
+        (512, {"k_max": 40}),  # two blocks, the last partial
+        (128, {"kind": "fixed_sinusoid", "k_fixed": 5}),
+        (128, {"kind": "exact"}),  # k = 0 at every delta
+        (64, {"k_max": 31}),  # up to k = n/2 - 1, next to Nyquist
+    ], ids=["worst-case", "two-blocks", "fixed-k", "exact", "nyquist"])
+    def test_rows_are_the_search_choices_bit_for_bit(self, metric, n, noise):
+        config = spectral_sweep_config(n, metric, noise, steps=3,
+                                       deltas=geometric_grid(1e-1, 1e-4, 4))
+        problem = build_problem(config.problem)
+        want = []
+        for delta in config.sweep.deltas:
+            alpha = apriori_alpha(delta, config.sweep.alpha_c, config.sweep.alpha_sigma)
+            for step, choice in enumerate(worst_case_search(config, problem, delta, alpha).choices, 1):
+                want.append((delta, alpha, choice.k, step, *choice.metrics))
+        got = [astuple(row) for row in rate_sweep(config, problem=problem)]
+        assert [bits(row) for row in got] == [bits(row) for row in want]
+        assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
 
 
 class TestApproxErrorSweep:
