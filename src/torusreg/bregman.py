@@ -14,6 +14,7 @@ sum to a subgradient of the original penalty at f_n, which
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,8 @@ __all__ = ["accumulated_subgradient", "bregman_iterate", "step_penalty"]
 
 
 def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
-    """Penalty of step n: the original R for n = 1, else D_R(., f_{n-1}).
+    """Penalty of step n: the original R for n = 1, else D_R(., f_{n-1}),
+    ``dataclasses.replace(penalty, prior=previous)``, which the constructor checks.
 
     Quadratic: prior replaced by the previous iterate. Entropy: KL to the
     previous iterate, valid while that iterate is interior; an iterate
@@ -38,7 +40,7 @@ def step_penalty(penalty: Penalty, previous: Signal | None) -> Penalty:
     """
     if previous is None:
         return penalty
-    current = penalty.with_prior(previous)
+    current = replace(penalty, prior=previous)
     if penalty.boundary_touch(previous):
         warnings.warn(
             f"previous iterate within {TOUCH_TOL:g} of the box bounds; the interior "

@@ -11,9 +11,10 @@ from functools import partial
 
 from . import __version__
 from .bregman import bregman_iterate  # noqa: F401 # the tracer (perfbench/spans.py) patches it
-from .config import default_config, load_config
+from .config import load_config
 from .errors import ConfigError, InsufficientData, SourceDivisionError, TorusRegError
 from .harness import (
+    ExperimentConfig,
     apriori_alpha,
     approx_error_sweep,
     build_problem,
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     made: list[str] = []
     try:
-        config = load_config(args.config) if args.config else default_config()
+        config = load_config(args.config) if args.config else ExperimentConfig()
         outdir = _ensure_outdir(args.out or config.output.directory, made)
         return args.fn(config, outdir, args)
     except (TorusRegError, OSError) as exc:  # OSError: an output file that cannot be written

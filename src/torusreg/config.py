@@ -26,7 +26,7 @@ from dataclasses import is_dataclass
 from .errors import ConfigError, field_types
 from .harness import ExperimentConfig, NoiseModel, SweepConfig, geometric_grid
 
-__all__ = ["load_config", "default_config"]
+__all__ = ["load_config"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -59,10 +59,6 @@ _PARSERS = {
 
 # the geometric_grid arguments (top, bottom, count), in that order
 _GRID_KEYS = {"delta_max": float, "delta_min": float, "delta_count": int}
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def _keys(cls) -> dict:

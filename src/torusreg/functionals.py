@@ -113,9 +113,6 @@ class QuadraticPenalty:
 
         return prox
 
-    def with_prior(self, prior: Signal) -> "QuadraticPenalty":
-        return QuadraticPenalty(prior)
-
 
 @dataclass(frozen=True)
 class EntropyPenalty:
@@ -225,9 +222,6 @@ class EntropyPenalty:
     def prox(self, x: Signal, gamma: float) -> Signal:
         check_same_grid(x, self.prior)
         return Signal(x.grid, self.prox_map(gamma)(x.values))
-
-    def with_prior(self, prior: Signal) -> "EntropyPenalty":
-        return EntropyPenalty(prior, self.box_lo, self.box_hi)
 
 
 Penalty = QuadraticPenalty | EntropyPenalty

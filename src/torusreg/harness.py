@@ -126,6 +126,9 @@ class SweepConfig:
         check_fields(self)
         if not self.deltas or any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
             raise ConfigError(f"deltas must be non-empty and strictly decreasing, got {self.deltas}")
+        for name in ("alphas", "calibrate_cs"):  # None is unset; () is an empty list
+            if getattr(self, name) == ():
+                raise ConfigError(f"{name} must be non-empty, got ()")
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,10 @@ class OutputConfig:
     svg_name: str = field(default="sweep.svg", metadata=FILE_NAME)
     write_svg: bool = True
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if self.svg_name == self.csv_name:
+            raise ConfigError(f"svg_name must differ from csv_name, got {self.svg_name!r} for both")
 
 
 @dataclass(frozen=True)
@@ -249,11 +255,13 @@ class Choice(NamedTuple):
     ``reports`` is the whole chain run on ``g_obs``, one report per step,
     as :func:`~torusreg.bregman.bregman_iterate` returns it on ``config.solver``;
     a chain selected at several steps is one list, shared by their choices.
+    ``metrics`` are the step's: its score in the search's metric, :func:`_error`
+    of its minimizer in the other, and its report's residual and iterations.
     """
 
     k: int  # noise frequency; 0 for exact data
     g_obs: Signal
-    reports: list[SolveReport]  # the whole chain run on g_obs, one per step
+    reports: list[SolveReport]
     metrics: tuple[float, float, float, int]  # (kl, l1, data residual, DR iterations)
 
 
@@ -399,15 +407,13 @@ def _select(config: ExperimentConfig, problem: Problem, delta: float, alpha: flo
     return ks, pair, scores, iterations, best
 
 
-def _metrics(problem: Problem, metric: str, score: float, c: np.ndarray, g: np.ndarray,
-             f: np.ndarray | None = None) -> tuple[float, float, float, int]:
-    """A spectral choice's (kl, l1, data residual, DR iterations) at ``score``, from c and
-    g, the half spectra of its minimizer (f its samples, if kept) and data: bit for bit
-    what ``QuadraticPenalty.bregman``, :func:`_error` and ``SolveReport`` give on signals."""
+def _metrics(problem: Problem, metric: str, score: float, c: np.ndarray,
+             g: np.ndarray) -> tuple[float, float, float, int]:
+    """A spectral sweep row's (kl, l1, data residual, DR iterations) at ``score``, from c
+    and g, its minimizer's and data's half spectra: bit for bit a :class:`Choice`'s."""
     n, f_true = problem.grid.n, problem.f_true
     kl = score if metric == "kl" else 0.5 * norm_l2_rfft(c - f_true.rfft, n) ** 2
-    l1 = score if metric == "l1" else norm_l1_array(
-        (np.fft.irfft(c, n) if f is None else f) - f_true.values)
+    l1 = score if metric == "l1" else norm_l1_array(np.fft.irfft(c, n) - f_true.values)
     return kl, l1, norm_l2_rfft(problem.op.symbol_rfft * c - g, n), 0
 
 
@@ -418,43 +424,28 @@ def worst_case_search(
 
     The candidates follow ``config.sweep.noise``: the exact data (k = 0),
     g_true + delta sin(2 pi k_fixed .), or g_true + delta sin(2 pi k .) for
-    k = 1..k_max. Returns every candidate's error in ``config.sweep.metric``
-    and DR iterations at every step, and for each Bregman step the candidate
-    with the largest error at that step (first index wins ties); the first
-    n steps of a chain are the n-step chain, so one chain per candidate
-    covers every step.
+    k = 1..k_max, as half spectra of one pair (:func:`_candidates`). Returns
+    every candidate's error in ``config.sweep.metric`` and DR iterations at
+    every step, and per Bregman step the candidate with the largest error
+    there (first index wins ties): one chain per candidate covers every step.
+    The spectral route (:func:`_spectral_blocks`) then builds a signal and
+    reports per distinct selected chain.
 
-    Candidates are half spectra of one pair per search, (g^, g^ - i n/2
-    delta) from the rfft of g_true's samples (:func:`_candidates`). The DR
-    route runs one chain per candidate signal (:func:`_dr_chains`); the
-    spectral route walks them in blocks (:func:`_spectral_blocks`), with
-    kl's edge terms once per search, and keeps arrays only for its running
-    best. For this function's callers only, it then builds a signal and
-    reports per distinct selected chain; the metrics, like the rows', come
-    from half spectra (:func:`_metrics`).
-
-    The spectral chains are unchecked arrays on the grid that the Problem
-    checked when it was made, so a search checks every score's finiteness
-    once, after the walk; a non-finite one raises :class:`ConfigError`
-    naming the first such candidate and step.
+    A choice's metrics follow one rule on both routes: the score in the
+    metric's slot, :func:`_error` of the step's minimizer in the other, and
+    the step report's data residual and iterations. A non-finite score
+    raises :class:`ConfigError` naming the first such candidate and step.
     """
     ks, pair, scores, iterations, best = _select(config, problem, delta, alpha)
     metric, chains, choices = config.sweep.metric, {}, []  # chains: (g_obs, reports) by j
     for i, (score, j, observed, kept) in enumerate(best):
-        if j not in chains:
-            if observed is None:  # spectral: a signal and reports for the selected chains only
-                observed = Signal.from_rfft(problem.grid, _candidate(pair, ks, j))
-                kept = spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
-            chains[j] = observed, kept
-        g_obs, reports = chains[j]
-        r, f = reports[i], reports[i].minimizer
-        if config.solver.method == "spectral":
-            metrics = _metrics(problem, metric, score, f.rfft, g_obs.rfft, f.values)
-        else:
-            metrics = (score if metric == "kl" else _error(problem, "kl", f),
-                       score if metric == "l1" else _error(problem, "l1", f),
-                       r.data_residual, r.iterations)
-        choices.append(Choice(int(ks[j]), g_obs, reports, metrics))
+        if observed is None and j not in chains:  # spectral: for the selected chains only
+            observed = Signal.from_rfft(problem.grid, _candidate(pair, ks, j))
+            chains[j] = observed, spectral_reports(problem.op, observed, alpha, problem.penalty, kept)
+        g_obs, reports = chains.setdefault(j, (observed, kept))
+        r = reports[i]
+        kl, l1 = (score if m == metric else _error(problem, m, r.minimizer) for m in ("kl", "l1"))
+        choices.append(Choice(int(ks[j]), g_obs, reports, (kl, l1, r.data_residual, r.iterations)))
     return Search(ks, scores, iterations, choices)
 
 

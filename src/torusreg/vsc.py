@@ -25,7 +25,7 @@ from .operators import (
     multiplier_power_apply,
     power_apply,
 )
-from .torus import Signal, norm_l2
+from .torus import Signal, norm_l2, norm_l2_rfft
 
 __all__ = [
     "HoelderIndexFunction",
@@ -261,9 +261,10 @@ def vsc_violation_search(
     Fourier modes, omega itself (when nonzero) and ``trials`` seeded
     Gaussian directions. On a ray the residual <omega, f> - 1/2 ||f||^2 -
     Phi(||Tf||^2) is p t - t^2/2 - Phi(q^2 t^2) with p = |<omega, u>| and
-    q = ||Tu||, and the largest residual over all rays is returned. A
-    positive value certifies a violation; a non-positive value over
-    finitely many samples proves nothing.
+    q = ||Tu||, for omega and the Gaussian directions the
+    :func:`~torusreg.torus.norm_l2_rfft` of Tu's half spectra; the largest
+    residual over all rays is returned. A positive value certifies a
+    violation; a non-positive value over finitely many samples proves nothing.
     """
     check_value("trials", trials, int, AT_LEAST_ONE)
     check_value("seed", seed, int, NON_NEGATIVE)
@@ -272,12 +273,8 @@ def vsc_violation_search(
     if norm_l2(omega) > 0:
         directions = np.vstack([omega.values, directions])
     directions /= np.sqrt((directions * directions).sum(axis=1, keepdims=True) / n)
-    # ||Tu|| by Parseval over the half spectrum: interior modes count twice
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    images = np.abs(np.fft.rfft(directions) * op.symbol_rfft) ** 2 @ weights
     coeffs, mus = _mode_inner_products(op, omega)
     p = np.append(np.abs(coeffs), np.abs(directions @ omega.values) / n)
-    q = np.append(mus, np.sqrt(images) / n)
+    q = np.append(mus, norm_l2_rfft(np.fft.rfft(directions) * op.symbol_rfft, n))
     t = _AMPLITUDES[:, None]
     return float(np.max(p * t - 0.5 * t**2 - phi((q * t) ** 2)))

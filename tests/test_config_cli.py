@@ -31,7 +31,6 @@ from torusreg import (
     build_problem,
     calibrate_c,
     construct_source,
-    default_config,
     fit_rate,
     load_config,
     make_inverse_helmholtz,
@@ -97,7 +96,7 @@ class TestConfigFile:
         assert cfg.output.csv_name == "rows.csv"
 
     def test_defaults_without_file(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.problem.n == 480
         assert cfg.sweep.noise.k_max == 32
         assert cfg.sweep.metric == "kl"
@@ -455,6 +454,9 @@ N32 = "[problem]\nn = 32\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
 BOX_HI = "[problem]\nn = 64\nbox_hi = 1.5\n\n[sweep]\nalphas = 1e-1, 1e-2\nk_max = 8\n"
 COARSE = "n must be >= 8 * (bspline_degree + 1) = 48, got 32"
 LOW_BOX = "box_hi = 1.5 must lie above max(f_true) = 1.55"
+# a rate sweep small enough to run, ending inside [sweep]
+SMALL_RATE = ("[problem]\nn = 64\n\n[sweep]\nk_max = 4\nbregman_steps = 1\n"
+              "delta_max = 1e-1\ndelta_min = 1e-2\ndelta_count = 2\n")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # each config below ends in its [sweep] section, so a line appended to it lands there
 ENTROPY = ("[problem]\nn = 96\n\n[solver]\ntol = 1e-9\n\n[sweep]\ndelta_max = 1e-2\n"
@@ -768,6 +770,11 @@ class TestCli:
         ("approx-sweep", "[sweep]\nalphas = 1e-2\n\n[output]\ncsv_name =\n", "csv_name"),
         ("approx-sweep", "[sweep]\nalphas = 1e-2\n\n[output]\ncsv_name = ../escape.csv\n", "csv_name"),
         ("rate-sweep", "[output]\nsvg_name = x/y.svg\n", "svg_name"),
+        # each would run a sweep: the SVG over the CSV, or no calibration for an empty list
+        ("rate-sweep", SMALL_RATE + "\n[output]\ncsv_name = sweep.out\nsvg_name = sweep.out\n",
+         "svg_name"),
+        ("rate-sweep", SMALL_RATE + "calibrate_cs =\n", "calibrate_cs"),
+        ("rate-sweep", SMALL_RATE + "alphas =\n", "alphas"),
     ])
     def test_bad_setting_exits_2_naming_the_key(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "bad.cfg"

@@ -92,11 +92,16 @@ class TestConfigs:
         for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
             with pytest.raises(ConfigError, match="alphas"):
                 SweepConfig(alphas=bad)
+        # an empty list (a config file's "alphas =") is not unset
+        with pytest.raises(ConfigError, match=r"^alphas must be non-empty, got \(\)$"):
+            SweepConfig(alphas=())
 
     def test_calibrate_cs_must_be_finite_and_positive(self):
         for bad in ((-1.0,), (1e-2, 0.0), (float("nan"),), (1e-2, float("inf"))):
             with pytest.raises(ConfigError, match="calibrate_cs"):
                 SweepConfig(calibrate_cs=bad)
+        with pytest.raises(ConfigError, match=r"^calibrate_cs must be non-empty, got \(\)$"):
+            SweepConfig(calibrate_cs=())
         # calibrate_c reads the constants from the checked config alone
         with pytest.raises(ConfigError, match="^calibrate_cs must be non-empty"):
             calibrate_c(ExperimentConfig(sweep=SweepConfig(predicted_rate=1.0)))
@@ -535,8 +540,19 @@ class TestSpectralRoute:
     def test_reports_are_bregman_iterate_on_the_chosen_data(self, metric, delta):
         problem, steps, alpha = quad_problem(), 3, 1e-2
         config = search_config(steps=steps, metric=metric, k_max=8)
-        choices = worst_case_search(config, problem, delta, alpha).choices
-        for choice in choices:
+        search = worst_case_search(config, problem, delta, alpha)
+        choices = search.choices
+        for step, choice in enumerate(choices):
+            # the metrics, bit for bit from the choice's own report: the score in
+            # the metric's slot, the other error of the step's minimizer, the
+            # report's residual and iterations
+            r, f_true = choice.reports[step], problem.f_true
+            score = float(search.scores[search.ks.tolist().index(choice.k), step])
+            want = (score if metric == "kl" else problem.penalty.bregman(r.minimizer, f_true),
+                    score if metric == "l1" else norm_l1_array(r.minimizer.values - f_true.values),
+                    r.data_residual, r.iterations)
+            assert bits(choice.metrics) == bits(want)
+            assert [type(v) for v in choice.metrics] == [float, float, float, int]
             want = bregman_iterate(problem.op, choice.g_obs, alpha, problem.penalty, steps,
                                    SolverConfig(method="spectral"))
             assert len(choice.reports) == steps

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -403,7 +404,7 @@ class TestArrayCoreMatchesSignalLoop:
             report = solve_generalized_dr(op, g_obs, alpha, pen, cfg)
             assert report.iterations == iterations
             assert np.max(np.abs(report.minimizer.values - expected.values)) <= 1e-12
-            pen = pen.with_prior(report.minimizer)
+            pen = replace(pen, prior=report.minimizer)
 
     def test_entropy_clamp_binds(self, grid, data):
         # the truth 1 + 0.4 cos leaves the box [0.8, 1.2] at both ends
